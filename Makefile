@@ -2,7 +2,7 @@
 
 FUZZTIME ?= 10s
 
-.PHONY: all check ci fmt-check build test bench bench-json bench-compare profile repro vet lint cover fuzz soak soak-cluster soak-jobs soak-all vulncheck clean
+.PHONY: all check ci fmt-check build test hlbench-check bench bench-json bench-compare profile repro vet lint cover fuzz soak soak-cluster soak-jobs soak-all vulncheck clean
 
 all: check
 
@@ -15,7 +15,7 @@ check:
 
 # ci mirrors the required job of .github/workflows/ci.yml exactly, so
 # "make ci" locally reproduces what the pipeline gates on.
-ci: fmt-check vet build
+ci: fmt-check vet build hlbench-check
 	go test -race ./...
 
 # fmt-check fails (and lists the offenders) if any file needs gofmt.
@@ -39,6 +39,13 @@ lint:
 
 test:
 	go test ./...
+
+# hlbench-check vets and tests the benchmark (cmd/hlbench). It is a
+# module of its own, so the root `go vet ./...` and `go test ./...`
+# never see it, yet it compiles against the sim, macromodel and service
+# APIs: an API change that breaks it must fail here.
+hlbench-check:
+	cd cmd/hlbench && go vet ./... && go test ./...
 
 bench:
 	go test -bench=. -benchmem ./...
@@ -77,9 +84,11 @@ cover:
 
 # fuzz gives each bus round-trip fuzz target, the memo canonical-key
 # target, the batch decode/partition target, the job-engine wire
-# target (optimize request + checkpoint snapshot), and the kernel
+# target (optimize request + checkpoint snapshot), the kernel
 # equivalence targets (fused vs unfused, and codegen vs fused,
-# bit-identity including budget exhaustion) a budget of FUZZTIME
+# bit-identity including budget exhaustion), and the predict
+# equivalence target (the served predict path vs the one-shot,
+# interpreted reference) a budget of FUZZTIME
 # (override with e.g. `make fuzz FUZZTIME=5s` for CI smoke runs).
 fuzz:
 	for f in FuzzBusInvertRoundTrip FuzzT0RoundTrip FuzzGrayRoundTrip \
@@ -91,6 +100,7 @@ fuzz:
 	go test -run '^FuzzRecipeWire$$' -fuzz '^FuzzRecipeWire$$' -fuzztime $(FUZZTIME) ./internal/jobs/
 	go test -run '^FuzzFusedEquivalence$$' -fuzz '^FuzzFusedEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzCodegenEquivalence$$' -fuzz '^FuzzCodegenEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
+	go test -run '^FuzzPredictEquivalence$$' -fuzz '^FuzzPredictEquivalence$$' -fuzztime $(FUZZTIME) ./internal/macromodel/
 
 # soak runs the powerd chaos harness under the race detector: >= 1000
 # requests with fault injection in the sim/rank/bdd paths, asserting

@@ -33,6 +33,7 @@ import (
 	"hlpower/internal/isa"
 	"hlpower/internal/jobs"
 	"hlpower/internal/logic"
+	"hlpower/internal/macromodel"
 	"hlpower/internal/powerd"
 	"hlpower/internal/recipe"
 	"hlpower/internal/rtlib"
@@ -395,6 +396,45 @@ func main() {
 	snap.Results = append(snap.Results, fusedEntry)
 	batchTS.Close()
 
+	// Predict mix: the /v1/predict computation — fit a macro-model
+	// against gate-level ground truth of a training stream, then check
+	// it against the ground truth of an evaluation stream — over the
+	// predict circuits x widths 4/8/12/16 x the four models at
+	// train = eval = 512, the predict shape of the hlbench workloads.
+	// A service.Local without an estimate cache computes every request
+	// in full; artifacts are compiled outside the timed region, as the
+	// serving layer's artifact cache amortizes them. One op is the
+	// whole 64-request mix. Before timing, every response is asserted
+	// Float64bits-identical to a reference that simulates both traces
+	// one-shot and predicts cycle by cycle on the interpreted evaluator.
+	predictSvc := &service.Local{}
+	mix := predictMix()
+	for _, req := range mix {
+		got, err := predictSvc.Predict(context.Background(), nil, req)
+		if err != nil {
+			fatal(err)
+		}
+		want, err := predictReference(req)
+		if err != nil {
+			fatal(err)
+		}
+		if math.Float64bits(got.Predicted) != math.Float64bits(want.Predicted) ||
+			math.Float64bits(got.Measured) != math.Float64bits(want.Measured) ||
+			math.Float64bits(got.AbsErrPct) != math.Float64bits(want.AbsErrPct) {
+			fatal(fmt.Errorf("predict/mix: %+v answered %+v, reference %+v", req, got, want))
+		}
+	}
+	predictEntry := measure("predict/mix", 0, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, req := range mix {
+				if _, err := predictSvc.Predict(context.Background(), nil, req); err != nil {
+					fatal(err)
+				}
+			}
+		}
+	})
+	snap.Results = append(snap.Results, predictEntry)
+
 	// Durable-job engine: per-candidate cost of one recipe-search step
 	// through the full engine path — candidate derivation, pass
 	// application, functional-equivalence verification, power
@@ -590,6 +630,65 @@ func rankCandidates(count, width, cycles int) []core.Candidate {
 		})
 	}
 	return out
+}
+
+// predictMix is the predict/mix workload: every predict circuit x
+// width 4/8/12/16 x model at train = eval = 512, seeds distinct.
+func predictMix() []service.PredictRequest {
+	var mix []service.PredictRequest
+	for _, circuit := range []string{"adder", "carry-select", "subtractor", "comparator"} {
+		for _, width := range []int{4, 8, 12, 16} {
+			for _, model := range []string{"pfa", "dbt", "bitwise", "io"} {
+				mix = append(mix, service.PredictRequest{
+					Circuit: circuit, Width: width, Model: model,
+					Train: 512, Eval: 512, Seed: int64(len(mix) + 1),
+				})
+			}
+		}
+	}
+	return mix
+}
+
+// predictReference answers a predict request without the serving
+// artifact: the exported fitters simulate the training trace one-shot,
+// the evaluation trace is a one-shot GroundTruth, and the io model
+// predicts by a census over PredictCycle, whose output evaluator is the
+// interpreted per-cycle one.
+func predictReference(req service.PredictRequest) (service.PredictResponse, error) {
+	mod, err := service.ModuleFor(req.Circuit, req.Width)
+	if err != nil {
+		return service.PredictResponse{}, err
+	}
+	trainA, trainB := service.OperandStreams(req.Train, req.Width, req.Seed)
+	evalA, evalB := service.OperandStreams(req.Eval, req.Width, req.Seed+1)
+	var m macromodel.Model
+	switch req.Model {
+	case "pfa":
+		m, err = macromodel.FitPFA(mod, trainA, trainB, sim.ZeroDelay)
+	case "dbt":
+		m, err = macromodel.FitDBT(mod, trainA, trainB, sim.ZeroDelay)
+	case "bitwise":
+		m, err = macromodel.FitBitwise(mod, trainA, trainB, sim.ZeroDelay)
+	default:
+		m, err = macromodel.FitIO(mod, trainA, trainB, sim.ZeroDelay)
+	}
+	if err != nil {
+		return service.PredictResponse{}, err
+	}
+	truth, err := macromodel.GroundTruth(mod, evalA, evalB, sim.ZeroDelay)
+	if err != nil {
+		return service.PredictResponse{}, err
+	}
+	measured := macromodel.MeanAbs(truth)
+	predicted := m.PredictStream(evalA, evalB)
+	if _, ok := m.(*macromodel.IOModel); ok {
+		predicted = macromodel.Census(m, evalA, evalB).Estimate
+	}
+	errPct := 0.0
+	if measured != 0 {
+		errPct = 100 * math.Abs(predicted-measured) / measured
+	}
+	return service.PredictResponse{Predicted: predicted, Measured: measured, AbsErrPct: errPct}, nil
 }
 
 func round3(v float64) float64 { return float64(int(v*1000+0.5)) / 1000 }

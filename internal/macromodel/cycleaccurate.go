@@ -80,7 +80,7 @@ func fitCycleAccurate(mod *rtlib.Module, trainA, trainB []uint64, maxVars int, f
 	if err != nil {
 		return nil, err
 	}
-	outFn, _, err := functionalOutput(mod)
+	outFn, err := functionalOutput(mod)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ package macromodel
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"hlpower/internal/bitutil"
 	"hlpower/internal/budget"
@@ -49,9 +50,63 @@ func streamAverage(m Model, as, bs []uint64) float64 {
 	return total / float64(len(as)-1)
 }
 
+// Trace is one characterization run of a module: the operand streams
+// it was driven with and the ground truth they produced — the switched
+// capacitance of every cycle after the first, as GroundTruth returns
+// it. Fitters regress against a trace and never simulate, so a caller
+// that already holds the module's gate-level trace (a serving layer
+// running it on a compiled artifact) fits without a second simulation.
+// B may be empty for single-operand modules.
+type Trace struct {
+	Mod   *rtlib.Module
+	A, B  []uint64
+	Truth []float64
+}
+
+// check validates the trace's shape: one truth entry per cycle pair.
+func (t Trace) check() error {
+	switch {
+	case t.Mod == nil:
+		return errors.New("macromodel: trace without a module")
+	case len(t.B) > 0 && len(t.B) != len(t.A):
+		return fmt.Errorf("macromodel: trace stream lengths differ (%d vs %d)", len(t.A), len(t.B))
+	case len(t.A) < 2 || len(t.Truth) != len(t.A)-1:
+		return fmt.Errorf("macromodel: trace of %d cycles has %d truth entries, want %d", len(t.A), len(t.Truth), len(t.A)-1)
+	}
+	return nil
+}
+
+// pair returns cycle i's previous and current B operands (zero for
+// single-operand modules).
+func (t Trace) pair(i int) (bPrev, bCur uint64) {
+	if len(t.B) > 0 {
+		return t.B[i], t.B[i+1]
+	}
+	return 0, 0
+}
+
+// characterize simulates a training set at gate level into a trace.
+func characterize(mod *rtlib.Module, trainA, trainB []uint64, delay sim.DelayModel) (Trace, error) {
+	truth, err := GroundTruth(mod, trainA, trainB, delay)
+	if err != nil {
+		return Trace{}, err
+	}
+	return Trace{Mod: mod, A: trainA, B: trainB, Truth: truth}, nil
+}
+
+// CycleTruth extracts the ground truth from a gate-level simulation of
+// a stream: the per-cycle switched capacitance with the first cycle
+// (warm-up from the baseline) excluded, matching PredictStream's pair
+// count. The returned slice aliases res.PerCycleCap.
+func CycleTruth(res *sim.Result) ([]float64, error) {
+	if len(res.PerCycleCap) < 2 {
+		return nil, errors.New("macromodel: stream too short")
+	}
+	return res.PerCycleCap[1:], nil
+}
+
 // GroundTruth measures the per-cycle switched capacitance of the module
-// on the given stream by gate-level simulation. The first cycle (warm-up
-// from the baseline) is excluded, matching PredictStream's pair count.
+// on the given stream by gate-level simulation (see CycleTruth).
 func GroundTruth(mod *rtlib.Module, as, bs []uint64, model sim.DelayModel) ([]float64, error) {
 	return GroundTruthBudget(nil, mod, as, bs, model) // nil budget never trips
 }
@@ -64,10 +119,7 @@ func GroundTruthBudget(b *budget.Budget, mod *rtlib.Module, as, bs []uint64, mod
 	if err != nil {
 		return nil, err
 	}
-	if len(res.PerCycleCap) < 2 {
-		return nil, errors.New("macromodel: stream too short")
-	}
-	return res.PerCycleCap[1:], nil
+	return CycleTruth(res)
 }
 
 // GroundTruthMemo is GroundTruthBudget with content-addressed
@@ -82,8 +134,28 @@ func GroundTruthBudget(b *budget.Budget, mod *rtlib.Module, as, bs []uint64, mod
 // budget, it falls through to GroundTruthBudget: chaos results are
 // never stored and never served.
 func GroundTruthMemo(c *memo.Cache, b *budget.Budget, mod *rtlib.Module, as, bs []uint64, model sim.DelayModel) ([]float64, error) {
+	return GroundTruthMemoRun(c, b, mod, as, bs, model, func() (*sim.Result, error) {
+		return mod.SimulateStreamBudget(b, as, bs, model)
+	})
+}
+
+// GroundTruthMemoRun is GroundTruthMemo with the simulation supplied by
+// the caller: on a miss (or with no cache, or a fault-armed b) run must
+// simulate exactly (as, bs) on mod under model, charging b — for
+// instance on a compiled serving artifact, whose runs are Float64bits-
+// identical to the one-shot path — and the trace is cut from its
+// result. Cache keys and entries are those of GroundTruthMemo, so both
+// entry points share hits.
+func GroundTruthMemoRun(c *memo.Cache, b *budget.Budget, mod *rtlib.Module, as, bs []uint64, model sim.DelayModel, run func() (*sim.Result, error)) ([]float64, error) {
+	truth := func() ([]float64, error) {
+		res, err := run()
+		if err != nil {
+			return nil, err
+		}
+		return CycleTruth(res)
+	}
 	if c == nil || b.FaultArmed() {
-		return GroundTruthBudget(b, mod, as, bs, model)
+		return truth()
 	}
 	enc := memo.NewEnc()
 	enc.String("macromodel/ground-truth/v1")
@@ -92,11 +164,11 @@ func GroundTruthMemo(c *memo.Cache, b *budget.Budget, mod *rtlib.Module, as, bs 
 	enc.Uint64s(as)
 	enc.Uint64s(bs)
 	v, _, err := c.Do(enc.Key(), func() (any, int64, bool, error) {
-		truth, err := GroundTruthBudget(b, mod, as, bs, model)
+		t, err := truth()
 		if err != nil {
 			return nil, 0, false, err
 		}
-		return truth, int64(len(truth))*8 + 24, true, nil
+		return t, int64(len(t))*8 + 24, true, nil
 	})
 	if err != nil {
 		return nil, err
@@ -120,11 +192,19 @@ type PFAModel struct {
 // FitPFA characterizes the constant as the mean switched capacitance
 // under pseudorandom data.
 func FitPFA(mod *rtlib.Module, trainA, trainB []uint64, delay sim.DelayModel) (*PFAModel, error) {
-	truth, err := GroundTruth(mod, trainA, trainB, delay)
+	t, err := characterize(mod, trainA, trainB, delay)
 	if err != nil {
 		return nil, err
 	}
-	return &PFAModel{ModuleName: mod.Name, CapPerOp: stats.Mean(truth)}, nil
+	return FitPFATrace(t)
+}
+
+// FitPFATrace is FitPFA over an already simulated training trace.
+func FitPFATrace(t Trace) (*PFAModel, error) {
+	if err := t.check(); err != nil {
+		return nil, err
+	}
+	return &PFAModel{ModuleName: t.Mod.Name, CapPerOp: stats.Mean(t.Truth)}, nil
 }
 
 func (m *PFAModel) Name() string { return "pfa" }
@@ -187,14 +267,22 @@ func dbtFeatures(width, bp int, aPrev, bPrev, aCur, bCur uint64, hasB bool) []fl
 // as the lowest bit whose activity falls below half the LSB activity
 // (for uniform data the sign region is just the top bit).
 func FitDBT(mod *rtlib.Module, trainA, trainB []uint64, delay sim.DelayModel) (*DBTModel, error) {
-	truth, err := GroundTruth(mod, trainA, trainB, delay)
+	t, err := characterize(mod, trainA, trainB, delay)
 	if err != nil {
 		return nil, err
 	}
-	w := mod.Width()
-	acts := bitutil.BitActivities(trainA, w)
-	if len(trainB) > 0 {
-		bacts := bitutil.BitActivities(trainB, w)
+	return FitDBTTrace(t)
+}
+
+// FitDBTTrace is FitDBT over an already simulated training trace.
+func FitDBTTrace(t Trace) (*DBTModel, error) {
+	if err := t.check(); err != nil {
+		return nil, err
+	}
+	w := t.Mod.Width()
+	acts := bitutil.BitActivities(t.A, w)
+	if len(t.B) > 0 {
+		bacts := bitutil.BitActivities(t.B, w)
 		for i := range acts {
 			acts[i] = (acts[i] + bacts[i]) / 2
 		}
@@ -207,22 +295,19 @@ func FitDBT(mod *rtlib.Module, trainA, trainB []uint64, delay sim.DelayModel) (*
 			break
 		}
 	}
-	hasB := len(trainB) > 0
+	hasB := len(t.B) > 0
 	// No intercept: the four sign-class counts sum to the operand count
 	// every cycle, so a constant column would be collinear with them.
-	X := make([][]float64, len(truth))
-	for i := range truth {
-		var bp0, bc uint64
-		if hasB {
-			bp0, bc = trainB[i], trainB[i+1]
-		}
-		X[i] = dbtFeatures(w, bp, trainA[i], bp0, trainA[i+1], bc, hasB)
+	X := make([][]float64, len(t.Truth))
+	for i := range t.Truth {
+		bp0, bc := t.pair(i)
+		X[i] = dbtFeatures(w, bp, t.A[i], bp0, t.A[i+1], bc, hasB)
 	}
-	fit, err := stats.OLS(X, truth)
+	fit, err := stats.OLS(X, t.Truth)
 	if err != nil {
 		return nil, fmt.Errorf("macromodel: DBT fit: %w", err)
 	}
-	m := &DBTModel{ModuleName: mod.Name, Width: w, Breakpoint: bp, Cu: fit.Beta[0]}
+	m := &DBTModel{ModuleName: t.Mod.Name, Width: w, Breakpoint: bp, Cu: fit.Beta[0]}
 	copy(m.CSign[:], fit.Beta[1:5])
 	return m, nil
 }
@@ -272,25 +357,31 @@ func bitwiseFeatures(wa, wb int, aPrev, bPrev, aCur, bCur uint64) []float64 {
 
 // FitBitwise characterizes the per-pin capacitances by least squares.
 func FitBitwise(mod *rtlib.Module, trainA, trainB []uint64, delay sim.DelayModel) (*BitwiseModel, error) {
-	truth, err := GroundTruth(mod, trainA, trainB, delay)
+	t, err := characterize(mod, trainA, trainB, delay)
 	if err != nil {
 		return nil, err
 	}
-	wa := len(mod.A)
-	wb := len(mod.B)
-	X := make([][]float64, len(truth))
-	for i := range truth {
-		var bp, bc uint64
-		if wb > 0 {
-			bp, bc = trainB[i], trainB[i+1]
-		}
-		X[i] = append([]float64{1}, bitwiseFeatures(wa, wb, trainA[i], bp, trainA[i+1], bc)...)
+	return FitBitwiseTrace(t)
+}
+
+// FitBitwiseTrace is FitBitwise over an already simulated training
+// trace.
+func FitBitwiseTrace(t Trace) (*BitwiseModel, error) {
+	if err := t.check(); err != nil {
+		return nil, err
 	}
-	fit, err := stats.OLS(X, truth)
+	wa := len(t.Mod.A)
+	wb := len(t.Mod.B)
+	X := make([][]float64, len(t.Truth))
+	for i := range t.Truth {
+		bp, bc := t.pair(i)
+		X[i] = append([]float64{1}, bitwiseFeatures(wa, wb, t.A[i], bp, t.A[i+1], bc)...)
+	}
+	fit, err := stats.OLS(X, t.Truth)
 	if err != nil {
 		return nil, fmt.Errorf("macromodel: bitwise fit: %w", err)
 	}
-	return &BitwiseModel{ModuleName: mod.Name, WidthA: wa, WidthB: wb,
+	return &BitwiseModel{ModuleName: t.Mod.Name, WidthA: wa, WidthB: wb,
 		Intercept: fit.Beta[0], Coef: fit.Beta[1:]}, nil
 }
 
@@ -312,8 +403,10 @@ func (m *BitwiseModel) PredictStream(as, bs []uint64) float64 { return streamAve
 
 // IOModel regresses on the mean input activity and the mean (zero-delay)
 // output activity: cap = c0 + CI·EI + CO·EO. Output activity comes from
-// the module's functional behaviour, evaluated via a fast zero-delay
-// output function captured at characterization time.
+// the module's functional behaviour — the "fast functional simulation"
+// of [41] — settled 64 cycles at a time on the module's compiled
+// netlist for training and for PredictStream, and by per-cycle
+// zero-delay evaluation for PredictCycle.
 type IOModel struct {
 	ModuleName string
 	WidthA     int
@@ -321,49 +414,86 @@ type IOModel struct {
 	WidthOut   int
 	Intercept  float64
 	CI, CO     float64
-	outFn      func(a, b uint64) uint64
+
+	mod  *rtlib.Module
+	comp *sim.Compiled
+
+	// outFn is PredictCycle's per-cycle evaluator, built on first use:
+	// stream prediction never needs it.
+	outOnce sync.Once
+	outFn   func(a, b uint64) uint64
 }
 
-// FitIO characterizes the input–output model. The module's functional
-// output is obtained by zero-delay evaluation (the "fast functional
-// simulation" of [41]).
+// FitIO characterizes the input–output model.
 func FitIO(mod *rtlib.Module, trainA, trainB []uint64, delay sim.DelayModel) (*IOModel, error) {
-	truth, err := GroundTruth(mod, trainA, trainB, delay)
+	t, err := characterize(mod, trainA, trainB, delay)
 	if err != nil {
 		return nil, err
 	}
-	outFn, wOut, err := functionalOutput(mod)
+	// Output activity is zero-delay by definition, whatever delay model
+	// the ground truth was simulated under.
+	comp, err := sim.Compile(mod.Net, sim.Options{})
 	if err != nil {
 		return nil, err
 	}
-	wa, wb := len(mod.A), len(mod.B)
-	X := make([][]float64, len(truth))
-	for i := range truth {
-		var bp, bc uint64
-		if wb > 0 {
-			bp, bc = trainB[i], trainB[i+1]
-		}
-		ei := float64(bitutil.Hamming(trainA[i], trainA[i+1]) + bitutil.Hamming(bp, bc))
-		eo := float64(bitutil.Hamming(outFn(trainA[i], bp), outFn(trainA[i+1], bc)))
-		X[i] = []float64{1, ei, eo}
+	return FitIOTrace(nil, comp, t)
+}
+
+// FitIOTrace is FitIO over an already simulated training trace. comp
+// must be t.Mod's netlist compiled under the zero-delay model; the
+// training stream's functional outputs are settled on it, charged to b.
+// The model keeps comp for PredictStream.
+func FitIOTrace(b *budget.Budget, comp *sim.Compiled, t Trace) (*IOModel, error) {
+	if err := t.check(); err != nil {
+		return nil, err
 	}
-	fit, err := stats.OLS(X, truth)
+	out, err := outputWords(b, comp, t.Mod, t.A, t.B)
+	if err != nil {
+		return nil, err
+	}
+	X := make([][]float64, len(t.Truth))
+	for i := range t.Truth {
+		bp, bc := t.pair(i)
+		X[i] = []float64{1, ioInput(t.A[i], bp, t.A[i+1], bc), ioOutput(out[i], out[i+1])}
+	}
+	fit, err := stats.OLS(X, t.Truth)
 	if err != nil {
 		return nil, fmt.Errorf("macromodel: IO fit: %w", err)
 	}
-	return &IOModel{ModuleName: mod.Name, WidthA: wa, WidthB: wb, WidthOut: wOut,
-		Intercept: fit.Beta[0], CI: fit.Beta[1], CO: fit.Beta[2], outFn: outFn}, nil
+	return &IOModel{ModuleName: t.Mod.Name, WidthA: len(t.Mod.A), WidthB: len(t.Mod.B),
+		WidthOut: len(t.Mod.Net.Outputs), Intercept: fit.Beta[0], CI: fit.Beta[1], CO: fit.Beta[2],
+		mod: t.Mod, comp: comp}, nil
 }
 
+// outputWords settles the module's functional outputs for every cycle
+// of an operand stream on its compiled netlist.
+func outputWords(b *budget.Budget, comp *sim.Compiled, mod *rtlib.Module, as, bs []uint64) ([]uint64, error) {
+	return comp.OutputWords(b, func(c int) uint64 {
+		var bc uint64
+		if len(bs) > 0 {
+			bc = bs[c]
+		}
+		return mod.InputWord(as[c], bc)
+	}, len(as))
+}
+
+// ioInput and ioOutput are the model's two activity features: operand
+// and output Hamming distances between consecutive cycles.
+func ioInput(aPrev, bPrev, aCur, bCur uint64) float64 {
+	return float64(bitutil.Hamming(aPrev, aCur) + bitutil.Hamming(bPrev, bCur))
+}
+
+func ioOutput(oPrev, oCur uint64) float64 { return float64(bitutil.Hamming(oPrev, oCur)) }
+
 // functionalOutput builds a closure evaluating the module's settled
-// outputs by topological zero-delay evaluation.
-func functionalOutput(mod *rtlib.Module) (func(a, b uint64) uint64, int, error) {
+// outputs by topological zero-delay evaluation, one cycle per call —
+// the evaluator of the per-cycle PredictCycle paths.
+func functionalOutput(mod *rtlib.Module) (func(a, b uint64) uint64, error) {
 	order, err := mod.Net.TopoOrder()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	n := mod.Net
-	wOut := len(n.Outputs)
 	fn := func(a, b uint64) uint64 {
 		vals := make([]bool, len(n.Gates))
 		for i, s := range mod.A {
@@ -392,15 +522,68 @@ func functionalOutput(mod *rtlib.Module) (func(a, b uint64) uint64, int, error) 
 		}
 		return w
 	}
-	return fn, wOut, nil
+	return fn, nil
 }
 
 func (m *IOModel) Name() string { return "input-output" }
 
+// predict is the fitted regression on one cycle's features.
+func (m *IOModel) predict(ei, eo float64) float64 { return m.Intercept + m.CI*ei + m.CO*eo }
+
 func (m *IOModel) PredictCycle(aPrev, bPrev, aCur, bCur uint64) float64 {
-	ei := float64(bitutil.Hamming(aPrev, aCur) + bitutil.Hamming(bPrev, bCur))
-	eo := float64(bitutil.Hamming(m.outFn(aPrev, bPrev), m.outFn(aCur, bCur)))
-	return m.Intercept + m.CI*ei + m.CO*eo
+	m.outOnce.Do(func() {
+		var err error
+		if m.outFn, err = functionalOutput(m.mod); err != nil {
+			// Unreachable for a fitted model: fitting compiled this
+			// netlist, which orders it topologically.
+			panic(err)
+		}
+	})
+	return m.predict(ioInput(aPrev, bPrev, aCur, bCur), ioOutput(m.outFn(aPrev, bPrev), m.outFn(aCur, bCur)))
 }
 
-func (m *IOModel) PredictStream(as, bs []uint64) float64 { return streamAverage(m, as, bs) }
+// PredictStream settles the stream's functional outputs in one packed
+// pass and averages the per-cycle prediction. The sum runs in the same
+// order over the same features as the per-cycle path, so the result is
+// Float64bits-identical to averaging PredictCycle.
+func (m *IOModel) PredictStream(as, bs []uint64) float64 {
+	p, err := m.predictStream(nil, as, bs)
+	if err != nil {
+		// Unreachable: with a nil budget the only failures are shape
+		// errors, which fitting already ruled out for this netlist.
+		panic(err)
+	}
+	return p
+}
+
+// predictStream is PredictStream with the output evaluation charged to
+// b.
+func (m *IOModel) predictStream(b *budget.Budget, as, bs []uint64) (float64, error) {
+	if len(as) < 2 {
+		return 0, nil
+	}
+	out, err := outputWords(b, m.comp, m.mod, as, bs)
+	if err != nil {
+		return 0, err
+	}
+	var total float64
+	for i := 1; i < len(as); i++ {
+		var bp, bc uint64
+		if len(bs) > 0 {
+			bp, bc = bs[i-1], bs[i]
+		}
+		total += m.predict(ioInput(as[i-1], bp, as[i], bc), ioOutput(out[i-1], out[i]))
+	}
+	return total / float64(len(as)-1), nil
+}
+
+// PredictStreamBudget is m.PredictStream with any simulation the model
+// performs charged to b — the input–output model settles the stream's
+// functional outputs at gate level; the other models predict from the
+// operands alone and never touch b.
+func PredictStreamBudget(b *budget.Budget, m Model, as, bs []uint64) (float64, error) {
+	if io, ok := m.(*IOModel); ok {
+		return io.predictStream(b, as, bs)
+	}
+	return m.PredictStream(as, bs), nil
+}

@@ -63,7 +63,7 @@ func FitTable3D(mod *rtlib.Module, trainA, trainB []uint64, bins int, delay sim.
 	if err != nil {
 		return nil, err
 	}
-	outFn, _, err := functionalOutput(mod)
+	outFn, err := functionalOutput(mod)
 	if err != nil {
 		return nil, err
 	}

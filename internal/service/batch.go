@@ -6,20 +6,19 @@ import (
 
 	"hlpower/internal/budget"
 	"hlpower/internal/hlerr"
-	"hlpower/internal/rtlib"
 	"hlpower/internal/sim"
 )
 
 // Batch pipeline. A batch is thousands of heterogeneous estimation
 // items submitted as one request. The pipeline partitions them into
-// groups that share compiled artifacts — every simulate item over one
-// (circuit, width) shares a single sim.Compile (netlist tables + packed
-// program + pooled kernel scratch), predict items share the module,
-// bdd items share the materialized truth table — so per-request setup
-// cost is paid once per group instead of once per item. Items are
-// validated individually: a malformed item becomes a typed per-item
-// error and never poisons its group, and a failed computation (budget
-// trip, injected fault) fails only its own item. The serving layer
+// groups that share compiled artifacts — every simulate or predict item
+// over one (circuit, width) shares a single sim.Compile (netlist tables
+// + packed program + pooled kernel scratch), bdd items share the
+// materialized truth table — so per-request setup cost is paid once
+// per group instead of once per item. Items are validated
+// individually: a malformed item becomes a typed per-item error and
+// never poisons its group, and a failed computation (budget trip,
+// injected fault) fails only its own item. The serving layer
 // grafts policy in through BatchHooks: per-item budgets, memoization
 // and singleflight, breaker accounting, cluster routing of whole
 // groups, and streaming emission.
@@ -282,39 +281,28 @@ func PartitionBatch(items []BatchItem) BatchPlan {
 // items. Safe for concurrent item runs (the artifacts are read-only and
 // the kernel scratch pool is concurrency-safe).
 type GroupRunner struct {
-	l    *Local
-	g    BatchGroup
-	mod  *rtlib.Module // simulate, predict
-	comp *sim.Compiled // simulate
-	art  *artifact     // simulate: promotion hotness accounting
-	tt   []bool        // bdd
+	l   *Local
+	g   BatchGroup
+	art *artifact // simulate, predict
+	tt  []bool    // bdd
 }
 
 // NewGroupRunner compiles the shared artifacts of one partition group:
-// the module and packed-kernel program for simulate groups, the module
-// for predict groups, the materialized truth table for bdd groups. An
-// error fails the whole group — by construction it would fail every
-// item identically.
+// the module and packed-kernel program for simulate and predict groups,
+// the materialized truth table for bdd groups. An error fails the whole
+// group — by construction it would fail every item identically.
 func (l *Local) NewGroupRunner(g BatchGroup) (*GroupRunner, error) {
 	r := &GroupRunner{l: l, g: g}
 	var err error
 	switch g.Op {
-	case OpSimulate:
+	case OpSimulate, OpPredict:
 		// The shared artifact cache makes group compilation a map hit on
 		// hot netlists: the compiled (fused) program and its scratch pool
 		// persist across batches and are shared with the single-request
 		// and rank paths.
-		art, aerr := l.artifactFor(g.Circuit, g.Width)
-		if aerr != nil {
-			return nil, aerr
+		if r.art, err = l.artifactFor(g.Circuit, g.Width); err != nil {
+			return nil, err
 		}
-		r.mod, r.comp, r.art = art.mod, art.comp, art
-	case OpPredict:
-		art, aerr := l.artifactFor(g.Circuit, g.Width)
-		if aerr != nil {
-			return nil, aerr
-		}
-		r.mod = art.mod
 	case OpBDD:
 		if r.tt, err = TruthTable(g.Function, g.Vars); err != nil {
 			return nil, err
@@ -344,7 +332,8 @@ func (r *GroupRunner) Simulate(b *budget.Budget, req SimulateRequest) (*sim.Resu
 		return nil, err
 	}
 	as, bs := OperandStreams(req.Cycles, req.Width, req.Seed)
-	prov := func(c int) []bool { return r.mod.InputVector(as[c], bs[c]) }
+	mod := r.art.mod
+	prov := func(c int) []bool { return mod.InputVector(as[c], bs[c]) }
 	// Words and Lean are pure accelerators: Words feeds the kernel the
 	// same bits as prov without the per-cycle []bool, and Lean skips
 	// Result fields the batch response never reads. Power, SwitchedCap,
@@ -353,7 +342,7 @@ func (r *GroupRunner) Simulate(b *budget.Budget, req SimulateRequest) (*sim.Resu
 	// benefit from — codegen promotion exactly like single requests.
 	return r.l.runArtifact(b, r.art, prov, req.Cycles, sim.RunOptions{
 		Workers: req.Workers,
-		Words:   func(c int) uint64 { return r.mod.InputWord(as[c], bs[c]) },
+		Words:   func(c int) uint64 { return mod.InputWord(as[c], bs[c]) },
 		Lean:    true,
 	})
 }
@@ -368,9 +357,10 @@ func (r *GroupRunner) Rank(ctx context.Context, b *budget.Budget, req RankReques
 	return r.l.Rank(ctx, b, req)
 }
 
-// Predict runs one predict item over the group's shared module.
+// Predict runs one predict item over the group's shared artifact;
+// identical to Local.Predict.
 func (r *GroupRunner) Predict(b *budget.Budget, req PredictRequest) (PredictResponse, error) {
-	return r.l.predictWith(b, r.mod, req)
+	return r.l.predictWith(b, r.art, req)
 }
 
 // RunItem computes one item into its wire result (without serving-layer

@@ -19,6 +19,7 @@ package service
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -426,7 +427,9 @@ type KernelStats struct {
 	ArtifactBuilds int64 `json:"artifact_builds"`
 	// Tiers counts estimation runs served per kernel tier ("scalar",
 	// "packed", "fused", "codegen") across every artifact path —
-	// single requests, batch items, and rank candidates.
+	// single requests, batch items, rank candidates, and predict's
+	// ground-truth runs (the training trace, plus the evaluation trace
+	// when it misses the estimate cache).
 	Tiers map[string]int64 `json:"tiers,omitempty"`
 	// Codegen promotion lifecycle: background specialized-evaluator
 	// builds started, builds that failed (the artifact then serves the
@@ -563,29 +566,28 @@ func OperandStreams(cycles, width int, seed int64) (as, bs []uint64) {
 	return buf[:cycles:cycles], buf[cycles:]
 }
 
-// TruthTable materializes the named boolean function over n variables.
+// TruthTable materializes the named boolean function over n variables:
+// entry i is the function of the assignment whose variable b is bit b
+// of i.
 func TruthTable(function string, n int) ([]bool, error) {
 	if n < 1 || n > MaxBDDVars {
 		return nil, hlerr.Errorf("service.bdd", "vars %d out of range [1,%d]", n, MaxBDDVars)
 	}
+	if !KnownFunction(function) {
+		return nil, hlerr.Errorf("service.bdd", "unknown function %q", function)
+	}
 	tt := make([]bool, 1<<uint(n))
-	for i := range tt {
-		ones := 0
-		for b := 0; b < n; b++ {
-			if i>>uint(b)&1 == 1 {
-				ones++
-			}
+	switch function {
+	case "parity":
+		for i := range tt {
+			tt[i] = bits.OnesCount(uint(i))%2 == 1
 		}
-		switch function {
-		case "parity":
-			tt[i] = ones%2 == 1
-		case "majority":
-			tt[i] = 2*ones > n
-		case "and":
-			tt[i] = ones == n
-		default:
-			return nil, hlerr.Errorf("service.bdd", "unknown function %q", function)
+	case "majority":
+		for i := range tt {
+			tt[i] = 2*bits.OnesCount(uint(i)) > n
 		}
+	case "and":
+		tt[len(tt)-1] = true
 	}
 	return tt, nil
 }
@@ -638,17 +640,25 @@ func (l *Local) evalCandStreams(b *budget.Budget, name string, width int, as, bs
 	if err != nil {
 		return 0, false, err
 	}
-	mod := art.mod
-	prov := func(c int) []bool { return mod.InputVector(as[c], bs[c]) }
-	res, err := l.runArtifact(b, art, prov, len(as), sim.RunOptions{
-		Workers: 1,
-		Words:   func(c int) uint64 { return mod.InputWord(as[c], bs[c]) },
-		Lean:    true,
-	})
+	res, err := l.runStreams(b, art, as, bs)
 	if err != nil {
 		return 0, false, err
 	}
 	return res.Power(), false, nil
+}
+
+// runStreams simulates an operand stream pair on the artifact: lean,
+// fed pre-packed input words, and single-shard, so b is charged
+// directly, exactly as the one-shot RunPackedBudget path charges it,
+// and the result is Float64bits-identical to that path's.
+func (l *Local) runStreams(b *budget.Budget, art *artifact, as, bs []uint64) (*sim.Result, error) {
+	mod := art.mod
+	prov := func(c int) []bool { return mod.InputVector(as[c], bs[c]) }
+	return l.runArtifact(b, art, prov, len(as), sim.RunOptions{
+		Workers: 1,
+		Words:   func(c int) uint64 { return mod.InputWord(as[c], bs[c]) },
+		Lean:    true,
+	})
 }
 
 // Rank runs one improvement-loop turn over the adder alternatives,
@@ -748,43 +758,62 @@ func (l *Local) Predict(_ context.Context, b *budget.Budget, req PredictRequest)
 	if err != nil {
 		return PredictResponse{}, err
 	}
-	return l.predictWith(b, art.mod, req)
+	return l.predictWith(b, art, req)
 }
 
-// predictWith is Predict with the module already built, so a batch
-// group fitting many models over one circuit constructs it once.
-func (l *Local) predictWith(b *budget.Budget, mod *rtlib.Module, req PredictRequest) (PredictResponse, error) {
+// predictWith is Predict over an already resolved artifact, shared by
+// single requests and batch predict groups. Every gate-level step runs
+// on the artifact's compiled netlist and is charged to b: the training
+// and evaluation ground-truth traces through runStreams (so fault-armed
+// requests stay off the codegen tier), and the io model's functional
+// outputs on the artifact's packed output evaluator. The training trace
+// is never memoized; the evaluation trace is, as before.
+func (l *Local) predictWith(b *budget.Budget, art *artifact, req PredictRequest) (PredictResponse, error) {
 	if err := CheckCycles(req.Train); err != nil {
 		return PredictResponse{}, err
 	}
 	if err := CheckCycles(req.Eval); err != nil {
 		return PredictResponse{}, err
 	}
-	trainA, trainB := OperandStreams(req.Train, req.Width, req.Seed)
-	evalA, evalB := OperandStreams(req.Eval, req.Width, req.Seed+1)
-	var m macromodel.Model
-	var err error
-	switch req.Model {
-	case "pfa":
-		m, err = macromodel.FitPFA(mod, trainA, trainB, sim.ZeroDelay)
-	case "dbt":
-		m, err = macromodel.FitDBT(mod, trainA, trainB, sim.ZeroDelay)
-	case "bitwise":
-		m, err = macromodel.FitBitwise(mod, trainA, trainB, sim.ZeroDelay)
-	case "io":
-		m, err = macromodel.FitIO(mod, trainA, trainB, sim.ZeroDelay)
-	default:
+	if !KnownModel(req.Model) {
 		return PredictResponse{}, hlerr.Errorf("service.predict", "unknown model %q", req.Model)
 	}
+	trainA, trainB := OperandStreams(req.Train, req.Width, req.Seed)
+	evalA, evalB := OperandStreams(req.Eval, req.Width, req.Seed+1)
+	res, err := l.runStreams(b, art, trainA, trainB)
 	if err != nil {
 		return PredictResponse{}, err
 	}
-	truth, err := macromodel.GroundTruthMemo(l.cache(), b, mod, evalA, evalB, sim.ZeroDelay)
+	truth, err := macromodel.CycleTruth(res)
 	if err != nil {
 		return PredictResponse{}, err
 	}
-	measured := macromodel.MeanAbs(truth)
-	predicted := m.PredictStream(evalA, evalB)
+	train := macromodel.Trace{Mod: art.mod, A: trainA, B: trainB, Truth: truth}
+	var m macromodel.Model
+	switch req.Model {
+	case "pfa":
+		m, err = macromodel.FitPFATrace(train)
+	case "dbt":
+		m, err = macromodel.FitDBTTrace(train)
+	case "bitwise":
+		m, err = macromodel.FitBitwiseTrace(train)
+	default: // "io"
+		m, err = macromodel.FitIOTrace(b, art.comp, train)
+	}
+	if err != nil {
+		return PredictResponse{}, err
+	}
+	evalTruth, err := macromodel.GroundTruthMemoRun(l.cache(), b, art.mod, evalA, evalB, sim.ZeroDelay, func() (*sim.Result, error) {
+		return l.runStreams(b, art, evalA, evalB)
+	})
+	if err != nil {
+		return PredictResponse{}, err
+	}
+	measured := macromodel.MeanAbs(evalTruth)
+	predicted, err := macromodel.PredictStreamBudget(b, m, evalA, evalB)
+	if err != nil {
+		return PredictResponse{}, err
+	}
 	errPct := 0.0
 	if measured != 0 {
 		errPct = 100 * abs(predicted-measured) / measured
