@@ -59,8 +59,9 @@ bench-json:
 # against the newest checked-in BENCH_*.json (see cmd/benchcompare).
 # It runs the full workload so the candidate matches the committed
 # snapshot's shape: with equal shapes, allocs_per_op increases >10%
-# fail the target (allocations are deterministic); timing deltas stay
-# advisory because shared-runner timings are too noisy for a hard gate.
+# (or any increase from zero) fail the target (allocations are
+# deterministic); timing deltas stay advisory because shared-runner
+# timings are too noisy for a hard gate.
 BENCH_NEW ?= /tmp/hlpower_bench_new.json
 bench-compare:
 	go run ./cmd/benchjson -out $(BENCH_NEW)
@@ -85,7 +86,8 @@ cover:
 # fuzz gives each bus round-trip fuzz target, the memo canonical-key
 # target, the batch decode/partition target, the job-engine wire
 # target (optimize request + checkpoint snapshot), the kernel
-# equivalence targets (fused vs unfused, and codegen vs fused,
+# equivalence targets (fused vs unfused, codegen vs fused, and the
+# event-driven timing wheel vs its map-scheduled reference,
 # bit-identity including budget exhaustion), and the predict
 # equivalence target (the served predict path vs the one-shot,
 # interpreted reference) a budget of FUZZTIME
@@ -100,6 +102,7 @@ fuzz:
 	go test -run '^FuzzRecipeWire$$' -fuzz '^FuzzRecipeWire$$' -fuzztime $(FUZZTIME) ./internal/jobs/
 	go test -run '^FuzzFusedEquivalence$$' -fuzz '^FuzzFusedEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzCodegenEquivalence$$' -fuzz '^FuzzCodegenEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
+	go test -run '^FuzzEventDrivenEquivalence$$' -fuzz '^FuzzEventDrivenEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzPredictEquivalence$$' -fuzz '^FuzzPredictEquivalence$$' -fuzztime $(FUZZTIME) ./internal/macromodel/
 
 # soak runs the powerd chaos harness under the race detector: >= 1000

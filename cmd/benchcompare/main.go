@@ -4,8 +4,8 @@
 // timings are too noisy for a hard gate — but allocations are
 // deterministic: when the two snapshots cover the same workload shape
 // (equal short_workload and gomaxprocs), an allocs_per_op increase
-// beyond the threshold fails the run with exit code 1. A timing
-// regression never does.
+// beyond the threshold, or any increase from zero, fails the run with
+// exit code 1. A timing regression never does.
 //
 // Usage:
 //
@@ -81,91 +81,8 @@ func main() {
 		fatal(err)
 	}
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "### Benchmark compare: %s → %s\n\n", filepath.Base(*oldPath), filepath.Base(*newPath))
-	comparable := oldSnap.Short == newSnap.Short && oldSnap.GOMAXPROCS == newSnap.GOMAXPROCS
-	if !comparable {
-		fmt.Fprintf(&b, "> ⚠️ snapshots differ in workload/host shape (short %v→%v, gomaxprocs %d→%d); deltas are indicative only and the alloc gate is off\n\n",
-			oldSnap.Short, newSnap.Short, oldSnap.GOMAXPROCS, newSnap.GOMAXPROCS)
-	}
-	b.WriteString("| benchmark | old ns/op | new ns/op | delta | allocs old→new | |\n")
-	b.WriteString("|---|---:|---:|---:|---:|---|\n")
-
-	oldBy := make(map[string]entry, len(oldSnap.Results))
-	for _, e := range oldSnap.Results {
-		oldBy[e.Name] = e
-	}
-	regressions, allocRegressions := 0, 0
-	for _, ne := range newSnap.Results {
-		oe, ok := oldBy[ne.Name]
-		if !ok {
-			fmt.Fprintf(&b, "| %s | — | %.0f | new | —→%d | 🆕 |\n", ne.Name, ne.NsPerOp, ne.AllocsPerOp)
-			continue
-		}
-		deltaPct := 0.0
-		if oe.NsPerOp > 0 {
-			deltaPct = (ne.NsPerOp - oe.NsPerOp) / oe.NsPerOp * 100
-		}
-		allocPct := 0.0
-		if oe.AllocsPerOp > 0 {
-			allocPct = float64(ne.AllocsPerOp-oe.AllocsPerOp) / float64(oe.AllocsPerOp) * 100
-		}
-		mark := ""
-		switch {
-		case allocPct > *threshold:
-			mark = fmt.Sprintf("❌ allocs +%.1f%%", allocPct)
-			allocRegressions++
-		case deltaPct > *threshold:
-			mark = fmt.Sprintf("🔺 regression >%g%%", *threshold)
-			regressions++
-		case deltaPct < -*threshold:
-			mark = "🟢 improvement"
-		}
-		fmt.Fprintf(&b, "| %s | %.0f | %.0f | %+.1f%% | %d→%d | %s |\n",
-			ne.Name, oe.NsPerOp, ne.NsPerOp, deltaPct, oe.AllocsPerOp, ne.AllocsPerOp, mark)
-	}
-	// Entries present in the baseline but absent from the candidate are
-	// annotated, never gated: a benchmark disappearing usually means the
-	// workload set changed on purpose, but a silent drop would otherwise
-	// read as "no regression". The "/mp" multi-core entries deserve their
-	// own wording — they exist only on multi-core hosts, so their absence
-	// on a single-core runner means scaling went unmeasured, not that it
-	// regressed.
-	newNames := make(map[string]bool, len(newSnap.Results))
-	for _, e := range newSnap.Results {
-		newNames[e.Name] = true
-	}
-	for _, oe := range oldSnap.Results {
-		if newNames[oe.Name] {
-			continue
-		}
-		if strings.HasSuffix(oe.Name, "/mp") {
-			fmt.Fprintf(&b, "| %s | %.0f | — | gone | — | ⚠️ multi-core pass absent (single-core host?) — scaling unmeasured, not regressed |\n",
-				oe.Name, oe.NsPerOp)
-		} else {
-			fmt.Fprintf(&b, "| %s | %.0f | — | gone | — | ⚠️ vanished from new snapshot |\n", oe.Name, oe.NsPerOp)
-		}
-	}
-	// Timing deltas from shared runners jitter run to run; allocation
-	// counts do not. Keep readers from acting on noise.
-	fmt.Fprintf(&b, "\n> Variance note: ns/op deltas within ±%g%% are indistinguishable from run-to-run noise on shared runners "+
-		"(benchstat would call them ~). Treat only larger, repeated timing moves as real; allocs_per_op is deterministic and is what the gate enforces.\n", *threshold)
-	if newSnap.Note != "" {
-		fmt.Fprintf(&b, "\n> %s\n", newSnap.Note)
-	}
-	if regressions > 0 {
-		fmt.Fprintf(&b, "\n**%d benchmark(s) regressed more than %g%% in time.** Advisory; investigate before the trend compounds.\n", regressions, *threshold)
-	}
-	gate := allocRegressions > 0 && comparable
-	if allocRegressions > 0 {
-		if gate {
-			fmt.Fprintf(&b, "\n**%d benchmark(s) allocate more than %g%% more per op — failing.** Allocations are deterministic; this is a real regression, not runner noise.\n", allocRegressions, *threshold)
-		} else {
-			fmt.Fprintf(&b, "\n**%d benchmark(s) allocate more than %g%% more per op.** Snapshot shapes differ, so the alloc gate is advisory here.\n", allocRegressions, *threshold)
-		}
-	}
-
-	out := b.String()
+	c := compare(oldSnap, newSnap, *threshold)
+	out := c.report(filepath.Base(*oldPath), filepath.Base(*newPath), *threshold)
 	fmt.Print(out)
 	if path := os.Getenv("GITHUB_STEP_SUMMARY"); path != "" {
 		f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
@@ -174,9 +91,143 @@ func main() {
 			_ = f.Close()
 		}
 	}
-	if gate {
+	if c.fail {
 		os.Exit(1)
 	}
+}
+
+// row is one line of the comparison: an entry present in both
+// snapshots, or in only one of them (old or new is nil).
+type row struct {
+	name     string
+	old, new *entry
+	deltaPct float64 // ns/op change in percent, when both are present
+	mark     string  // verdict or annotation, empty when unremarkable
+}
+
+// comparison is the outcome of diffing two snapshots.
+type comparison struct {
+	old, new *snapshot
+	rows     []row
+	// comparable: both snapshots have the same workload and host shape
+	// (short_workload, gomaxprocs), so allocation counts compare and the
+	// gate applies.
+	comparable       bool
+	regressions      int // entries slower beyond the threshold (advisory)
+	allocRegressions int // entries allocating beyond the threshold
+	// fail is the gate verdict: an allocation regression between
+	// comparable snapshots. A timing regression never fails.
+	fail bool
+}
+
+// compare diffs newSnap against oldSnap. Rows follow the new
+// snapshot's order, then the entries that vanished from it.
+func compare(oldSnap, newSnap *snapshot, threshold float64) comparison {
+	c := comparison{
+		old: oldSnap, new: newSnap,
+		comparable: oldSnap.Short == newSnap.Short && oldSnap.GOMAXPROCS == newSnap.GOMAXPROCS,
+	}
+	oldBy := make(map[string]*entry, len(oldSnap.Results))
+	for i := range oldSnap.Results {
+		oldBy[oldSnap.Results[i].Name] = &oldSnap.Results[i]
+	}
+	newNames := make(map[string]bool, len(newSnap.Results))
+	for i := range newSnap.Results {
+		ne := &newSnap.Results[i]
+		newNames[ne.Name] = true
+		r := row{name: ne.Name, old: oldBy[ne.Name], new: ne}
+		if r.old == nil {
+			r.mark = "🆕"
+			c.rows = append(c.rows, r)
+			continue
+		}
+		oe := r.old
+		if oe.NsPerOp > 0 {
+			r.deltaPct = (ne.NsPerOp - oe.NsPerOp) / oe.NsPerOp * 100
+		}
+		allocPct := 0.0
+		if oe.AllocsPerOp > 0 {
+			allocPct = float64(ne.AllocsPerOp-oe.AllocsPerOp) / float64(oe.AllocsPerOp) * 100
+		}
+		switch {
+		case oe.AllocsPerOp == 0 && ne.AllocsPerOp > 0:
+			// Any allocation is an unbounded relative increase over
+			// none: an allocation-free path that starts allocating is
+			// exactly what the gate exists to catch.
+			r.mark = "❌ allocs from 0"
+			c.allocRegressions++
+		case allocPct > threshold:
+			r.mark = fmt.Sprintf("❌ allocs +%.1f%%", allocPct)
+			c.allocRegressions++
+		case r.deltaPct > threshold:
+			r.mark = fmt.Sprintf("🔺 regression >%g%%", threshold)
+			c.regressions++
+		case r.deltaPct < -threshold:
+			r.mark = "🟢 improvement"
+		}
+		c.rows = append(c.rows, r)
+	}
+	// Entries present in the baseline but absent from the candidate are
+	// annotated, never gated: a benchmark disappearing usually means the
+	// workload set changed on purpose, but a silent drop would otherwise
+	// read as "no regression". The "/mp" multi-core entries deserve their
+	// own wording — they exist only on multi-core hosts, so their absence
+	// on a single-core runner means scaling went unmeasured, not that it
+	// regressed.
+	for i := range oldSnap.Results {
+		oe := &oldSnap.Results[i]
+		if newNames[oe.Name] {
+			continue
+		}
+		r := row{name: oe.Name, old: oe, mark: "⚠️ vanished from new snapshot"}
+		if strings.HasSuffix(oe.Name, "/mp") {
+			r.mark = "⚠️ multi-core pass absent (single-core host?) — scaling unmeasured, not regressed"
+		}
+		c.rows = append(c.rows, r)
+	}
+	c.fail = c.allocRegressions > 0 && c.comparable
+	return c
+}
+
+// report renders the comparison as the markdown summary.
+func (c comparison) report(oldName, newName string, threshold float64) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "### Benchmark compare: %s → %s\n\n", oldName, newName)
+	if !c.comparable {
+		fmt.Fprintf(&b, "> ⚠️ snapshots differ in workload/host shape (short %v→%v, gomaxprocs %d→%d); deltas are indicative only and the alloc gate is off\n\n",
+			c.old.Short, c.new.Short, c.old.GOMAXPROCS, c.new.GOMAXPROCS)
+	}
+	b.WriteString("| benchmark | old ns/op | new ns/op | delta | allocs old→new | |\n")
+	b.WriteString("|---|---:|---:|---:|---:|---|\n")
+	for _, r := range c.rows {
+		switch {
+		case r.old == nil:
+			fmt.Fprintf(&b, "| %s | — | %.0f | new | —→%d | %s |\n", r.name, r.new.NsPerOp, r.new.AllocsPerOp, r.mark)
+		case r.new == nil:
+			fmt.Fprintf(&b, "| %s | %.0f | — | gone | — | %s |\n", r.name, r.old.NsPerOp, r.mark)
+		default:
+			fmt.Fprintf(&b, "| %s | %.0f | %.0f | %+.1f%% | %d→%d | %s |\n",
+				r.name, r.old.NsPerOp, r.new.NsPerOp, r.deltaPct, r.old.AllocsPerOp, r.new.AllocsPerOp, r.mark)
+		}
+	}
+	// Timing deltas from shared runners jitter run to run; allocation
+	// counts do not. Keep readers from acting on noise.
+	fmt.Fprintf(&b, "\n> Variance note: ns/op deltas within ±%g%% are indistinguishable from run-to-run noise on shared runners "+
+		"(benchstat would call them ~). Treat only larger, repeated timing moves as real; allocs_per_op is deterministic and is what the gate enforces.\n", threshold)
+	if c.new.Note != "" {
+		fmt.Fprintf(&b, "\n> %s\n", c.new.Note)
+	}
+	if c.regressions > 0 {
+		fmt.Fprintf(&b, "\n**%d benchmark(s) regressed more than %g%% in time.** Advisory; investigate before the trend compounds.\n", c.regressions, threshold)
+	}
+	if c.allocRegressions > 0 {
+		if c.fail {
+			fmt.Fprintf(&b, "\n**%d benchmark(s) allocate more than %g%% more per op — failing.** Allocations are deterministic; this is a real regression, not runner noise.\n", c.allocRegressions, threshold)
+		} else {
+			fmt.Fprintf(&b, "\n**%d benchmark(s) allocate more than %g%% more per op.** Snapshot shapes differ, so the alloc gate is advisory here.\n", c.allocRegressions, threshold)
+		}
+	}
+	return b.String()
 }
 
 func load(path string) (*snapshot, error) {

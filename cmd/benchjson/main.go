@@ -248,6 +248,26 @@ func main() {
 		}
 	}
 
+	// Glitch-aware event-driven engine in the shape optimize jobs score
+	// candidates with (recipe.Score): the width-8 adder over its
+	// 256-cycle evaluation stimulus, clock tree charged and gated.
+	edDesign, edWork, err := recipe.Build(recipe.Spec{Kind: recipe.KindCircuit, Circuit: "adder", Width: 8}, 1, 256, 2)
+	if err != nil {
+		fatal(err)
+	}
+	edCycles := len(edWork.EvalVecs)
+	edInputs := sim.VectorInputs(edWork.EvalVecs)
+	edOpts := sim.Options{Model: sim.EventDriven, TrackClock: true, GateClock: true}
+	edSim := measure("sim/event-driven", int64(edCycles)*int64(len(edDesign.Net.Gates))/8, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.Run(edDesign.Net, edInputs, edCycles, edOpts); err != nil {
+				fatal(err)
+			}
+		}
+	})
+	edSim.Variant = "serial"
+	snap.Results = append(snap.Results, edSim)
+
 	candidates := rankCandidates(cands, width, cycles/8)
 	serialRank := measure("rank/serial", 0, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

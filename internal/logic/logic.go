@@ -63,8 +63,12 @@ type Gate struct {
 	Fanin []int
 	Name  string
 	Group string // accounting group for power breakdowns
-	Delay int    // propagation delay in ticks (>=1 for combinational)
-	Init  bool   // reset value for sequential cells
+	// Delay is the propagation delay in ticks (>=1 for combinational
+	// cells by default). Event-driven simulation accepts 0 through
+	// sim.MaxGateDelay (1024) and rejects other values as input
+	// errors; the zero-delay model ignores it.
+	Delay int
+	Init  bool // reset value for sequential cells
 }
 
 // Netlist is a synchronous gate-level circuit: a flat gate list with

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hlpower/internal/budget"
@@ -193,5 +194,39 @@ func TestBudgetTripDegradesPass(t *testing.T) {
 	_, err = Apply(b, d, w, "retime", 1)
 	if !errors.Is(err, budget.ErrExceeded) {
 		t.Fatalf("tiny budget: got %v, want budget.ErrExceeded", err)
+	}
+}
+
+// TestLazySourceMatchesEager: a pass sees the same random stream from
+// the lazily seeded source as from rand.NewSource, across the Rand
+// methods that go through Int63, Uint64 and both, and after a reseed;
+// a pass that never draws never seeds.
+func TestLazySourceMatchesEager(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		lazy := rand.New(&lazySource{seed: seed})
+		eager := rand.New(rand.NewSource(seed))
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 50; i++ {
+				if a, b := lazy.Intn(97), eager.Intn(97); a != b {
+					t.Fatalf("seed %d Intn: %d != %d", seed, a, b)
+				}
+				if a, b := lazy.Uint64(), eager.Uint64(); a != b {
+					t.Fatalf("seed %d Uint64: %d != %d", seed, a, b)
+				}
+				if a, b := lazy.Float64(), eager.Float64(); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("seed %d Float64: %v != %v", seed, a, b)
+				}
+			}
+			if a, b := lazy.Perm(9), eager.Perm(9); !slices.Equal(a, b) {
+				t.Fatalf("seed %d Perm: %v != %v", seed, a, b)
+			}
+			lazy.Seed(seed + 1)
+			eager.Seed(seed + 1)
+		}
+	}
+	src := &lazySource{seed: 3}
+	_ = rand.New(src)
+	if src.src != nil {
+		t.Fatal("constructing the Rand seeded the generator")
 	}
 }

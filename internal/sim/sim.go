@@ -17,7 +17,7 @@
 package sim
 
 import (
-	"sort"
+	"math/bits"
 
 	"hlpower/internal/budget"
 	"hlpower/internal/hlerr"
@@ -184,8 +184,21 @@ type env struct {
 	groupOf    []int    // gate id -> dense group index
 	clockGI    int      // dense index of the "clock" group (-1 when untracked)
 	opts       Options
-	sequential bool // any DFF/EnDFF/Latch present
+	sequential bool  // any DFF/EnDFF/Latch present
+	ffs        []int // DFF/EnDFF ids, ascending: the clock edge's gates
+
+	// Event-driven runs only: the ascending ids of the gates whose
+	// value a cycle starts from (inputs, constants, DFF/EnDFF), and the
+	// largest gate delay, which sizes the timing wheel.
+	sources  []int
+	maxDelay int
 }
+
+// MaxGateDelay is the largest logic.Gate.Delay an event-driven run
+// accepts; delays must lie in [0, MaxGateDelay]. The event-driven
+// engine keeps one pending-event bucket per tick of the largest delay
+// in the netlist, so the bound caps that table.
+const MaxGateDelay = 1024
 
 // prepare validates a run's inputs and builds the shared environment.
 func prepare(n *logic.Netlist, inputs InputProvider, cycles int, opts Options) (*env, error) {
@@ -241,10 +254,11 @@ func prepareNet(n *logic.Netlist, opts Options) (*env, error) {
 		clockGI: -1,
 		opts:    opts,
 	}
+	ed := opts.Model == EventDriven
 	// Fanout adjacency is only read by the event-driven engine
 	// (simulateEventDriven); zero-delay runs skip the per-gate slice
 	// build, which dominated their setup allocations.
-	if opts.Model == EventDriven {
+	if ed {
 		e.fanouts = n.Fanouts()
 	}
 	idx := map[string]int{}
@@ -258,6 +272,19 @@ func prepareNet(n *logic.Netlist, opts Options) (*env, error) {
 		e.groupOf[id] = gi
 		if g.Kind.IsSequential() || g.Kind == logic.Latch {
 			e.sequential = true
+		}
+		if g.Kind.IsSequential() {
+			e.ffs = append(e.ffs, id)
+		}
+		if !ed {
+			continue
+		}
+		if g.Delay < 0 || g.Delay > MaxGateDelay {
+			return nil, hlerr.Errorf("sim.Run", "gate %d delay %d outside [0,%d]", id, g.Delay, MaxGateDelay)
+		}
+		e.maxDelay = max(e.maxDelay, g.Delay)
+		if isSource(g.Kind) {
+			e.sources = append(e.sources, id)
 		}
 	}
 	if opts.TrackClock {
@@ -379,7 +406,7 @@ func runShard(b *budget.Budget, e *env, inputs InputProvider, lo, hi int) (sh *s
 	prev := make([]bool, len(n.Gates))
 	var ed *edScratch
 	if e.opts.Model == EventDriven {
-		ed = newEDScratch()
+		ed = newEDScratch(len(n.Gates), e.maxDelay)
 	}
 	for cycle := lo; cycle < hi; cycle++ {
 		b.Check(int64(len(e.order)) + 1)
@@ -394,30 +421,23 @@ func runShard(b *budget.Budget, e *env, inputs InputProvider, lo, hi int) (sh *s
 		// Clock edge between cycles: update flip-flop state from the
 		// previous cycle's settled D. Cycle 0 runs from the reset state.
 		if cycle > 0 {
-			for _, id := range e.order {
+			for _, id := range e.ffs {
 				g := &n.Gates[id]
-				switch g.Kind {
-				case logic.DFF:
+				if g.Kind == logic.DFF {
 					state[id] = prev[g.Fanin[0]]
-				case logic.EnDFF:
-					if prev[g.Fanin[0]] {
-						state[id] = prev[g.Fanin[1]]
-					}
+				} else if prev[g.Fanin[0]] {
+					state[id] = prev[g.Fanin[1]]
 				}
 			}
 			// Clock tree power for this edge.
 			if e.opts.TrackClock {
-				for _, g := range n.Gates {
-					if g.Kind == logic.DFF {
-						sh.capByCyc[cur] += n.ClockCap
-						sh.grpByCyc[cur][e.clockGI] += n.ClockCap
-					} else if g.Kind == logic.EnDFF {
-						if e.opts.GateClock && !prev[g.Fanin[0]] {
-							continue
-						}
-						sh.capByCyc[cur] += n.ClockCap
-						sh.grpByCyc[cur][e.clockGI] += n.ClockCap
+				for _, id := range e.ffs {
+					g := &n.Gates[id]
+					if g.Kind == logic.EnDFF && e.opts.GateClock && !prev[g.Fanin[0]] {
+						continue
 					}
+					sh.capByCyc[cur] += n.ClockCap
+					sh.grpByCyc[cur][e.clockGI] += n.ClockCap
 				}
 			}
 		}
@@ -426,7 +446,7 @@ func runShard(b *budget.Budget, e *env, inputs InputProvider, lo, hi int) (sh *s
 		}
 
 		if e.opts.Model == EventDriven {
-			simulateEventDriven(b, n, e.fanouts, values, state, prev, record, ed)
+			simulateEventDriven(b, e, values, state, prev, record, ed)
 		} else {
 			evalSettled()
 			for id := range values {
@@ -497,17 +517,27 @@ func merge(e *env, cycles int, shards []*shard) *Result {
 	return res
 }
 
-// edScratch is the per-shard scratch of the event-driven engine. The
-// simulator used to rebuild all of this every cycle — a pending map,
-// its per-time gate sets, the sorted time list, the fanin and commit
-// buffers — which dominated the allocation profile of glitch-aware
-// runs. One instance now lives for a whole shard: maps are emptied and
-// recycled through a free list, slices are truncated and regrown only
-// past their high-water mark.
+// isSource reports whether a gate's value is fixed at the start of a
+// cycle (primary input, constant, flip-flop output) rather than
+// computed from its fanins during the cycle.
+func isSource(k logic.Kind) bool {
+	return k == logic.Input || k == logic.Const0 || k == logic.Const1 || k.IsSequential()
+}
+
+// edScratch is the per-shard scratch of the event-driven engine: a
+// timing wheel of pending gate evaluations plus the round buffers.
+// Every pending event lies within maxDelay ticks of the current time,
+// so a ring of maxDelay+1 buckets, one per tick, holds them all
+// without collisions: the event d ticks from now sits d buckets past
+// the current one. Each bucket is a bitset over gate ids: scheduling a
+// gate twice for one time is a no-op, and draining a bucket yields its
+// gates in ascending id order without sorting.
 type edScratch struct {
-	pending  map[int]map[int]bool // time -> set of gates awaiting eval
-	free     []map[int]bool       // drained gate sets, ready for reuse
-	times    []int
+	words    int      // bitset words per bucket
+	wheel    []uint64 // bucket k is wheel[k*words : (k+1)*words]
+	count    []int    // set bits per bucket
+	cur      int      // bucket of the current time
+	pending  int      // set bits over all buckets
 	ids      []int
 	faninBuf []bool
 	commits  []edCommit
@@ -518,11 +548,54 @@ type edCommit struct {
 	val  bool
 }
 
-func newEDScratch() *edScratch {
+func newEDScratch(nGates, maxDelay int) *edScratch {
+	words := (nGates + 63) / 64
 	return &edScratch{
-		pending:  make(map[int]map[int]bool),
+		words:    words,
+		wheel:    make([]uint64, (maxDelay+1)*words),
+		count:    make([]int, maxDelay+1),
 		faninBuf: make([]bool, 0, 8),
 	}
+}
+
+// schedule queues gate g for evaluation d ticks from now.
+func (s *edScratch) schedule(d, g int) {
+	k := s.cur + d
+	if k >= len(s.count) {
+		k -= len(s.count)
+	}
+	w := &s.wheel[k*s.words+g>>6]
+	if bit := uint64(1) << (g & 63); *w&bit == 0 {
+		*w |= bit
+		s.count[k]++
+		s.pending++
+	}
+}
+
+// advance moves the current time to the earliest pending one.
+func (s *edScratch) advance() {
+	for s.count[s.cur] == 0 {
+		if s.cur++; s.cur == len(s.count) {
+			s.cur = 0
+		}
+	}
+}
+
+// drain empties the current bucket into s.ids, in ascending id order.
+func (s *edScratch) drain() {
+	k := s.cur
+	bucket := s.wheel[k*s.words : (k+1)*s.words]
+	s.ids = s.ids[:0]
+	for w := 0; len(s.ids) < s.count[k]; w++ {
+		x := bucket[w]
+		bucket[w] = 0
+		for x != 0 {
+			s.ids = append(s.ids, w<<6|bits.TrailingZeros64(x))
+			x &= x - 1
+		}
+	}
+	s.pending -= s.count[k]
+	s.count[k] = 0
 }
 
 // simulateEventDriven settles one clock cycle under per-gate delays,
@@ -530,63 +603,39 @@ func newEDScratch() *edScratch {
 // values holds the new source values (inputs and FF outputs already
 // updated); prev holds last cycle's settled values. s carries reusable
 // scratch across cycles and must not be shared between shards.
-func simulateEventDriven(b *budget.Budget, n *logic.Netlist, fanouts [][]int, values, state, prev []bool, record func(int), s *edScratch) {
-	schedule := func(t, g int) {
-		m, ok := s.pending[t]
-		if !ok {
-			if k := len(s.free); k > 0 {
-				m = s.free[k-1]
-				s.free = s.free[:k-1]
-			} else {
-				m = make(map[int]bool)
-			}
-			s.pending[t] = m
-		}
-		m[g] = true
-	}
-	// Seed: any source whose value changed triggers its fanouts.
-	for id, g := range n.Gates {
-		isSource := g.Kind == logic.Input || g.Kind.IsSequential() ||
-			g.Kind == logic.Const0 || g.Kind == logic.Const1
-		if !isSource {
-			continue
-		}
+//
+// A round evaluates every gate pending at the earliest pending time t,
+// then commits. Gates are evaluated and committed in ascending id
+// order, so capacitance accumulates in the same order every run; a
+// zero-delay fanout lands back in t's bucket and runs as one more round
+// at the same time. Each round charges the budget one step.
+func simulateEventDriven(b *budget.Budget, e *env, values, state, prev []bool, record func(int), s *edScratch) {
+	n := e.n
+	// Seed: any source whose value changed triggers its fanouts. The
+	// wheel is empty between cycles, so the cycle's time 0 can be
+	// whichever bucket is current.
+	for _, id := range e.sources {
+		g := &n.Gates[id]
 		if g.Kind.IsSequential() {
 			values[id] = state[id]
 		}
 		if values[id] != prev[id] {
 			record(id)
-			for _, f := range fanouts[id] {
-				schedule(n.Gates[f].Delay, f)
+			for _, f := range e.fanouts[id] {
+				s.schedule(n.Gates[f].Delay, f)
 			}
 		}
 	}
-	for len(s.pending) > 0 {
+	for s.pending > 0 {
+		s.advance()
 		b.Check(1)
-		// Pop the earliest time.
-		s.times = s.times[:0]
-		for t := range s.pending {
-			s.times = append(s.times, t)
-		}
-		sort.Ints(s.times)
-		t := s.times[0]
-		gates := s.pending[t]
-		delete(s.pending, t)
-		// Phase 1: evaluate every gate scheduled at t against the values
-		// as of time t (no in-step visibility, or glitches are lost).
-		// Gates are processed in ascending id order — iterating the set
-		// directly would commit (and accumulate capacitance) in map
-		// order, making the floating-point totals vary run to run.
-		s.ids = s.ids[:0]
-		for id := range gates {
-			s.ids = append(s.ids, id)
-		}
-		sort.Ints(s.ids)
+		// Phase 1: evaluate every gate scheduled now against the values
+		// as of now (no in-step visibility, or glitches are lost).
+		s.drain()
 		s.commits = s.commits[:0]
 		for _, id := range s.ids {
 			g := &n.Gates[id]
-			if g.Kind == logic.Input || g.Kind.IsSequential() ||
-				g.Kind == logic.Const0 || g.Kind == logic.Const1 {
+			if isSource(g.Kind) {
 				continue
 			}
 			var newVal bool
@@ -607,20 +656,15 @@ func simulateEventDriven(b *budget.Budget, n *logic.Netlist, fanouts [][]int, va
 				s.commits = append(s.commits, edCommit{id, newVal})
 			}
 		}
-		// Recycle the drained gate set (range-delete compiles to a map
-		// clear) and commit phase 2: count transitions, schedule fanouts.
-		for g := range gates {
-			delete(gates, g)
-		}
-		s.free = append(s.free, gates)
+		// Phase 2: commit, count transitions, schedule fanouts.
 		for _, c := range s.commits {
 			values[c.gate] = c.val
 			if n.Gates[c.gate].Kind == logic.Latch {
 				state[c.gate] = c.val
 			}
 			record(c.gate)
-			for _, f := range fanouts[c.gate] {
-				schedule(t+n.Gates[f].Delay, f)
+			for _, f := range e.fanouts[c.gate] {
+				s.schedule(n.Gates[f].Delay, f)
 			}
 		}
 	}
