@@ -88,9 +88,11 @@ cover:
 # target (optimize request + checkpoint snapshot), the kernel
 # equivalence targets (fused vs unfused, codegen vs fused, and the
 # event-driven timing wheel vs its map-scheduled reference,
-# bit-identity including budget exhaustion), and the predict
-# equivalence target (the served predict path vs the one-shot,
-# interpreted reference) a budget of FUZZTIME
+# bit-identity including budget exhaustion), the predict equivalence
+# target (the served predict path vs the one-shot, interpreted
+# reference), and the HTTP item-pipeline target (raw bodies
+# through a single endpoint and a one-item batch must land in the same
+# outcome class with identical payloads) a budget of FUZZTIME
 # (override with e.g. `make fuzz FUZZTIME=5s` for CI smoke runs).
 fuzz:
 	for f in FuzzBusInvertRoundTrip FuzzT0RoundTrip FuzzGrayRoundTrip \
@@ -104,6 +106,7 @@ fuzz:
 	go test -run '^FuzzCodegenEquivalence$$' -fuzz '^FuzzCodegenEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzEventDrivenEquivalence$$' -fuzz '^FuzzEventDrivenEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzPredictEquivalence$$' -fuzz '^FuzzPredictEquivalence$$' -fuzztime $(FUZZTIME) ./internal/macromodel/
+	go test -run '^FuzzServeItem$$' -fuzz '^FuzzServeItem$$' -fuzztime $(FUZZTIME) ./internal/powerd/
 
 # soak runs the powerd chaos harness under the race detector: >= 1000
 # requests with fault injection in the sim/rank/bdd paths, asserting

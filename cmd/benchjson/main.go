@@ -334,6 +334,15 @@ func main() {
 	hitEntry.Speedup = round3(missEntry.NsPerOp / hitEntry.NsPerOp)
 	snap.Results = append(snap.Results, hitEntry)
 
+	// Served memo hits: a warmed in-process powerd answering repeated
+	// requests through its handler into a ResponseRecorder, so the op is
+	// decode, key, cache hit, replay and encode with no network in the
+	// way. One op is one simulate, one rank, one bdd at 12 vars and one
+	// predict, every one a hit (asserted before timing).
+	serveEntry := measure("serve/hit", 0, serveHitBench())
+	serveEntry.Variant = "hit"
+	snap.Results = append(snap.Results, serveEntry)
+
 	// Batched pipeline vs looped single calls, over a live in-process
 	// powerd server with memoization disabled so both sides pay the real
 	// estimation path every time. The workload is the design-space-sweep
@@ -709,6 +718,50 @@ func predictReference(req service.PredictRequest) (service.PredictResponse, erro
 		errPct = 100 * math.Abs(predicted-measured) / measured
 	}
 	return service.PredictResponse{Predicted: predicted, Measured: measured, AbsErrPct: errPct}, nil
+}
+
+// serveHitBench warms a powerd server (codegen promotion off) with one
+// request per op and returns the benchmark body that replays them.
+func serveHitBench() func(b *testing.B) {
+	srv := powerd.NewServer(powerd.Config{CodegenAfter: -1})
+	reqs := []struct {
+		path string
+		body any
+	}{
+		{"/v1/simulate", service.SimulateRequest{Circuit: "multiplier", Width: 8, Cycles: 1024, Seed: 1, Workers: 1}},
+		{"/v1/rank", service.RankRequest{Width: 8, Cycles: 1024, Seed: 2}},
+		{"/v1/bdd", service.BDDRequest{Function: "majority", Vars: 12}},
+		{"/v1/predict", service.PredictRequest{Circuit: "adder", Width: 8, Model: "pfa", Train: 512, Eval: 512, Seed: 3}},
+	}
+	bodies := make([][]byte, len(reqs))
+	for i, r := range reqs {
+		var err error
+		if bodies[i], err = json.Marshal(r.body); err != nil {
+			fatal(err)
+		}
+	}
+	serve := func(i int) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", reqs[i].path, bytes.NewReader(bodies[i])))
+		if rec.Code != 200 {
+			fatal(fmt.Errorf("%s: status %d: %s", reqs[i].path, rec.Code, rec.Body.Bytes()))
+		}
+		return rec
+	}
+	for i := range reqs {
+		serve(i)
+		var out struct{ Cached bool }
+		if err := json.Unmarshal(serve(i).Body.Bytes(), &out); err != nil || !out.Cached {
+			fatal(fmt.Errorf("%s: warm replay not served from the memo (%v)", reqs[i].path, err))
+		}
+	}
+	return func(b *testing.B) {
+		for n := 0; n < b.N; n++ {
+			for i := range reqs {
+				serve(i)
+			}
+		}
+	}
 }
 
 func round3(v float64) float64 { return float64(int(v*1000+0.5)) / 1000 }

@@ -172,8 +172,11 @@ func TestPredictMatchesOneShotReference(t *testing.T) {
 							want, wantErr := referencePredict(req)
 							got, err := single.Predict(context.Background(), nil, req)
 							samePredict(t, "Local.Predict "+what, got, err, want, wantErr)
-							got, err = runner.Predict(nil, req)
-							samePredict(t, "GroupRunner.Predict "+what, got, err, want, wantErr)
+							res, err := runner.RunItem(context.Background(), nil, service.BatchItem{Op: service.OpPredict, Predict: &req})
+							if err == nil {
+								got = *res.Predict
+							}
+							samePredict(t, "GroupRunner.RunItem "+what, got, err, want, wantErr)
 						}
 					}
 				}

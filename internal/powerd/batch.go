@@ -4,14 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"hlpower/internal/budget"
 	"hlpower/internal/hlerr"
 	"hlpower/internal/resilience"
 	"hlpower/internal/service"
-	"hlpower/internal/sim"
 )
 
 // Batched estimation endpoints. POST /v1/batch accepts up to
@@ -19,15 +17,14 @@ import (
 // buffered response; POST /v1/batch/stream answers the same request as
 // NDJSON, flushing each partition group's results as it completes. Both
 // run the transport-agnostic service.Batch pipeline with this server's
-// policy grafted in through hooks: fresh per-item budgets, the same
-// content-addressed memo keys (and singleflight) the single-item
-// endpoints use — so a batch item and a single request populate and hit
-// the same cache entries — per-item breaker accounting, and, in cluster
-// mode, whole-group forwarding to each group's ring owner with the
-// established shed-to-local fallback. A batch is admitted as one
-// request (one worker slot): its parallelism comes from per-item
-// Workers and from group fan-out across the ring, not from occupying
-// the admission queue.
+// policy grafted in through hooks: fresh per-item budgets, every item
+// through serveItem — the pipeline the single endpoints run, so a batch
+// item and a single request share keys, cache entries, singleflight and
+// breakers — and, in cluster mode, whole-group forwarding to each
+// group's ring owner with the established shed-to-local fallback. A
+// batch is admitted as one request (one worker slot): its parallelism
+// comes from per-item Workers and from group fan-out across the ring,
+// not from occupying the admission queue.
 
 // ---------------------------------------------------------------------
 // POST /v1/batch — buffered batched estimation.
@@ -126,7 +123,7 @@ func (s *Server) batchHooks(ctx context.Context, r *http.Request, emit func(serv
 	h := service.BatchHooks{
 		Budget:    func() *budget.Budget { return s.newBudget(ctx) },
 		Steps:     s.cfg.BatchSteps,
-		Item:      s.batchItem,
+		Item:      s.runBatchItem,
 		Emit:      emit,
 		GroupDone: groupDone,
 	}
@@ -139,147 +136,21 @@ func (s *Server) batchHooks(ctx context.Context, r *http.Request, emit func(serv
 	return h
 }
 
-// batchExec runs one batch item's computation behind the named
-// subsystem breaker — Allow, panic containment, Record — without the
-// single-request retry loop: a failed item is reported as a typed
-// per-item error and the caller resubmits just that item. Input errors
-// are marked Permanent for Record exactly as execute does, so malformed
-// items never trip a breaker.
-func (s *Server) batchExec(name string, b *budget.Budget, op func(*budget.Budget) (any, error)) (any, error) {
-	br := s.breakers[name]
-	if err := br.Allow(); err != nil {
-		return nil, err
-	}
-	v, err := resilience.SafeValue(func() (any, error) { return op(b) })
-	rerr := err
-	if rerr != nil && hlerr.IsInput(rerr) {
-		rerr = resilience.Permanent(rerr)
-	}
-	br.Record(rerr)
-	return v, err
-}
-
-// batchItem computes one item with this server's caching and breaker
-// policy. It mirrors the single-item handlers exactly — same memo keys,
-// same stored value types, same cacheability rules — so a batch item is
-// indistinguishable from a single request in the cache: either can
-// populate an entry the other replays, bit for bit.
-func (s *Server) batchItem(ctx context.Context, runner *service.GroupRunner, b *budget.Budget, idx int, it service.BatchItem) (service.BatchItemResult, error) {
-	out := service.BatchItemResult{Index: idx, ID: it.ID, Op: it.Op}
-	var err error
-	switch it.Op {
-	case service.OpSimulate:
-		req := *it.Simulate
-		var v any
-		var cached bool
-		v, cached, err = s.memoDo(s.keys.Simulate(req), func() (any, int64, bool, error) {
-			rv, err := s.batchExec("sim", b, func(eb *budget.Budget) (any, error) {
-				return runner.Simulate(eb, req)
-			})
-			if err != nil {
-				return nil, 0, false, err
-			}
-			res := rv.(*sim.Result)
-			return simulateResponse{
-				Circuit:     req.Circuit,
-				Cycles:      res.Cycles,
-				SwitchedCap: res.SwitchedCap,
-				Power:       res.Power(),
-				Shards:      res.Shards,
-				Fallback:    res.Fallback,
-				Kernel:      res.Kernel,
-			}, 160, true, nil
-		})
-		if err == nil {
-			resp := v.(simulateResponse)
-			resp.Cached = cached
-			out.Simulate = &resp
-		}
-	case service.OpRank:
-		req := *it.Rank
-		var v any
-		var cached bool
-		v, cached, err = s.memoDo(s.keys.Rank(req), func() (any, int64, bool, error) {
-			rv, err := s.batchExec("rank", b, func(eb *budget.Budget) (any, error) {
-				return runner.Rank(ctx, eb, req)
-			})
-			if err != nil {
-				return nil, 0, false, err
-			}
-			resp := rv.(rankResponse)
-			cacheable := true
-			for _, e := range resp.Ranking {
-				if e.Degraded || e.Err != "" {
-					cacheable = false
-					break
-				}
-			}
-			return resp, int64(64 + 96*len(resp.Ranking)), cacheable, nil
-		})
-		if err == nil {
-			resp := v.(rankResponse)
-			resp.Cached = cached
-			out.Rank = &resp
-		}
-	case service.OpBDD:
-		req := *it.BDD
-		tt := runner.TruthTable()
-		var v any
-		var cached bool
-		v, cached, err = s.memoDo(s.keys.BDD(tt, req.Vars), func() (any, int64, bool, error) {
-			rv, err := s.batchExec("bdd", b, func(eb *budget.Budget) (any, error) {
-				return runner.BDD(ctx, eb, req)
-			})
-			if err != nil {
-				return nil, 0, false, err
-			}
-			val := rv.(bddVal)
-			return val, 32, !val.Degraded, nil
-		})
-		if err == nil {
-			val := v.(bddVal)
-			// Same in-flight-sharing corner as handleBDD: an exact-only
-			// caller must not receive a degraded value a concurrent
-			// degradation-tolerant leader computed.
-			if val.Degraded && !req.AllowDegraded {
-				err = fmt.Errorf("powerd: exact build cut off by budget: %w", budget.ErrExceeded)
-			} else {
-				out.BDD = &bddResponse{
-					Function: req.Function, Vars: req.Vars,
-					Nodes: val.Nodes, Degraded: val.Degraded, Cached: cached,
-				}
-			}
-		}
-	case service.OpPredict:
-		req := *it.Predict
-		var v any
-		var cached bool
-		v, cached, err = s.memoDo(s.keys.Predict(req), func() (any, int64, bool, error) {
-			rv, err := s.batchExec("predict", b, func(eb *budget.Budget) (any, error) {
-				return runner.Predict(eb, req)
-			})
-			if err != nil {
-				return nil, 0, false, err
-			}
-			return rv.(predictResponse), 128, true, nil
-		})
-		if err == nil {
-			resp := v.(predictResponse)
-			resp.Cached = cached
-			out.Predict = &resp
-		}
-	}
+// runBatchItem is the batch pipeline's Item hook: the item runs through
+// serveItem once, on the budget the pipeline hands it, over its group's
+// runner.
+func (s *Server) runBatchItem(ctx context.Context, runner *service.GroupRunner, b *budget.Budget, _ int, it service.BatchItem) (service.BatchItemResult, error) {
+	res, err := s.serveItem(ctx, policy{budget: b}, it, s.itemKey(it, runner.TruthTable()), runner, nil)
 	if err != nil {
 		// Breaker-open is this serving layer's condition, not the
 		// engine's; classify it here and let the pipeline map the rest.
 		var open *resilience.OpenError
 		if errors.As(err, &open) {
-			out.Error = &service.BatchError{Kind: service.BatchErrUnavailable, Message: err.Error()}
-			return out, nil
+			res.Error = &service.BatchError{Kind: service.BatchErrUnavailable, Message: err.Error()}
+			return res, nil
 		}
-		return out, err
 	}
-	return out, nil
+	return res, err
 }
 
 // batchForward is the batch pipeline's Group hook: when a live peer

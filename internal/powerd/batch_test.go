@@ -136,6 +136,37 @@ func TestBatchHTTPPartialFailure(t *testing.T) {
 	}
 }
 
+// TestBatchStepLimitItemsKeepBreakerClosed: batch items whose work
+// exceeds MaxSteps fail with budget errors of their own and leave the
+// sim breaker closed, so a valid item behind them still computes.
+func TestBatchStepLimitItemsKeepBreakerClosed(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxSteps = 30_000
+	s, ts := newMemoTestServer(t, cfg)
+	var items []service.BatchItem
+	for i := 0; i < 6; i++ {
+		items = append(items, service.BatchItem{Op: service.OpSimulate,
+			Simulate: &simulateRequest{Circuit: "adder", Width: 6, Cycles: 4000, Seed: int64(i)}})
+	}
+	items = append(items, service.BatchItem{ID: "ok", Op: service.OpSimulate,
+		Simulate: &simulateRequest{Circuit: "adder", Width: 6, Cycles: 64, Seed: 9}})
+	status, resp := postAs[service.BatchResponse](t, ts, "/v1/batch", service.BatchRequest{Items: items})
+	if status != http.StatusOK {
+		t.Fatalf("status %d", status)
+	}
+	for i := 0; i < 6; i++ {
+		if e := resp.Items[i].Error; e == nil || e.Kind != service.BatchErrBudget {
+			t.Fatalf("over-allowance item %d: %+v, want kind %q", i, resp.Items[i].Error, service.BatchErrBudget)
+		}
+	}
+	if last := resp.Items[6]; last.Error != nil || last.Simulate == nil {
+		t.Fatalf("valid item behind step-limit trips: %+v", last.Error)
+	}
+	if st := s.Breaker("sim").Stats(); st.Failures != 0 || st.Opened != 0 {
+		t.Fatalf("sim breaker counted step-limit trips: %+v", st)
+	}
+}
+
 // TestBatchHTTPValidation: an empty batch and an oversized batch are
 // whole-request input errors.
 func TestBatchHTTPValidation(t *testing.T) {

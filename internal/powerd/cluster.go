@@ -177,7 +177,7 @@ func (s *Server) handleClusterCand(w http.ResponseWriter, r *http.Request) {
 	}
 	rr := service.RankRequest{Width: req.Width, Cycles: req.Cycles, Seed: req.Seed}
 	v, cached, err := s.memoDo(*s.keys.RankCand(req.Name, rr), func() (any, int64, bool, error) {
-		ev, err := s.execute(r.Context(), "rank", func(b *budget.Budget) (any, error) {
+		ev, err := s.execute(r.Context(), policy{retry: s.cfg.Retry}, "rank", func(b *budget.Budget) (any, error) {
 			p, deg, err := s.svc.EvalCand(b, req.Name, rr)
 			if err != nil {
 				return nil, err

@@ -4,11 +4,12 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"time"
 
 	"hlpower/internal/budget"
+	"hlpower/internal/memo"
 	"hlpower/internal/resilience"
 	"hlpower/internal/service"
-	"hlpower/internal/sim"
 )
 
 // The wire types are owned by the transport-agnostic service layer;
@@ -21,263 +22,256 @@ type (
 	rankResponse     = service.RankResponse
 	bddRequest       = service.BDDRequest
 	bddResponse      = service.BDDResponse
-	bddVal           = service.BDDOutcome
 	predictRequest   = service.PredictRequest
 	predictResponse  = service.PredictResponse
 )
 
-// ---------------------------------------------------------------------
-// POST /v1/simulate — gate-level Monte Carlo power of one circuit.
+// The item pipeline. Every estimation a client asks for, whether as a
+// single request (POST /v1/simulate, /v1/rank, /v1/bdd, /v1/predict) or
+// as one item of a batch, runs through serveItem: the memo lookup under
+// the item's content key, and on a miss the computation behind the op's
+// breaker through service.GroupRunner.RunItem. A single request is a
+// batch of one, so an entry stored by either path replays on the other
+// by construction. The paths differ only in the policy they pass.
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
+// policy is how an item's computation executes.
+type policy struct {
+	// budget is every attempt's budget; nil builds a fresh one per
+	// attempt (budgets are sticky, so a tripped one is never reused).
+	budget *budget.Budget
+	// retry re-runs failed attempts; its zero value runs one.
+	retry resilience.RetryPolicy
+	// hedge, when positive, launches a backup attempt for a computation
+	// still running after it.
+	hedge time.Duration
+}
+
+// singlePolicy is a single request's policy: a fresh budget per
+// attempt and the configured retry loop. Simulation is deterministic
+// for a fixed seed and mutates nothing, so it alone is safe to hedge. A
+// batch item instead runs once on the budget the batch pipeline hands
+// it; a failed item is reported and the caller resubmits just that one.
+func (s *Server) singlePolicy(op string) policy {
+	p := policy{retry: s.cfg.Retry}
+	if op == service.OpSimulate {
+		p.hedge = s.cfg.HedgeDelay
 	}
-	defer release()
-	var req simulateRequest
-	if err := decode(r, &req); err != nil {
-		s.fail(w, err)
-		return
+	return p
+}
+
+// breakerFor maps an op onto its subsystem breaker.
+var breakerFor = map[string]string{
+	service.OpSimulate: "sim",
+	service.OpRank:     "rank",
+	service.OpBDD:      "bdd",
+	service.OpPredict:  "predict",
+}
+
+// handleSingle serves one single endpoint as a batch of one: decode the
+// op's request, validate what its key needs, forward it to the key's
+// owner when a live peer owns it, run it through serveItem, and answer
+// with the payload alone.
+func (s *Server) handleSingle(op string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		release, ok := s.admit(w, r)
+		if !ok {
+			return
+		}
+		defer release()
+		it, req, err := decodeSingle(r, op)
+		var tt []bool
+		if err == nil && op == service.OpBDD {
+			// Materializing the table is also the request validation, so
+			// it runs before the cache lookup and bad requests fail
+			// without a key.
+			tt, err = service.TruthTable(it.BDD.Function, it.BDD.Vars)
+		}
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		k := s.itemKey(it, tt)
+		// Rank is a fan-out job, so cluster mode does not forward the
+		// whole request: the node that received it aggregates, and each
+		// candidate's evaluation is routed to that candidate key's owner
+		// (see remoteCand), which is where cross-node singleflight
+		// collapses duplicates.
+		if op != service.OpRank && s.tryForward(w, r, "/v1/"+op, k, req) {
+			return
+		}
+		res, err := s.serveItem(r.Context(), s.singlePolicy(op), it, k, nil, tt)
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		s.served.Add(1)
+		writeJSON(w, http.StatusOK, payload(res))
 	}
-	if s.tryForward(w, r, "/v1/simulate", s.keys.Simulate(req), req) {
-		return
+}
+
+// decodeSingle decodes a single endpoint's body into a one-item batch
+// and also returns the decoded request.
+func decodeSingle(r *http.Request, op string) (service.BatchItem, any, error) {
+	it := service.BatchItem{Op: op}
+	var req any
+	switch op {
+	case service.OpSimulate:
+		it.Simulate = new(simulateRequest)
+		req = it.Simulate
+	case service.OpRank:
+		it.Rank = new(rankRequest)
+		req = it.Rank
+	case service.OpBDD:
+		it.BDD = new(bddRequest)
+		req = it.BDD
+	default:
+		it.Predict = new(predictRequest)
+		req = it.Predict
 	}
-	// Hedging is a property of this request's execution, never replayed
-	// from the cache; the stored response always carries Hedged=false.
+	return it, req, decode(r, req)
+}
+
+// payload is a result's op payload: a single endpoint's response body.
+func payload(res service.BatchItemResult) any {
+	switch {
+	case res.Simulate != nil:
+		return res.Simulate
+	case res.Rank != nil:
+		return res.Rank
+	case res.BDD != nil:
+		return res.BDD
+	default:
+		return res.Predict
+	}
+}
+
+// itemKey derives an item's content key: the identity both paths cache,
+// collapse and route it under. A bdd item keys on its materialized truth
+// table tt, not the function name.
+func (s *Server) itemKey(it service.BatchItem, tt []bool) memo.Key {
+	switch it.Op {
+	case service.OpSimulate:
+		return s.keys.Simulate(*it.Simulate)
+	case service.OpRank:
+		return s.keys.Rank(*it.Rank)
+	case service.OpBDD:
+		return s.keys.BDD(tt, it.BDD.Vars)
+	default:
+		return s.keys.Predict(*it.Predict)
+	}
+}
+
+// serveItem runs one item, keyed k, through the pipeline. runner is the
+// item's group runner; a single request passes nil, and a miss builds a
+// group of one (over tt, its already materialized bdd table), so a memo
+// hit resolves no artifact. The result carries the payload with this
+// caller's Cached and Hedged flags.
+func (s *Server) serveItem(ctx context.Context, pol policy, it service.BatchItem, k memo.Key, runner *service.GroupRunner, tt []bool) (service.BatchItemResult, error) {
+	// Hedging is a property of this call's execution, never replayed
+	// from the cache; the stored payload always carries Hedged=false.
 	var hedged bool
-	v, cached, err := s.memoDo(s.keys.Simulate(req), func() (any, int64, bool, error) {
-		res, hedgeAttempt, err := s.simulateHedged(r, req)
+	v, cached, err := s.memoDo(k, func() (any, int64, bool, error) {
+		r := runner
+		if r == nil {
+			var err error
+			if r, err = s.svc.ItemRunner(it, tt); err != nil {
+				return nil, 0, false, err
+			}
+		}
+		var v any
+		var err error
+		if pol.hedge > 0 {
+			var attempt int
+			v, attempt, err = resilience.Hedge(ctx, pol.hedge, func(ctx context.Context, _ int) (any, error) {
+				return s.compute(ctx, pol, r, it)
+			})
+			hedged = attempt > 0
+		} else {
+			v, err = s.compute(ctx, pol, r, it)
+		}
 		if err != nil {
 			return nil, 0, false, err
 		}
-		hedged = hedgeAttempt > 0
-		return simulateResponse{
-			Circuit:     req.Circuit,
-			Cycles:      res.Cycles,
-			SwitchedCap: res.SwitchedCap,
-			Power:       res.Power(),
-			Shards:      res.Shards,
-			Fallback:    res.Fallback,
-			Kernel:      res.Kernel,
-		}, 160, true, nil
+		val, size, cacheable := stored(v)
+		return val, size, cacheable, nil
 	})
 	if err != nil {
-		s.fail(w, err)
-		return
+		return service.BatchItemResult{}, err
 	}
-	resp := v.(simulateResponse)
-	resp.Hedged = hedged
-	resp.Cached = cached
-	s.served.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	return replay(it, v, cached, hedged)
 }
 
-// simulateHedged runs the simulate op through hedging (when armed) and
-// the resilient execute path. Simulation is deterministic for a fixed
-// seed and mutates nothing, so it is safe to hedge: a straggling
-// primary attempt gets a backup after HedgeDelay and the first result
-// wins.
-func (s *Server) simulateHedged(r *http.Request, req simulateRequest) (*sim.Result, int, error) {
-	op := func(ctx context.Context) (any, error) {
-		return s.execute(ctx, "sim", func(b *budget.Budget) (any, error) {
-			return s.svc.Simulate(ctx, b, req)
-		})
-	}
-	if s.cfg.HedgeDelay <= 0 {
-		v, err := op(r.Context())
-		if err != nil {
-			return nil, 0, err
-		}
-		return v.(*sim.Result), 0, nil
-	}
-	v, attempt, err := resilience.Hedge(r.Context(), s.cfg.HedgeDelay,
-		func(hctx context.Context, _ int) (any, error) { return op(hctx) })
-	if err != nil {
-		return nil, attempt, err
-	}
-	return v.(*sim.Result), attempt, nil
+// compute runs one missed item on its group runner behind the op's
+// breaker, returning the payload. A hedged item runs it once per hedge.
+// It is a method rather than a closure so that only a hedged item
+// allocates one; an unhedged item's op closure stays on the stack.
+func (s *Server) compute(ctx context.Context, pol policy, r *service.GroupRunner, it service.BatchItem) (any, error) {
+	return s.execute(ctx, pol, breakerFor[it.Op], func(b *budget.Budget) (any, error) {
+		res, err := r.RunItem(ctx, b, it)
+		return payload(res), err
+	})
 }
 
-// ---------------------------------------------------------------------
-// POST /v1/rank — one improvement-loop turn over adder alternatives.
-//
-// Rank is a fan-out job, so cluster mode does not forward the whole
-// request: the node that received it aggregates, and each candidate's
-// evaluation is routed to that candidate key's owner (see remoteCand),
-// which is where cross-node singleflight collapses duplicates.
-
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	var req rankRequest
-	if err := decode(r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	v, cached, err := s.memoDo(s.keys.Rank(req), func() (any, int64, bool, error) {
-		resp, err := s.rankCompute(r.Context(), req)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		// Only an all-exact ranking is replayable as fresh: a degraded
-		// or partially failed one reflects transient conditions (budget
+// stored turns a computed payload into its memo entry, with the entry's
+// size estimate and whether it may be replayed as fresh.
+func stored(p any) (any, int64, bool) {
+	switch p := p.(type) {
+	case *rankResponse:
+		// Only an all-exact ranking is replayable as fresh: a degraded or
+		// partially failed one reflects transient conditions (budget
 		// pressure, injected faults) a recomputation might not repeat.
 		cacheable := true
-		for _, e := range resp.Ranking {
+		for _, e := range p.Ranking {
 			if e.Degraded || e.Err != "" {
 				cacheable = false
 				break
 			}
 		}
-		return resp, int64(64 + 96*len(resp.Ranking)), cacheable, nil
-	})
-	if err != nil {
-		s.fail(w, err)
-		return
+		return p, int64(64 + 96*len(p.Ranking)), cacheable
+	case *bddResponse:
+		// The entry is name-free, so one truth table under two function
+		// names shares it. A sampled estimate reflects a budget trip this
+		// run; an exact rebuild might succeed, so only exact counts are
+		// replayable.
+		return service.BDDOutcome{Nodes: p.Nodes, Degraded: p.Degraded}, 32, !p.Degraded
+	case *predictResponse:
+		return p, 128, true
+	default: // *simulateResponse
+		return p, 160, true
 	}
-	resp := v.(rankResponse)
-	resp.Cached = cached
-	s.served.Add(1)
-	writeJSON(w, http.StatusOK, resp)
 }
 
-// rankCompute runs one improvement-loop turn through the resilient
-// execute path, with per-candidate estimate memoization (and, in
-// cluster mode, ownership-aware candidate distribution).
-func (s *Server) rankCompute(ctx context.Context, req rankRequest) (rankResponse, error) {
-	v, err := s.execute(ctx, "rank", func(b *budget.Budget) (any, error) {
-		resp, err := s.svc.Rank(ctx, b, req)
-		if err != nil {
-			return nil, err
+// replay rebuilds a caller's result from a memo entry: a copy of the
+// stored payload (never the entry itself) carrying this caller's flags,
+// and for bdd this caller's function name.
+func replay(it service.BatchItem, v any, cached, hedged bool) (service.BatchItemResult, error) {
+	var out service.BatchItemResult
+	switch val := v.(type) {
+	case *simulateResponse:
+		resp := *val
+		resp.Cached, resp.Hedged = cached, hedged
+		out.Simulate = &resp
+	case *rankResponse:
+		resp := *val
+		resp.Cached = cached
+		out.Rank = &resp
+	case service.BDDOutcome:
+		// A caller that demanded an exact count can collapse onto a
+		// concurrent identical request whose leader accepted degradation;
+		// surface the underlying budget trip instead of a result this
+		// caller's contract forbids. (Degraded values are never stored,
+		// so this only arises from in-flight sharing.)
+		if val.Degraded && !it.BDD.AllowDegraded {
+			return out, fmt.Errorf("powerd: exact build cut off by budget: %w", budget.ErrExceeded)
 		}
-		return resp, nil
-	})
-	if err != nil {
-		return rankResponse{}, err
-	}
-	return v.(rankResponse), nil
-}
-
-// ---------------------------------------------------------------------
-// POST /v1/bdd — BDD size estimate of a named boolean function.
-
-func (s *Server) handleBDD(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	var req bddRequest
-	if err := decode(r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	// Materializing the table is also the request validation, so it runs
-	// before the cache lookup and bad requests fail without a key.
-	tt, err := service.TruthTable(req.Function, req.Vars)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if s.tryForward(w, r, "/v1/bdd", s.keys.BDD(tt, req.Vars), req) {
-		return
-	}
-	v, cached, err := s.memoDo(s.keys.BDD(tt, req.Vars), func() (any, int64, bool, error) {
-		val, err := s.bddCompute(r.Context(), req, tt)
-		if err != nil {
-			return nil, 0, false, err
+		out.BDD = &bddResponse{
+			Function: it.BDD.Function, Vars: it.BDD.Vars,
+			Nodes: val.Nodes, Degraded: val.Degraded, Cached: cached,
 		}
-		// A sampled estimate reflects a budget trip this run; an exact
-		// rebuild might succeed, so only exact counts are replayable.
-		return val, 32, !val.Degraded, nil
-	})
-	if err != nil {
-		s.fail(w, err)
-		return
+	case *predictResponse:
+		resp := *val
+		resp.Cached = cached
+		out.Predict = &resp
 	}
-	val := v.(bddVal)
-	// A caller that demanded an exact count can collapse onto a
-	// concurrent identical request whose leader accepted degradation;
-	// surface the underlying budget trip instead of a result this
-	// caller's contract forbids. (Degraded values are never stored, so
-	// this only arises from in-flight sharing.)
-	if val.Degraded && !req.AllowDegraded {
-		s.fail(w, fmt.Errorf("powerd: exact build cut off by budget: %w", budget.ErrExceeded))
-		return
-	}
-	s.served.Add(1)
-	writeJSON(w, http.StatusOK, bddResponse{
-		Function: req.Function, Vars: req.Vars,
-		Nodes: val.Nodes, Degraded: val.Degraded, Cached: cached,
-	})
-}
-
-// bddCompute builds the BDD through the resilient execute path and
-// returns the exact or (when allowed) sampled node count.
-func (s *Server) bddCompute(ctx context.Context, req bddRequest, tt []bool) (bddVal, error) {
-	v, err := s.execute(ctx, "bdd", func(b *budget.Budget) (any, error) {
-		val, err := s.svc.BDD(ctx, b, req, tt)
-		if err != nil {
-			return nil, err
-		}
-		return val, nil
-	})
-	if err != nil {
-		return bddVal{}, err
-	}
-	return v.(bddVal), nil
-}
-
-// ---------------------------------------------------------------------
-// POST /v1/predict — macro-model prediction vs budgeted ground truth.
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	var req predictRequest
-	if err := decode(r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	if s.tryForward(w, r, "/v1/predict", s.keys.Predict(req), req) {
-		return
-	}
-	v, cached, err := s.memoDo(s.keys.Predict(req), func() (any, int64, bool, error) {
-		resp, err := s.predictCompute(r.Context(), req)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		return resp, 128, true, nil
-	})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	resp := v.(predictResponse)
-	resp.Cached = cached
-	s.served.Add(1)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// predictCompute fits the requested macro-model through the resilient
-// execute path.
-func (s *Server) predictCompute(ctx context.Context, req predictRequest) (predictResponse, error) {
-	v, err := s.execute(ctx, "predict", func(b *budget.Budget) (any, error) {
-		resp, err := s.svc.Predict(ctx, b, req)
-		if err != nil {
-			return nil, err
-		}
-		return resp, nil
-	})
-	if err != nil {
-		return predictResponse{}, err
-	}
-	return v.(predictResponse), nil
+	return out, nil
 }

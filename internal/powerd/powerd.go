@@ -277,10 +277,10 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	s.mux.HandleFunc("POST /v1/rank", s.handleRank)
-	s.mux.HandleFunc("POST /v1/bdd", s.handleBDD)
-	s.mux.HandleFunc("POST /v1/predict", s.handlePredict)
+	s.mux.HandleFunc("POST /v1/simulate", s.handleSingle(service.OpSimulate))
+	s.mux.HandleFunc("POST /v1/rank", s.handleSingle(service.OpRank))
+	s.mux.HandleFunc("POST /v1/bdd", s.handleSingle(service.OpBDD))
+	s.mux.HandleFunc("POST /v1/predict", s.handleSingle(service.OpPredict))
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/batch/stream", s.handleBatchStream)
 	s.mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
@@ -576,21 +576,24 @@ func (s *Server) newBudget(ctx context.Context) *budget.Budget {
 }
 
 // execute runs one estimation op behind the named subsystem's breaker,
-// inside the retry loop, with a fresh budget per attempt (budgets are
-// sticky, so a tripped one must never be reused). Input errors are
-// marked Permanent so they neither trip the breaker nor burn retries;
-// an open breaker is also Permanent so callers fail fast to 503.
-func (s *Server) execute(ctx context.Context, name string, op func(b *budget.Budget) (any, error)) (any, error) {
+// inside pol's retry loop, each attempt on pol's budget or a fresh one.
+// It is the only breaker wrapper. An open breaker is Permanent, so
+// callers fail fast to 503, and so is every error a retry cannot change
+// (see permanent), which the breaker then records as a success: a
+// client's mistake never opens it.
+func (s *Server) execute(ctx context.Context, pol policy, name string, op func(b *budget.Budget) (any, error)) (any, error) {
 	br := s.breakers[name]
 	var result any
-	err := s.cfg.Retry.Do(ctx, s.clock, func(attempt int) error {
+	err := pol.retry.Do(ctx, s.clock, func(attempt int) error {
 		if err := br.Allow(); err != nil {
 			return resilience.Permanent(err)
 		}
-		v, err := resilience.SafeValue(func() (any, error) {
-			return op(s.newBudget(ctx))
-		})
-		if err != nil && hlerr.IsInput(err) {
+		b := pol.budget
+		if b == nil {
+			b = s.newBudget(ctx)
+		}
+		v, err := resilience.SafeValue(func() (any, error) { return op(b) })
+		if permanent(err) {
 			err = resilience.Permanent(err)
 		}
 		br.Record(err)
@@ -600,6 +603,19 @@ func (s *Server) execute(ctx context.Context, name string, op func(b *budget.Bud
 		return err
 	})
 	return result, err
+}
+
+// permanent reports whether retrying err cannot change the outcome:
+// input errors, and step or node allowances the work exceeds — as
+// deterministic for a request under the configured MaxSteps as its
+// memo key, which folds MaxSteps in. Deadline, cancellation and
+// injected-fault trips stay retryable, and count against the breaker.
+func permanent(err error) bool {
+	if err == nil {
+		return false
+	}
+	var ex *budget.Exceeded
+	return hlerr.IsInput(err) || errors.As(err, &ex) && (ex.Resource == "steps" || ex.Resource == "nodes")
 }
 
 // ---------------------------------------------------------------------

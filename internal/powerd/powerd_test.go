@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -14,6 +15,8 @@ import (
 
 	"hlpower/internal/budget"
 	"hlpower/internal/resilience"
+	"hlpower/internal/service"
+	"hlpower/internal/sim"
 )
 
 // testConfig is a small, fast configuration for unit tests.
@@ -326,23 +329,36 @@ func TestHealthReadyStats(t *testing.T) {
 }
 
 // TestSimulateMatchesLibrary pins that the service returns the same
-// physics as calling the estimation engine directly.
+// physics as the serial engine: every circuit's HTTP switched_cap and
+// power are Float64bits-identical to sim.Run over the same module and
+// operand streams, at a cycle count that leaves a partial 64-lane block.
 func TestSimulateMatchesLibrary(t *testing.T) {
 	s := NewServer(testConfig())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, out := post(t, ts, "/v1/simulate", simulateRequest{Circuit: "multiplier", Width: 4, Cycles: 300, Seed: 7})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("simulate: %d %v", resp.StatusCode, out)
-	}
-	res, _, err := s.simulateHedged(httptest.NewRequest("POST", "/v1/simulate", nil),
-		simulateRequest{Circuit: "multiplier", Width: 4, Cycles: 300, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out["switched_cap"].(float64); got != res.SwitchedCap {
-		t.Fatalf("service switched_cap %v != library %v", got, res.SwitchedCap)
+	for _, circuit := range []string{"adder", "carry-select", "multiplier", "subtractor", "comparator"} {
+		req := simulateRequest{Circuit: circuit, Width: 4, Cycles: 300, Seed: 7}
+		code, got := postAs[simulateResponse](t, ts, "/v1/simulate", req)
+		if code != http.StatusOK {
+			t.Fatalf("%s: simulate status %d", circuit, code)
+		}
+		mod, err := service.ModuleFor(req.Circuit, req.Width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		as, bs := service.OperandStreams(req.Cycles, req.Width, req.Seed)
+		want, err := sim.Run(mod.Net, func(c int) []bool { return mod.InputVector(as[c], bs[c]) },
+			req.Cycles, sim.Options{Vdd: 1, Freq: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.SwitchedCap) != math.Float64bits(want.SwitchedCap) {
+			t.Errorf("%s: switched_cap %v != serial engine %v", circuit, got.SwitchedCap, want.SwitchedCap)
+		}
+		if math.Float64bits(got.Power) != math.Float64bits(want.Power()) {
+			t.Errorf("%s: power %v != serial engine %v", circuit, got.Power, want.Power())
+		}
 	}
 }
 
@@ -442,5 +458,28 @@ func TestStatsSurfaceBDDTables(t *testing.T) {
 	}
 	if body.BDDTables.Unique.Lookups != st.Unique.Lookups {
 		t.Fatalf("JSON stats lookups %d != snapshot %d", body.BDDTables.Unique.Lookups, st.Unique.Lookups)
+	}
+}
+
+// TestStepLimitNeverOpensBreaker: a valid simulate whose work exceeds
+// MaxSteps is answered 503 budget-exceeded after a single attempt, and
+// however often a client repeats it, the sim breaker stays closed for
+// every other client. The trip is as deterministic as the request's
+// memo key, so it is the client's mistake, not a failing subsystem.
+func TestStepLimitNeverOpensBreaker(t *testing.T) {
+	s, ts := newMemoTestServer(t, DefaultConfig())
+	big := simulateRequest{Circuit: "multiplier", Width: 16, Cycles: service.MaxCycles}
+	for i := 0; i < 2; i++ {
+		code, body := postAs[map[string]any](t, ts, "/v1/simulate", big)
+		if code != http.StatusServiceUnavailable || body["kind"] != "budget-exceeded" {
+			t.Fatalf("over-allowance simulate %d: %d %v, want 503 budget-exceeded", i, code, body)
+		}
+	}
+	code, body := postAs[map[string]any](t, ts, "/v1/simulate", simulateRequest{Circuit: "adder", Width: 6, Cycles: 64})
+	if code != http.StatusOK {
+		t.Fatalf("valid simulate after step-limit trips: %d %v, want 200", code, body)
+	}
+	if st := s.Breaker("sim").Stats(); st.Failures != 0 || st.Opened != 0 || st.Successes != 3 {
+		t.Fatalf("sim breaker counted step-limit trips: %+v, want 3 successes (one per request)", st)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"hlpower/internal/budget"
 	"hlpower/internal/hlerr"
-	"hlpower/internal/sim"
 )
 
 // Batch pipeline. A batch is thousands of heterogeneous estimation
@@ -133,16 +132,6 @@ type BatchGroup struct {
 type BatchPlan struct {
 	Groups []BatchGroup
 	Bad    []BatchItemResult
-}
-
-// KnownCircuit reports whether name is a servable RT-library circuit
-// (the set ModuleFor builds).
-func KnownCircuit(name string) bool {
-	switch name {
-	case "adder", "carry-select", "multiplier", "subtractor", "comparator":
-		return true
-	}
-	return false
 }
 
 // KnownFunction reports whether name is a servable boolean function
@@ -279,7 +268,8 @@ func PartitionBatch(items []BatchItem) BatchPlan {
 
 // GroupRunner holds one group's compiled artifacts and computes its
 // items. Safe for concurrent item runs (the artifacts are read-only and
-// the kernel scratch pool is concurrency-safe).
+// the kernel scratch pool is concurrency-safe). A single request runs
+// as a group of one (see ItemRunner).
 type GroupRunner struct {
 	l   *Local
 	g   BatchGroup
@@ -316,61 +306,32 @@ func (l *Local) NewGroupRunner(g BatchGroup) (*GroupRunner, error) {
 	return r, nil
 }
 
-// Group returns the partition cell this runner computes.
-func (r *GroupRunner) Group() BatchGroup { return r.g }
+// ItemRunner returns the runner of a single request's group of one. tt
+// is a bdd item's truth table, which the caller already materialized to
+// validate and key the request; it is not built again.
+func (l *Local) ItemRunner(it BatchItem, tt []bool) (*GroupRunner, error) {
+	if it.Op == OpBDD {
+		return &GroupRunner{l: l, g: groupCell(it), tt: tt}, nil
+	}
+	return l.NewGroupRunner(groupCell(it))
+}
 
 // TruthTable returns the group's materialized truth table (bdd groups
 // only), so caching layers can derive the same content key the
 // single-request path uses without re-materializing it per item.
 func (r *GroupRunner) TruthTable() []bool { return r.tt }
 
-// Simulate runs one simulate item over the group's compiled netlist.
-// Bit-identical to Local.Simulate for the same request — including the
-// Shards/Fallback/Kernel metadata — with the setup already paid.
-func (r *GroupRunner) Simulate(b *budget.Budget, req SimulateRequest) (*sim.Result, error) {
-	if err := CheckCycles(req.Cycles); err != nil {
-		return nil, err
-	}
-	as, bs := OperandStreams(req.Cycles, req.Width, req.Seed)
-	mod := r.art.mod
-	prov := func(c int) []bool { return mod.InputVector(as[c], bs[c]) }
-	// Words and Lean are pure accelerators: Words feeds the kernel the
-	// same bits as prov without the per-cycle []bool, and Lean skips
-	// Result fields the batch response never reads. Power, SwitchedCap,
-	// and the execution metadata stay bit-identical to Local.Simulate.
-	// Routing through runArtifact makes batch items count toward — and
-	// benefit from — codegen promotion exactly like single requests.
-	return r.l.runArtifact(b, r.art, prov, req.Cycles, sim.RunOptions{
-		Workers: req.Workers,
-		Words:   func(c int) uint64 { return mod.InputWord(as[c], bs[c]) },
-		Lean:    true,
-	})
-}
-
-// BDD runs one bdd item over the group's materialized truth table.
-func (r *GroupRunner) BDD(ctx context.Context, b *budget.Budget, req BDDRequest) (BDDOutcome, error) {
-	return r.l.BDD(ctx, b, req, r.tt)
-}
-
-// Rank runs one rank item; identical to Local.Rank.
-func (r *GroupRunner) Rank(ctx context.Context, b *budget.Budget, req RankRequest) (RankResponse, error) {
-	return r.l.Rank(ctx, b, req)
-}
-
-// Predict runs one predict item over the group's shared artifact;
-// identical to Local.Predict.
-func (r *GroupRunner) Predict(b *budget.Budget, req PredictRequest) (PredictResponse, error) {
-	return r.l.predictWith(b, r.art, req)
-}
-
-// RunItem computes one item into its wire result (without serving-layer
-// metadata: Cached flags belong to the caching layer). The error, when
-// non-nil, is the engine's typed failure for this item alone.
-func (r *GroupRunner) RunItem(ctx context.Context, b *budget.Budget, idx int, it BatchItem) (BatchItemResult, error) {
-	out := BatchItemResult{Index: idx, ID: it.ID, Op: it.Op}
+// RunItem computes one item of the runner's group into its wire
+// payload. Every transport builds its payloads here, with the figures
+// of Local.Simulate, Rank, BDD and Predict, bit for bit, and the
+// group's setup already paid. Index, ID and serving-layer flags such as
+// Cached are left to the caller. The error, when non-nil, is the
+// engine's typed failure for this item alone.
+func (r *GroupRunner) RunItem(ctx context.Context, b *budget.Budget, it BatchItem) (BatchItemResult, error) {
+	var out BatchItemResult
 	switch r.g.Op {
 	case OpSimulate:
-		res, err := r.Simulate(b, *it.Simulate)
+		res, err := r.l.simulateWith(b, r.art, *it.Simulate)
 		if err != nil {
 			return out, err
 		}
@@ -384,13 +345,13 @@ func (r *GroupRunner) RunItem(ctx context.Context, b *budget.Budget, idx int, it
 			Kernel:      res.Kernel,
 		}
 	case OpRank:
-		resp, err := r.Rank(ctx, b, *it.Rank)
+		resp, err := r.l.Rank(ctx, b, *it.Rank)
 		if err != nil {
 			return out, err
 		}
 		out.Rank = &resp
 	case OpBDD:
-		val, err := r.BDD(ctx, b, *it.BDD)
+		val, err := r.l.BDD(ctx, b, *it.BDD, r.tt)
 		if err != nil {
 			return out, err
 		}
@@ -399,7 +360,7 @@ func (r *GroupRunner) RunItem(ctx context.Context, b *budget.Budget, idx int, it
 			Nodes: val.Nodes, Degraded: val.Degraded,
 		}
 	case OpPredict:
-		resp, err := r.Predict(b, *it.Predict)
+		resp, err := r.l.predictWith(b, r.art, *it.Predict)
 		if err != nil {
 			return out, err
 		}
@@ -428,7 +389,8 @@ type BatchHooks struct {
 	Group func(ctx context.Context, g BatchGroup, items []BatchItem) ([]BatchItemResult, bool)
 	// Item, when set, wraps one item's computation — the serving layer's
 	// seam for memoization, singleflight, and breaker accounting. The
-	// default is runner.RunItem.
+	// default is runner.RunItem; the pipeline sets the result's Index,
+	// ID and Op.
 	Item func(ctx context.Context, runner *GroupRunner, b *budget.Budget, idx int, it BatchItem) (BatchItemResult, error)
 	// Emit, when set, receives every result as it is produced: rejected
 	// items first, then each group's items in submission order. The
@@ -482,7 +444,7 @@ func (l *Local) Batch(ctx context.Context, req BatchRequest, h BatchHooks) Batch
 	runItem := h.Item
 	if runItem == nil {
 		runItem = func(ctx context.Context, r *GroupRunner, b *budget.Budget, idx int, it BatchItem) (BatchItemResult, error) {
-			return r.RunItem(ctx, b, idx, it)
+			return r.RunItem(ctx, b, it)
 		}
 	}
 

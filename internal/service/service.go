@@ -1,6 +1,6 @@
 // Package service is the transport-agnostic estimation service layer:
 // the Simulate/Rank/BDD/Predict operations powerd exposes over HTTP,
-// expressed as plain Go interfaces over internal/core and the engine
+// expressed as plain Go methods over internal/core and the engine
 // packages. Extracting it from the HTTP handlers lets any transport —
 // the local HTTP daemon, a cluster peer endpoint, a test harness —
 // invoke the same computations with the same validation, the same
@@ -165,19 +165,6 @@ type CandEstimate struct {
 	Cached bool `json:"cached"`
 }
 
-// Service is the estimation service: every operation takes the
-// caller's context (for remote hops the implementation may make) and a
-// resource budget governing the computation. Implementations must be
-// deterministic — two calls with equal requests and ample budgets
-// return bit-identical figures — and must surface malformed requests
-// as hlerr input errors.
-type Service interface {
-	Simulate(ctx context.Context, b *budget.Budget, req SimulateRequest) (*sim.Result, error)
-	Rank(ctx context.Context, b *budget.Budget, req RankRequest) (RankResponse, error)
-	BDD(ctx context.Context, b *budget.Budget, req BDDRequest, tt []bool) (BDDOutcome, error)
-	Predict(ctx context.Context, b *budget.Budget, req PredictRequest) (PredictResponse, error)
-}
-
 // Local computes every operation in-process over internal/core and the
 // engine packages. The zero value works; the optional hooks let a
 // serving layer observe engine internals and graft in caching and
@@ -269,17 +256,32 @@ type artifact struct {
 	promoteFailed atomic.Bool
 }
 
+// circuits is the servable RT-library: every circuit name with its
+// constructor. KnownCircuit, checkModule and ModuleFor all read it.
+var circuits = map[string]func(width int) *rtlib.Module{
+	"adder":        rtlib.NewAdder,
+	"carry-select": rtlib.NewCarrySelectAdder,
+	"multiplier":   rtlib.NewMultiplier,
+	"subtractor":   rtlib.NewSubtractor,
+	"comparator":   rtlib.NewComparator,
+}
+
+// KnownCircuit reports whether name is a servable RT-library circuit
+// (the set ModuleFor builds).
+func KnownCircuit(name string) bool {
+	_, ok := circuits[name]
+	return ok
+}
+
 // checkModule validates a (circuit,width) pair without building it.
 func checkModule(circuit string, width int) error {
 	if width < 2 || width > MaxWidth {
 		return hlerr.Errorf("service.module", "width %d out of range [2,%d]", width, MaxWidth)
 	}
-	switch circuit {
-	case "adder", "carry-select", "multiplier", "subtractor", "comparator":
-		return nil
-	default:
+	if !KnownCircuit(circuit) {
 		return hlerr.Errorf("service.module", "unknown circuit %q", circuit)
 	}
+	return nil
 }
 
 // artifactFor returns the compiled artifact for a circuit, building and
@@ -310,11 +312,7 @@ func (l *Local) artifactFor(circuit string, width int) (*artifact, error) {
 	}
 	e.once.Do(func() {
 		l.artifactBuilds.Add(1)
-		mod, err := ModuleFor(circuit, width)
-		if err != nil {
-			e.err = err
-			return
-		}
+		mod := circuits[circuit](width)
 		comp, err := sim.Compile(mod.Net, sim.Options{Vdd: 1, Freq: 1})
 		if err != nil {
 			e.err = err
@@ -503,9 +501,6 @@ func (l *Local) KernelStats() KernelStats {
 	return st
 }
 
-// Enforce the interface.
-var _ Service = (*Local)(nil)
-
 func (l *Local) cache() *memo.Cache {
 	if l.Cache == nil {
 		return nil
@@ -515,23 +510,10 @@ func (l *Local) cache() *memo.Cache {
 
 // ModuleFor builds the requested RT-library circuit, or an input error.
 func ModuleFor(circuit string, width int) (*rtlib.Module, error) {
-	if width < 2 || width > MaxWidth {
-		return nil, hlerr.Errorf("service.module", "width %d out of range [2,%d]", width, MaxWidth)
+	if err := checkModule(circuit, width); err != nil {
+		return nil, err
 	}
-	switch circuit {
-	case "adder":
-		return rtlib.NewAdder(width), nil
-	case "carry-select":
-		return rtlib.NewCarrySelectAdder(width), nil
-	case "multiplier":
-		return rtlib.NewMultiplier(width), nil
-	case "subtractor":
-		return rtlib.NewSubtractor(width), nil
-	case "comparator":
-		return rtlib.NewComparator(width), nil
-	default:
-		return nil, hlerr.Errorf("service.module", "unknown circuit %q", circuit)
-	}
+	return circuits[circuit](width), nil
 }
 
 // CheckCycles validates a cycle count against the shared limits.
@@ -604,6 +586,16 @@ func (l *Local) Simulate(_ context.Context, b *budget.Budget, req SimulateReques
 	if err != nil {
 		return nil, err
 	}
+	return l.simulateWith(b, art, req)
+}
+
+// simulateWith is Simulate over an already resolved artifact, shared by
+// single requests and batch simulate groups. Words and Lean are pure
+// accelerators: Words feeds the kernel the same bits as the provider
+// without the per-cycle []bool, and Lean skips Result fields no
+// response reads. Routing through runArtifact makes every path count
+// toward, and benefit from, codegen promotion alike.
+func (l *Local) simulateWith(b *budget.Budget, art *artifact, req SimulateRequest) (*sim.Result, error) {
 	if err := CheckCycles(req.Cycles); err != nil {
 		return nil, err
 	}
