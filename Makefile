@@ -85,7 +85,9 @@ cover:
 
 # fuzz gives each bus round-trip fuzz target, the memo canonical-key
 # target, the batch decode/partition target, the job-engine wire
-# target (optimize request + checkpoint snapshot), the kernel
+# target (optimize request + checkpoint snapshot), the job
+# cache-equivalence target (a job's status must not depend on the memo
+# cache, last_error included), the kernel
 # equivalence targets (fused vs unfused, codegen vs fused, and the
 # event-driven timing wheel vs its map-scheduled reference,
 # bit-identity including budget exhaustion), the predict equivalence
@@ -102,6 +104,7 @@ fuzz:
 	go test -run '^FuzzCanonicalKey$$' -fuzz '^FuzzCanonicalKey$$' -fuzztime $(FUZZTIME) ./internal/memo/
 	go test -run '^FuzzBatchRequest$$' -fuzz '^FuzzBatchRequest$$' -fuzztime $(FUZZTIME) ./internal/service/
 	go test -run '^FuzzRecipeWire$$' -fuzz '^FuzzRecipeWire$$' -fuzztime $(FUZZTIME) ./internal/jobs/
+	go test -run '^FuzzJobCacheEquivalence$$' -fuzz '^FuzzJobCacheEquivalence$$' -fuzztime $(FUZZTIME) ./internal/jobs/
 	go test -run '^FuzzFusedEquivalence$$' -fuzz '^FuzzFusedEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzCodegenEquivalence$$' -fuzz '^FuzzCodegenEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzEventDrivenEquivalence$$' -fuzz '^FuzzEventDrivenEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/

@@ -34,6 +34,7 @@ import (
 	"hlpower/internal/jobs"
 	"hlpower/internal/logic"
 	"hlpower/internal/macromodel"
+	"hlpower/internal/memo"
 	"hlpower/internal/powerd"
 	"hlpower/internal/recipe"
 	"hlpower/internal/rtlib"
@@ -475,7 +476,7 @@ func main() {
 	optSeed := int64(1)
 	optEntry := measure("optimize/recipe-step", 0, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			st, err := optMgr.Submit(jobs.Params{
+			runJob(optMgr, jobs.Params{
 				Spec:          recipe.Spec{Kind: recipe.KindCircuit, Circuit: "adder", Width: 4},
 				Seed:          optSeed,
 				Candidates:    optCands,
@@ -485,28 +486,57 @@ func main() {
 				EvalSteps:     50_000_000,
 				CheckInterval: 256,
 			})
-			if err != nil {
-				fatal(err)
-			}
 			optSeed++
-			ch, ok := optMgr.Done(st.ID)
-			if !ok {
-				fatal(fmt.Errorf("job %s not attached", st.ID))
-			}
-			<-ch
-			final, _ := optMgr.Get(st.ID)
-			if final == nil || final.Phase != jobs.PhaseDone {
-				fatal(fmt.Errorf("job %s did not complete: %+v", st.ID, final))
-			}
 		}
 	})
 	optEntry.NsPerOp = round3(optEntry.NsPerOp / float64(optCands))
 	snap.Results = append(snap.Results, optEntry)
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), time.Minute)
-	if err := optMgr.Drain(drainCtx); err != nil {
-		fatal(err)
+	drainJobs(optMgr)
+
+	// The job mix powerd serves: the optimize-jobs benchmark's seven job
+	// specs at powerd's job defaults, on a manager whose memo cache is
+	// wired as powerd wires its own, so prefix and score reuse show. An
+	// op is one round of the seven jobs at fixed seeds on a fresh manager
+	// and cache, so every op does the same work; ns_per_op is per
+	// candidate.
+	srvCfg := powerd.DefaultConfig()
+	mixSpecs := []service.OptimizeRequest{
+		{Kind: "circuit", Circuit: "adder", Width: 8, Seed: 41},
+		{Kind: "circuit", Circuit: "carry-select", Width: 8, Seed: 45},
+		{Kind: "circuit", Circuit: "subtractor", Width: 8, Seed: 49},
+		{Kind: "circuit", Circuit: "comparator", Width: 8, Seed: 51},
+		{Kind: "fsm", States: 4, Inputs: 1, Outputs: 2, Seed: 52},
+		{Kind: "bus", Width: 8, Seed: 53},
+		{Kind: "bus", Width: 16, Seed: 54},
 	}
-	cancelDrain()
+	mixParams := make([]jobs.Params, len(mixSpecs))
+	mixCands := 0
+	for i, req := range mixSpecs {
+		req.Normalize()
+		mixParams[i] = jobs.Params{
+			Spec:          req.Spec(),
+			Seed:          req.Seed,
+			Candidates:    req.Candidates,
+			EvalCycles:    req.EvalCycles,
+			VerifyCycles:  req.VerifyCycles,
+			MaxRecipeLen:  req.MaxRecipeLen,
+			EvalSteps:     srvCfg.MaxSteps,
+			CheckInterval: srvCfg.CheckInterval,
+		}
+		mixCands += req.Candidates
+	}
+	mixEntry := measure("optimize/job-mix", 0, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cache := memo.New(memo.Options{MaxBytes: srvCfg.MemoMaxBytes, Shards: srvCfg.MemoShards})
+			m := jobs.New(jobs.Config{Workers: 1, Cache: func() *memo.Cache { return cache }})
+			for _, p := range mixParams {
+				runJob(m, p)
+			}
+			drainJobs(m)
+		}
+	})
+	mixEntry.NsPerOp = round3(mixEntry.NsPerOp / float64(mixCands))
+	snap.Results = append(snap.Results, mixEntry)
 
 	// Architectural simulator per-step cost over the predecoded
 	// dispatch tables; ns_per_op here is per retired instruction, not
@@ -550,6 +580,33 @@ func main() {
 	}
 	if snap.Note != "" {
 		fmt.Println("note:", snap.Note)
+	}
+}
+
+// runJob runs one job to completion on m and exits the run unless the
+// job completes.
+func runJob(m *jobs.Manager, p jobs.Params) {
+	st, err := m.Submit(p)
+	if err != nil {
+		fatal(err)
+	}
+	ch, ok := m.Done(st.ID)
+	if !ok {
+		fatal(fmt.Errorf("job %s not attached", st.ID))
+	}
+	<-ch
+	final, _ := m.Get(st.ID)
+	if final == nil || final.Phase != jobs.PhaseDone {
+		fatal(fmt.Errorf("job %s did not complete: %+v", st.ID, final))
+	}
+}
+
+// drainJobs stops m's workers.
+func drainJobs(m *jobs.Manager) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := m.Drain(ctx); err != nil {
+		fatal(err)
 	}
 }
 

@@ -7,10 +7,11 @@
 package cover
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"hlpower/internal/budget"
 	"hlpower/internal/hlerr"
@@ -148,33 +149,36 @@ func primesB(b *budget.Budget, minterms []uint64, n int) []Cube {
 	var primes []Cube
 	for len(current) > 0 {
 		merged := make(map[Cube]bool)
-		used := make(map[Cube]bool)
 		cubes := make([]Cube, 0, len(current))
 		for c := range current {
 			cubes = append(cubes, c)
 		}
-		// Group by mask so only same-shape cubes merge.
-		byMask := make(map[uint64][]Cube)
-		for _, c := range cubes {
-			byMask[c.Mask] = append(byMask[c.Mask], c)
-		}
-		for _, group := range byMask {
-			for i := 0; i < len(group); i++ {
-				b.Check(int64(len(group) - i - 1))
-				for j := i + 1; j < len(group); j++ {
-					d := (group[i].Val ^ group[j].Val) & group[i].Mask
+		// Sorting makes same-shape cubes contiguous, and only they merge.
+		// It also fixes the order of the budget charges, so a step limit
+		// trips at the same step on every run.
+		sortCubes(cubes)
+		used := make([]bool, len(cubes))
+		for lo := 0; lo < len(cubes); {
+			hi := lo + 1
+			for hi < len(cubes) && cubes[hi].Mask == cubes[lo].Mask {
+				hi++
+			}
+			for i := lo; i < hi; i++ {
+				b.Check(int64(hi - i - 1))
+				for j := i + 1; j < hi; j++ {
+					d := (cubes[i].Val ^ cubes[j].Val) & cubes[i].Mask
 					if bits.OnesCount64(d) == 1 {
-						nc := Cube{Mask: group[i].Mask &^ d, Val: group[i].Val &^ d}
+						nc := Cube{Mask: cubes[i].Mask &^ d, Val: cubes[i].Val &^ d}
 						nc.Val &= nc.Mask
 						merged[nc] = true
-						used[group[i]] = true
-						used[group[j]] = true
+						used[i], used[j] = true, true
 					}
 				}
 			}
+			lo = hi
 		}
-		for _, c := range cubes {
-			if !used[c] {
+		for i, c := range cubes {
+			if !used[i] {
 				primes = append(primes, c)
 			}
 		}
@@ -195,11 +199,11 @@ func primesB(b *budget.Budget, minterms []uint64, n int) []Cube {
 }
 
 func sortCubes(cs []Cube) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Mask != cs[j].Mask {
-			return cs[i].Mask < cs[j].Mask
+	slices.SortFunc(cs, func(a, b Cube) int {
+		if c := cmp.Compare(a.Mask, b.Mask); c != 0 {
+			return c
 		}
-		return cs[i].Val < cs[j].Val
+		return cmp.Compare(a.Val, b.Val)
 	})
 }
 

@@ -8,9 +8,10 @@ import (
 // EncodingByName constructs a named state encoding for the machine —
 // the adapter the recipe layer's re-encoding passes select from.
 // Seeded encodings ("random", "low-power") draw from rng; the rest
-// ignore it. "low-power" anneals against the machine's uniform-input
-// transition probabilities (§III-H).
-func EncodingByName(f *FSM, name string, rng *rand.Rand) (*Encoding, error) {
+// ignore it. "low-power" anneals against p, the machine's transition
+// probabilities (§III-H), and fails with pErr, the error computing them
+// reported, when that is non-nil; the other encodings ignore both.
+func EncodingByName(f *FSM, name string, p [][]float64, pErr error, rng *rand.Rand) (*Encoding, error) {
 	switch name {
 	case "binary":
 		return BinaryEncoding(f.NumStates), nil
@@ -21,13 +22,8 @@ func EncodingByName(f *FSM, name string, rng *rand.Rand) (*Encoding, error) {
 	case "random":
 		return RandomEncoding(f.NumStates, minWidth(f.NumStates), rng)
 	case "low-power":
-		uniform := make([]float64, f.NumSymbols())
-		for i := range uniform {
-			uniform[i] = 1 / float64(len(uniform))
-		}
-		p, err := f.TransitionProbabilities(uniform)
-		if err != nil {
-			return nil, err
+		if pErr != nil {
+			return nil, pErr
 		}
 		return LowPowerEncoding(f, p, 200, rng), nil
 	default:

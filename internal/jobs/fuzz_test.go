@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
+	"hlpower/internal/memo"
+	"hlpower/internal/recipe"
 	"hlpower/internal/service"
 )
 
@@ -74,4 +77,76 @@ func FuzzRecipeWire(f *testing.F) {
 			t.Fatal("params key not deterministic")
 		}
 	})
+}
+
+// FuzzJobCacheEquivalence runs each job three ways: without a cache,
+// over a cold cache, and on a second manager over the now-warm cache.
+// The memo cache must be invisible in the job's status: every field
+// but the id and the prefix-hit count agrees, including the last error
+// a step-limit trip reports.
+func FuzzJobCacheEquivalence(f *testing.F) {
+	f.Add(uint8(1), uint8(2), uint8(0), uint8(1), int64(52), uint8(31), uint32(12000))
+	f.Add(uint8(1), uint8(2), uint8(0), uint8(1), int64(31), uint8(31), uint32(8000))
+	f.Add(uint8(0), uint8(0), uint8(6), uint8(0), int64(41), uint8(31), uint32(26000))
+	f.Add(uint8(0), uint8(2), uint8(6), uint8(0), int64(35), uint8(31), uint32(175_000))
+	// Without the replay trip guard, the last candidate to degrade here
+	// would trip at the end of a replayed score charge.
+	f.Add(uint8(2), uint8(6), uint8(0), uint8(0), int64(53), uint8(29), uint32(800))
+
+	f.Fuzz(func(t *testing.T, kind, a, b, c uint8, seed int64, cands uint8, steps uint32) {
+		p := Params{
+			Spec:          fuzzSpec(kind, a, b, c),
+			Seed:          seed,
+			Candidates:    1 + int(cands%32),
+			EvalCycles:    256,
+			VerifyCycles:  128,
+			MaxRecipeLen:  4,
+			EvalSteps:     max(1, int64(steps)),
+			CheckInterval: 1024,
+		}
+		cache := memo.New(memo.Options{MaxBytes: 8 << 20})
+		withCache := func() *memo.Cache { return cache }
+		ref := runStatus(t, Config{Workers: 1}, p)
+		for i, cfg := range []Config{{Workers: 1, Cache: withCache}, {Workers: 1, Cache: withCache}} {
+			got := runStatus(t, cfg, p)
+			if math.Float64bits(got.BestScore) != math.Float64bits(ref.BestScore) ||
+				math.Float64bits(got.BaseScore) != math.Float64bits(ref.BaseScore) {
+				t.Fatalf("run %d: scores %v/%v, uncached %v/%v", i, got.BestScore, got.BaseScore, ref.BestScore, ref.BaseScore)
+			}
+			got.ID, got.CacheHits = ref.ID, ref.CacheHits
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("run %d over the cache:\n got %+v\nwant %+v", i, got, ref)
+			}
+		}
+	})
+}
+
+// fuzzSpec maps fuzz bytes onto a valid spec small enough to search
+// quickly.
+func fuzzSpec(kind, a, b, c uint8) recipe.Spec {
+	switch kind % 3 {
+	case 0:
+		circuits := []string{"adder", "carry-select", "multiplier", "subtractor", "comparator"}
+		s := recipe.Spec{Kind: recipe.KindCircuit, Circuit: circuits[int(a)%len(circuits)], Width: 2 + int(b)%7}
+		if s.Circuit == "multiplier" && s.Width > 4 {
+			s.Width = 4
+		}
+		return s
+	case 1:
+		return recipe.Spec{Kind: recipe.KindFSM, States: 2 + int(a)%5, Inputs: 1 + int(b)%2, Outputs: 1 + int(c)%3}
+	default:
+		return recipe.Spec{Kind: recipe.KindBus, Width: 2 + int(a)%15}
+	}
+}
+
+// runStatus runs one job to completion on a fresh manager.
+func runStatus(t *testing.T, cfg Config, p Params) *Status {
+	t.Helper()
+	m := New(cfg)
+	defer drainManager(t, m)
+	st, err := m.Submit(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return waitDone(t, m, st.ID)
 }

@@ -28,6 +28,10 @@ type jobOutcome struct {
 // limit, when set, replaces the 50M-step per-candidate allowance with
 // one that lets the baseline finish but trips inside the scoring (or,
 // for the controller and buses, the pass) work of some candidates.
+// This binary's init adds two fault-injection passes to the circuit
+// vocabulary, so the circuit rows pin a six-pass search, not the
+// four-pass one powerd runs; TestPinnedJobOutcomesProduction in
+// internal/powerd pins the same designs on the production vocabulary.
 //
 // The want values were recorded from the map-scheduled event-driven
 // engine and the eagerly seeded pass RNG that preceded the timing
@@ -154,6 +158,68 @@ func TestPinnedJobOutcomes(t *testing.T) {
 				t.Errorf("%+v seed %d limit %d cached %v:\n got %+v\nwant %+v",
 					pj.spec, pj.seed, pj.limit, cached, got, pj.want)
 			}
+		}
+	}
+}
+
+// TestStepLimitTripIsReproducible runs a job whose step limit trips
+// inside cover minimization twenty times without a cache: every run
+// must report the same last error, trip point included. A charge made
+// in map order would move the step at which the limit trips.
+func TestStepLimitTripIsReproducible(t *testing.T) {
+	p := pinnedJob{spec: recipe.Spec{Kind: recipe.KindFSM, States: 4, Inputs: 1, Outputs: 2}, seed: 31, limit: 8000}.params()
+	seen := map[string]bool{}
+	for i := 0; i < 20; i++ {
+		m := New(Config{Workers: 1})
+		st, err := m.Submit(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = waitDone(t, m, st.ID)
+		drainManager(t, m)
+		seen[st.LastError] = true
+	}
+	if len(seen) != 1 {
+		t.Fatalf("%d distinct last errors over 20 runs: %v", len(seen), seen)
+	}
+}
+
+// TestSharedCacheConcurrentJobs runs jobs that share every prefix and
+// score key concurrently over one cache: a job may replay a value
+// another is still computing, or share its failure. Each must still
+// end exactly as it does without a cache.
+func TestSharedCacheConcurrentJobs(t *testing.T) {
+	var ps []Params
+	for _, pj := range []pinnedJob{pinnedJobs[1], pinnedJobs[9], pinnedJobs[11]} {
+		for n := 29; n <= 32; n++ {
+			p := pj.params()
+			p.Candidates = n // a distinct job id over the same keys
+			ps = append(ps, p)
+		}
+	}
+	want := map[string]*Status{}
+	for _, p := range ps {
+		st := runStatus(t, Config{Workers: 1}, p)
+		st.CacheHits = 0
+		want[st.ID] = st
+	}
+
+	c := memo.New(memo.Options{MaxBytes: 8 << 20})
+	m := New(Config{Workers: 4, QueueDepth: len(ps), Cache: func() *memo.Cache { return c }})
+	defer drainManager(t, m)
+	var ids []string
+	for _, p := range ps {
+		st, err := m.Submit(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		got := waitDone(t, m, id)
+		got.CacheHits = 0
+		if !reflect.DeepEqual(got, want[id]) {
+			t.Errorf("job %s over a shared cache:\n got %+v\nwant %+v", id, got, want[id])
 		}
 	}
 }

@@ -110,21 +110,26 @@ func passSeed(seed int64, prefix []string) uint64 {
 	return mix(hashStrings(uint64(seed), prefix))
 }
 
-// prefixKey is the memo-cache key of the design produced by applying a
-// recipe prefix to the job's baseline. It includes every field that
-// shapes the resulting design bits: the spec and seed (baseline +
-// workload + pass seeds), the cycle counts (verification stimulus),
-// and the per-candidate budget limits (budget-governed passes degrade
+// encodeParams writes the params fields that shape a job's designs and
+// scores: the spec and seed (baseline + workload + pass seeds), the
+// cycle counts (scoring and verification stimulus), and the
+// per-candidate budget limits (budget-governed passes degrade
 // deterministically at fixed limits).
-func prefixKey(p Params, prefix []string) memo.Key {
-	e := memo.NewEnc()
-	e.String("jobs/prefix/v1")
+func encodeParams(e *memo.Enc, p Params) {
 	p.Spec.EncodeTo(e)
 	e.Int64(p.Seed)
 	e.Int(p.EvalCycles)
 	e.Int(p.VerifyCycles)
 	e.Int64(p.EvalSteps)
 	e.Int64(p.CheckInterval)
+}
+
+// prefixKey is the memo-cache key of the design produced by applying a
+// recipe prefix to the job's baseline.
+func prefixKey(p Params, prefix []string) memo.Key {
+	e := memo.NewEnc()
+	e.String("jobs/prefix/v1")
+	encodeParams(e, p)
 	e.Int(len(prefix))
 	for _, name := range prefix {
 		e.String(name)
@@ -132,13 +137,64 @@ func prefixKey(p Params, prefix []string) memo.Key {
 	return e.Key()
 }
 
-// cachedDesign is the prefix-cache value: the transformed design plus
-// the budget steps its computation charged, replayed on every cache
-// hit so hit and miss runs follow bit-identical budget trajectories
-// (the resume guarantee cannot depend on cache warmth).
-type cachedDesign struct {
-	d     *recipe.Design
+// scoreKey is the memo-cache key of a design's score. It names the
+// design by content, not by recipe: many recipes build the same design
+// (a pass that undoes another, two encodings that synthesize one
+// controller), and each distinct design is scored once per job.
+func scoreKey(p Params, d *recipe.Design) memo.Key {
+	e := memo.NewEnc()
+	e.String("jobs/score/v1")
+	encodeParams(e, p)
+	d.EncodeScoreKey(e)
+	return e.Key()
+}
+
+// charged is a cache value: a result plus the budget steps its
+// computation charged.
+type charged[T any] struct {
+	val   T
 	steps int64
+}
+
+// scoreEntryBytes is the resident size of a cached score, a
+// charged[float64].
+const scoreEntryBytes = 16
+
+// memoized returns compute's result through the cache under key, or
+// straight from compute when cache is nil. compute runs on b and
+// returns the result with its resident size; only successes are
+// stored. A hit replays the charge the computation made, so hit and
+// miss runs follow bit-identical budget trajectories (the resume
+// guarantee cannot depend on cache warmth). Two outcomes are computed
+// afresh on b instead: a hit whose replay would take b past limit, so
+// that the trip happens, and reports its Used count, exactly where an
+// uncached run's would; and a failure shared from another caller's
+// computation, which was charged to that caller's budget.
+func memoized[T any](cache *memo.Cache, b *budget.Budget, limit int64, key func() memo.Key, compute func() (T, int64, error)) (val T, hit bool, err error) {
+	if cache == nil {
+		val, _, err = compute()
+		return val, false, err
+	}
+	before := b.StepsUsed()
+	v, shared, err := cache.Do(key(), func() (any, int64, bool, error) {
+		val, size, err := compute()
+		if err != nil {
+			return nil, 0, false, err
+		}
+		return &charged[T]{val: val, steps: b.StepsUsed() - before}, size, true, nil
+	})
+	switch {
+	case !shared && err != nil:
+		return val, false, err
+	case !shared:
+		return v.(*charged[T]).val, false, nil
+	case err == nil:
+		if c := v.(*charged[T]); b.StepsUsed()+c.steps <= limit {
+			return c.val, true, b.Step(c.steps)
+		}
+	}
+	val, _, err = compute()
+	return val, false, err
 }
 
 // evalResult carries one candidate evaluation's outcome.
@@ -149,9 +205,10 @@ type evalResult struct {
 	err   error
 }
 
-// evaluate applies the candidate recipe pass by pass (through the
-// prefix cache when one is installed) and scores the final design.
-// The budget is fresh per candidate: EvalSteps governs all pass
+// evaluate applies the candidate recipe pass by pass and scores the
+// final design, both through the memo cache when one is installed: a
+// recipe prefix is applied, and a distinct design scored, once per
+// cache. The budget is fresh per candidate: EvalSteps governs all pass
 // application, verification, and scoring, and the context carries
 // cancellation from the job and the watchdog.
 func (m *Manager) evaluate(ctx context.Context, p Params, d *recipe.Design, w *recipe.Workload, names []string, plan *budget.FaultPlan) evalResult {
@@ -166,9 +223,8 @@ func (m *Manager) evaluate(ctx context.Context, p Params, d *recipe.Design, w *r
 	b := budget.New(opts...)
 	used := func(err error) int64 {
 		// On a budget trip the exact used count depends on where the
-		// trip was noticed (mid-pass vs replayed charge), so account
-		// the full allowance; successful evaluations charge their exact
-		// deterministic cost.
+		// trip was noticed, so account the full allowance; successful
+		// evaluations charge their exact deterministic cost.
 		if errors.Is(err, budget.ErrExceeded) {
 			return p.EvalSteps
 		}
@@ -187,38 +243,28 @@ func (m *Manager) evaluate(ctx context.Context, p Params, d *recipe.Design, w *r
 	for i := range names {
 		prefix := names[:i+1]
 		seed := passSeed(p.Seed, prefix)
-		var next *recipe.Design
-		var err error
-		if cache == nil {
-			next, err = recipe.Apply(b, cur, w, names[i], seed)
-		} else {
-			before := b.StepsUsed()
-			in := cur
-			val, shared, cerr := cache.Do(prefixKey(p, prefix), func() (any, int64, bool, error) {
-				nd, aerr := recipe.Apply(b, in, w, names[i], seed)
-				if aerr != nil {
-					return nil, 0, false, aerr
+		in := cur
+		next, hit, err := memoized(cache, b, p.EvalSteps, func() memo.Key { return prefixKey(p, prefix) },
+			func() (*recipe.Design, int64, error) {
+				nd, err := recipe.Apply(b, in, w, names[i], seed)
+				if err != nil {
+					return nil, 0, err
 				}
-				return &cachedDesign{d: nd, steps: b.StepsUsed() - before}, nd.SizeBytes(), true, nil
+				return nd, nd.SizeBytes(), nil
 			})
-			if cerr != nil {
-				err = cerr
-			} else {
-				cd := val.(*cachedDesign)
-				next = cd.d
-				if shared {
-					hits++
-					// Replay the charge the fresh computation made.
-					err = b.Step(cd.steps)
-				}
-			}
+		if hit {
+			hits++
 		}
 		if err != nil {
 			return evalResult{used: used(err), hits: hits, err: err}
 		}
 		cur = next
 	}
-	score, err := recipe.Score(b, cur, w)
+	score, _, err := memoized(cache, b, p.EvalSteps, func() memo.Key { return scoreKey(p, cur) },
+		func() (float64, int64, error) {
+			s, err := recipe.Score(b, cur, w)
+			return s, scoreEntryBytes, err
+		})
 	if err != nil {
 		return evalResult{used: used(err), hits: hits, err: err}
 	}

@@ -1,6 +1,8 @@
 package lopt
 
 import (
+	"sort"
+
 	"hlpower/internal/logic"
 )
 
@@ -108,11 +110,18 @@ func exclusiveCone(n *logic.Netlist, fanouts [][]int, root, mux int) map[int]boo
 	return cone
 }
 
-// insertGuards latches every edge entering the cone from outside.
+// insertGuards latches every edge entering the cone from outside. It
+// visits gates in ascending id order so latch ids, and with them the
+// whole netlist, are the same on every run.
 func insertGuards(n *logic.Netlist, cone map[int]bool, enable int) bool {
+	ids := make([]int, 0, len(cone))
+	for id := range cone {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
 	latched := make(map[int]int) // external signal -> latch id
 	did := false
-	for id := range cone {
+	for _, id := range ids {
 		for pin, f := range n.Gates[id].Fanin {
 			if cone[f] {
 				continue

@@ -8,6 +8,7 @@ import (
 	"hlpower/internal/bitutil"
 	"hlpower/internal/fsm"
 	"hlpower/internal/logic"
+	"hlpower/internal/memo"
 	"hlpower/internal/sim"
 	"hlpower/internal/trace"
 )
@@ -434,5 +435,21 @@ func TestPrecomputeComparatorEquivalence(t *testing.T) {
 	if preED.ByGroup["block-a"] >= baseED.ByGroup["block-a"]*0.8 {
 		t.Errorf("block-a saving too small: %v vs %v",
 			preED.ByGroup["block-a"], baseED.ByGroup["block-a"])
+	}
+}
+
+// TestGuardEvaluationDeterministic checks that guarding is a pure
+// function of the netlist: fifty calls build one structure.
+func TestGuardEvaluationDeterministic(t *testing.T) {
+	nl, _ := guardCircuit(4)
+	keys := map[memo.Key]bool{}
+	for i := 0; i < 50; i++ {
+		guarded, _ := GuardEvaluation(nl)
+		e := memo.NewEnc()
+		memo.HashNetlist(e, guarded)
+		keys[e.Key()] = true
+	}
+	if len(keys) != 1 {
+		t.Fatalf("50 calls built %d distinct netlists", len(keys))
 	}
 }

@@ -212,7 +212,7 @@ func passPrecompute(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error
 
 // passEncode re-encodes the controller's states and re-synthesizes it.
 func passEncode(b *budget.Budget, d *Design, name string, rng *rand.Rand) (*Design, error) {
-	enc, err := fsm.EncodingByName(d.F, name, rng)
+	enc, err := fsm.EncodingByName(d.F, name, d.probs, d.probsErr, rng)
 	if err != nil {
 		return nil, err
 	}

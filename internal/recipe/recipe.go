@@ -131,6 +131,13 @@ type Design struct {
 	Enc   *fsm.Encoding
 	Gated bool
 
+	// probs are F's state-transition probabilities under uniform inputs
+	// and probsErr the error computing them reported. They depend on F
+	// alone, so Build computes them once per job and passes carry them
+	// through their copies.
+	probs    [][]float64
+	probsErr error
+
 	// Bus designs are a coder choice over Width address lines.
 	Width int
 	Coder string
@@ -260,7 +267,8 @@ func Build(spec Spec, seed int64, evalCycles, verifyCycles int) (*Design, *Workl
 			VerifySyms: verifySyms,
 			VerifyVecs: symVecs(verifySyms, spec.Inputs),
 		}
-		return &Design{Kind: KindFSM, Net: net, F: f, Enc: enc}, w, nil
+		probs, probsErr := f.TransitionProbabilities(nil)
+		return &Design{Kind: KindFSM, Net: net, F: f, Enc: enc, probs: probs, probsErr: probsErr}, w, nil
 	case KindBus:
 		// Address traces interleave a few strided working zones — the
 		// access pattern the coder family was designed for.
@@ -344,5 +352,21 @@ func Score(b *budget.Budget, d *Design, w *Workload) (float64, error) {
 		return float64(tr) + 0.05*float64(extra)*float64(len(w.Stream)), nil
 	default:
 		return 0, fmt.Errorf("recipe: score of unknown kind %q", d.Kind)
+	}
+}
+
+// EncodeScoreKey writes exactly the design fields Score reads: the
+// netlist of a circuit or controller, the width and coder of a bus.
+// Designs that encode equally score identically under one workload, so
+// a caller may memoize Score on this encoding plus the workload's
+// identity. It changes whenever Score starts reading another field.
+func (d *Design) EncodeScoreKey(e *memo.Enc) {
+	e.String(d.Kind)
+	switch d.Kind {
+	case KindCircuit, KindFSM:
+		memo.HashNetlist(e, d.Net)
+	case KindBus:
+		e.Int(d.Width)
+		e.String(d.Coder)
 	}
 }
