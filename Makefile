@@ -88,9 +88,10 @@ cover:
 # target (optimize request + checkpoint snapshot), the job
 # cache-equivalence target (a job's status must not depend on the memo
 # cache, last_error included), the kernel
-# equivalence targets (fused vs unfused, codegen vs fused, and the
-# event-driven timing wheel vs its map-scheduled reference,
-# bit-identity including budget exhaustion), the predict equivalence
+# equivalence targets (fused vs unfused, codegen vs fused, the
+# event-driven timing wheel vs its map-scheduled reference, and lean
+# unit-delay runs vs the timing wheel, bit-identity including budget
+# exhaustion), the predict equivalence
 # target (the served predict path vs the one-shot, interpreted
 # reference), and the HTTP item-pipeline target (raw bodies
 # through a single endpoint and a one-item batch must land in the same
@@ -108,6 +109,7 @@ fuzz:
 	go test -run '^FuzzFusedEquivalence$$' -fuzz '^FuzzFusedEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzCodegenEquivalence$$' -fuzz '^FuzzCodegenEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzEventDrivenEquivalence$$' -fuzz '^FuzzEventDrivenEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
+	go test -run '^FuzzUnitDelayEquivalence$$' -fuzz '^FuzzUnitDelayEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzPredictEquivalence$$' -fuzz '^FuzzPredictEquivalence$$' -fuzztime $(FUZZTIME) ./internal/macromodel/
 	go test -run '^FuzzServeItem$$' -fuzz '^FuzzServeItem$$' -fuzztime $(FUZZTIME) ./internal/powerd/
 

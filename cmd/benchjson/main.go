@@ -50,8 +50,9 @@ type Entry struct {
 	// Variant classifies the execution engine: "serial" (interpreted,
 	// one goroutine), "packed" (64-lane bit-packed kernel, one
 	// goroutine), "fused" (compiled superinstruction artifact),
-	// "codegen" (specialized per-netlist evaluator), or "parallel"
-	// (sharded worker pool).
+	// "codegen" (specialized per-netlist evaluator), "unit-delay"
+	// (64-lane event-driven recurrence), or "parallel" (sharded worker
+	// pool).
 	Variant string `json:"variant,omitempty"`
 	// GOMAXPROCS is the scheduler width this entry was measured under.
 	// Parallel variants are always recorded pinned to 1 (the scheduling
@@ -65,7 +66,8 @@ type Entry struct {
 	// gate per cycle), comparable across kernels of the same workload.
 	MBPerSec float64 `json:"mb_per_sec,omitempty"`
 	// Speedup is ns_per_op(serial baseline) / ns_per_op(this), present
-	// on packed and parallel variants.
+	// on the variants measured against a serial entry (sim/unit-delay's
+	// baseline is sim/event-driven).
 	Speedup float64 `json:"speedup_vs_serial,omitempty"`
 }
 
@@ -249,9 +251,10 @@ func main() {
 		}
 	}
 
-	// Glitch-aware event-driven engine in the shape optimize jobs score
-	// candidates with (recipe.Score): the width-8 adder over its
-	// 256-cycle evaluation stimulus, clock tree charged and gated.
+	// Glitch-aware event-driven engine on the workload optimize jobs
+	// score candidates with: the width-8 adder over its 256-cycle
+	// evaluation stimulus, clock tree charged and gated. sim/event-driven
+	// is the scalar timing wheel, the reference engine sim.Run keeps.
 	edDesign, edWork, err := recipe.Build(recipe.Spec{Kind: recipe.KindCircuit, Circuit: "adder", Width: 8}, 1, 256, 2)
 	if err != nil {
 		fatal(err)
@@ -259,7 +262,8 @@ func main() {
 	edCycles := len(edWork.EvalVecs)
 	edInputs := sim.VectorInputs(edWork.EvalVecs)
 	edOpts := sim.Options{Model: sim.EventDriven, TrackClock: true, GateClock: true}
-	edSim := measure("sim/event-driven", int64(edCycles)*int64(len(edDesign.Net.Gates))/8, func(b *testing.B) {
+	edBytes := int64(edCycles) * int64(len(edDesign.Net.Gates)) / 8
+	edSim := measure("sim/event-driven", edBytes, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.Run(edDesign.Net, edInputs, edCycles, edOpts); err != nil {
 				fatal(err)
@@ -268,6 +272,51 @@ func main() {
 	})
 	edSim.Variant = "serial"
 	snap.Results = append(snap.Results, edSim)
+
+	// The same workload in the shape recipe.Score runs it: sim.Compile
+	// plus a lean single-shard Run per op, which on this unit-delay
+	// netlist is the 64-lane unit-delay path. The result is asserted
+	// bit-identical to the timing wheel's before timing starts.
+	runUnitDelay := func() *sim.Result {
+		comp, err := sim.Compile(edDesign.Net, edOpts)
+		if err != nil {
+			fatal(err)
+		}
+		res, err := comp.Run(nil, edInputs, edCycles, sim.RunOptions{Workers: 1, Lean: true})
+		if err != nil {
+			fatal(err)
+		}
+		if res.Kernel != sim.KernelUnitDelay {
+			fatal(fmt.Errorf("sim/unit-delay: served by %q", res.Kernel))
+		}
+		return res
+	}
+	edRef, err := sim.Run(edDesign.Net, edInputs, edCycles, edOpts)
+	if err != nil {
+		fatal(err)
+	}
+	udRef := runUnitDelay()
+	if math.Float64bits(udRef.SwitchedCap) != math.Float64bits(edRef.SwitchedCap) {
+		fatal(fmt.Errorf("sim/unit-delay: switched cap %v differs from the wheel's %v", udRef.SwitchedCap, edRef.SwitchedCap))
+	}
+	for c, v := range edRef.PerCycleCap {
+		if math.Float64bits(udRef.PerCycleCap[c]) != math.Float64bits(v) {
+			fatal(fmt.Errorf("sim/unit-delay: cycle %d cap %v differs from the wheel's %v", c, udRef.PerCycleCap[c], v))
+		}
+	}
+	for id, v := range edRef.Toggles {
+		if udRef.Toggles[id] != v {
+			fatal(fmt.Errorf("sim/unit-delay: net %d toggles %d, the wheel %d", id, udRef.Toggles[id], v))
+		}
+	}
+	udSim := measure("sim/unit-delay", edBytes, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			runUnitDelay()
+		}
+	})
+	udSim.Variant = "unit-delay"
+	udSim.Speedup = round3(edSim.NsPerOp / udSim.NsPerOp)
+	snap.Results = append(snap.Results, udSim)
 
 	candidates := rankCandidates(cands, width, cycles/8)
 	serialRank := measure("rank/serial", 0, func(b *testing.B) {

@@ -15,7 +15,9 @@ const DefaultSuspectAfter = 2 * time.Second
 type peerHealth struct {
 	seq         uint64    // highest heartbeat sequence observed
 	lastAdvance time.Time // local receipt time of the last new evidence
-	lastSentAt  time.Time // peer-reported send time — observability only
+	// The send time the peer put on its last gossip to this node, and
+	// the local time that gossip arrived — observability only.
+	sentAt, sentRecv time.Time
 }
 
 // Health is the node-local liveness view. Every judgement is made from
@@ -81,11 +83,13 @@ func (h *Health) View(selfID string) map[string]uint64 {
 	return view
 }
 
-// Merge folds a received gossip view in. Only a sequence strictly
-// greater than what is already known counts as fresh evidence, and the
-// receipt time is read from the local clock — sentAt is retained purely
-// so Snapshot can report observed skew.
-func (h *Health) Merge(view map[string]uint64, sentAt time.Time) {
+// Merge folds in a gossip view received from peer from. Only a sequence
+// strictly greater than what is already known counts as fresh evidence,
+// and the receipt time is read from the local clock. sentAt is the
+// sender's own clock, so it is kept for the sender alone, beside the
+// local receipt time, purely so Snapshot can report that peer's
+// observed skew.
+func (h *Health) Merge(from string, view map[string]uint64, sentAt time.Time) {
 	now := h.clock.Now()
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -98,9 +102,9 @@ func (h *Health) Merge(view map[string]uint64, sentAt time.Time) {
 			p.seq = seq
 			p.lastAdvance = now
 		}
-		if !sentAt.IsZero() {
-			p.lastSentAt = sentAt
-		}
+	}
+	if p, ok := h.peers[from]; ok && !sentAt.IsZero() {
+		p.sentAt, p.sentRecv = sentAt, now
 	}
 }
 
@@ -150,8 +154,8 @@ func (h *Health) Snapshot() map[string]PeerHealth {
 			Alive: now.Sub(p.lastAdvance) <= h.suspectAfter,
 			Seq:   p.seq,
 		}
-		if !p.lastSentAt.IsZero() {
-			ph.SkewNano = p.lastSentAt.Sub(p.lastAdvance).Nanoseconds()
+		if !p.sentAt.IsZero() {
+			ph.SkewNano = p.sentAt.Sub(p.sentRecv).Nanoseconds()
 		}
 		out[id] = ph
 	}

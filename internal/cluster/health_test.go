@@ -27,14 +27,14 @@ func TestHealthSeqAdvanceKeepsAlive(t *testing.T) {
 	h, clk := newTestHealth("p1")
 	for i := 1; i <= 5; i++ {
 		clk.Advance(900 * time.Millisecond)
-		h.Merge(map[string]uint64{"p1": uint64(i)}, time.Time{})
+		h.Merge("p1", map[string]uint64{"p1": uint64(i)}, time.Time{})
 		if !h.Alive("p1") {
 			t.Fatalf("round %d: advancing seq should keep peer alive", i)
 		}
 	}
 	// A stale or merely repeated sequence is not evidence.
 	clk.Advance(900 * time.Millisecond)
-	h.Merge(map[string]uint64{"p1": 5}, time.Time{})
+	h.Merge("p1", map[string]uint64{"p1": 5}, time.Time{})
 	clk.Advance(200 * time.Millisecond)
 	if h.Alive("p1") {
 		t.Fatal("non-advancing seq must not refresh liveness")
@@ -49,8 +49,8 @@ func TestHealthSkewImmune(t *testing.T) {
 	clk.Advance(900 * time.Millisecond)
 	farPast := clk.Now().Add(-6 * time.Hour)
 	farFuture := clk.Now().Add(+6 * time.Hour)
-	h.Merge(map[string]uint64{"past": 1}, farPast)
-	h.Merge(map[string]uint64{"future": 1}, farFuture)
+	h.Merge("past", map[string]uint64{"past": 1}, farPast)
+	h.Merge("future", map[string]uint64{"future": 1}, farFuture)
 	if !h.Alive("past") || !h.Alive("future") {
 		t.Fatal("skewed SentAt must not affect liveness of an advancing peer")
 	}
@@ -64,9 +64,31 @@ func TestHealthSkewImmune(t *testing.T) {
 	}
 	// Silence without seq advance still kills a skewed peer on schedule.
 	clk.Advance(2 * time.Second)
-	h.Merge(map[string]uint64{"future": 1}, clk.Now().Add(6*time.Hour))
+	h.Merge("future", map[string]uint64{"future": 1}, clk.Now().Add(6*time.Hour))
 	if h.Alive("future") {
 		t.Fatal("repeating seq with a fresh future SentAt must not resurrect a peer")
+	}
+}
+
+// TestHealthSkewIsPerSender: a gossip's SentAt is the sender's clock,
+// so it sets the sender's skew alone — measured against the local time
+// that gossip arrived — never that of the other peers its view names,
+// and neither later gossip naming the sender nor data-path evidence
+// (Observe) moves it.
+func TestHealthSkewIsPerSender(t *testing.T) {
+	h, clk := newTestHealth("n1", "n2", "n3")
+	clk.Advance(100 * time.Millisecond)
+	h.Merge("n1", map[string]uint64{"n1": 1, "n2": 1, "n3": 1}, clk.Now().Add(6*time.Hour))
+	clk.Advance(25 * time.Millisecond)
+	h.Merge("n2", map[string]uint64{"n1": 2, "n2": 2, "n3": 1}, clk.Now().Add(-time.Millisecond))
+	h.Observe("n1")
+	clk.Advance(25 * time.Millisecond)
+	snap := h.Snapshot()
+	want := map[string]int64{"n1": (6 * time.Hour).Nanoseconds(), "n2": -time.Millisecond.Nanoseconds(), "n3": 0}
+	for id, skew := range want {
+		if got := snap[id].SkewNano; got != skew {
+			t.Errorf("%s skew = %d, want %d", id, got, skew)
+		}
 	}
 }
 
@@ -86,7 +108,7 @@ func TestHealthViewCarriesSelfAndPeers(t *testing.T) {
 	h, _ := newTestHealth("p1", "p2")
 	h.Bump()
 	h.Bump()
-	h.Merge(map[string]uint64{"p1": 7}, time.Time{})
+	h.Merge("p1", map[string]uint64{"p1": 7}, time.Time{})
 	v := h.View("self")
 	if v["self"] != 2 || v["p1"] != 7 || v["p2"] != 0 {
 		t.Errorf("view = %v, want self:2 p1:7 p2:0", v)
@@ -95,7 +117,7 @@ func TestHealthViewCarriesSelfAndPeers(t *testing.T) {
 
 func TestHealthUnknownPeer(t *testing.T) {
 	h, _ := newTestHealth("p1")
-	h.Merge(map[string]uint64{"stranger": 99}, time.Time{})
+	h.Merge("stranger", map[string]uint64{"stranger": 99}, time.Time{})
 	if h.Alive("stranger") {
 		t.Fatal("unknown IDs must never be alive")
 	}

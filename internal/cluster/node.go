@@ -341,7 +341,7 @@ func (n *Node) Handler() http.Handler {
 		n.gossipRecv.Add(1)
 		// The sender reporting at all is first-hand evidence of life; its
 		// claimed SentAt is recorded for skew stats but never judged.
-		n.health.Merge(msg.View, time.Unix(0, msg.SentAt))
+		n.health.Merge(msg.From, msg.View, time.Unix(0, msg.SentAt))
 		n.health.Observe(msg.From)
 		w.WriteHeader(http.StatusNoContent)
 	})

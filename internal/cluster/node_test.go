@@ -65,7 +65,7 @@ func TestNodeOwnerShedsDeadPeer(t *testing.T) {
 	if p, remote := n.Owner(k); remote || p.ID != "self" {
 		t.Fatalf("dead owner should shed to self, got (%q, %v)", p.ID, remote)
 	}
-	n.health.Merge(map[string]uint64{"other": 1}, time.Time{})
+	n.health.Merge("other", map[string]uint64{"other": 1}, time.Time{})
 	if _, remote := n.Owner(k); !remote {
 		t.Fatal("recovered owner should be forwarded to again")
 	}

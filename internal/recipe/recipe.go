@@ -321,18 +321,8 @@ func moduleFor(circuit string, width int) (*rtlib.Module, error) {
 // trip surfaces as a typed budget error (degrading the candidate).
 func Score(b *budget.Budget, d *Design, w *Workload) (float64, error) {
 	switch d.Kind {
-	case KindCircuit:
-		// Event-driven so glitch filtering (retiming, guards) is
-		// visible; clock tracking so added registers pay their way.
-		res, err := sim.RunBudget(b, d.Net, sim.VectorInputs(w.EvalVecs), len(w.EvalVecs),
-			sim.Options{Model: sim.EventDriven, TrackClock: true, GateClock: true})
-		if err != nil {
-			return 0, err
-		}
-		return res.SwitchedCap, nil
-	case KindFSM:
-		res, err := sim.RunBudget(b, d.Net, sim.VectorInputs(w.EvalVecs), len(w.EvalVecs),
-			sim.Options{TrackClock: true, GateClock: true})
+	case KindCircuit, KindFSM:
+		res, err := simulate(b, d, w)
 		if err != nil {
 			return 0, err
 		}
@@ -353,6 +343,25 @@ func Score(b *budget.Budget, d *Design, w *Workload) (float64, error) {
 	default:
 		return 0, fmt.Errorf("recipe: score of unknown kind %q", d.Kind)
 	}
+}
+
+// simulate runs a circuit or controller over the evaluation stimulus
+// for Score: lean and single-shard, so b is charged exactly as
+// sim.RunBudget charges it and the totals are Float64bits-identical to
+// it. Circuits run event-driven so glitch filtering (retiming, guards)
+// is visible, which on unit-delay feed-forward netlists is the 64-lane
+// unit-delay path; controllers run zero-delay. Clock tracking makes
+// added registers pay their way.
+func simulate(b *budget.Budget, d *Design, w *Workload) (*sim.Result, error) {
+	opts := sim.Options{TrackClock: true, GateClock: true}
+	if d.Kind == KindCircuit {
+		opts.Model = sim.EventDriven
+	}
+	c, err := sim.Compile(d.Net, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c.Run(b, sim.VectorInputs(w.EvalVecs), len(w.EvalVecs), sim.RunOptions{Workers: 1, Lean: true})
 }
 
 // EncodeScoreKey writes exactly the design fields Score reads: the

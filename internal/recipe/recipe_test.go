@@ -10,6 +10,7 @@ import (
 	"hlpower/internal/budget"
 	"hlpower/internal/hlerr"
 	"hlpower/internal/logic"
+	"hlpower/internal/sim"
 )
 
 func testBudget() *budget.Budget {
@@ -73,6 +74,56 @@ func TestBuildDeterministic(t *testing.T) {
 			t.Errorf("spec %+v: suspicious baseline score %v", s, s1)
 		}
 	}
+}
+
+// TestScorePaths pins where Score's simulations run: the benchmark's
+// four optimize-job circuits at width 8, baseline and retimed, on the
+// unit-delay path (a silent fallback to the timing wheel would
+// otherwise show only as a slower benchmark), and an FSM controller
+// lean on the scalar engine. Each scores Float64bits-identically to
+// sim.RunBudget and charges the same steps.
+func TestScorePaths(t *testing.T) {
+	check := func(label string, d *Design, w *Workload, kernel string, opts sim.Options) {
+		t.Helper()
+		bg, bw := testBudget(), testBudget()
+		got, err := simulate(bg, d, w)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want, err := sim.RunBudget(bw, d.Net, sim.VectorInputs(w.EvalVecs), len(w.EvalVecs), opts)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", label, err)
+		}
+		if got.Kernel != kernel {
+			t.Errorf("%s: kernel %q, want %q", label, got.Kernel, kernel)
+		}
+		if math.Float64bits(got.SwitchedCap) != math.Float64bits(want.SwitchedCap) || bg.StepsUsed() != bw.StepsUsed() {
+			t.Errorf("%s: score %v in %d steps, sim.RunBudget %v in %d", label, got.SwitchedCap, bg.StepsUsed(), want.SwitchedCap, bw.StepsUsed())
+		}
+		if got.Outputs != nil || got.ByGroup != nil || got.Final != nil {
+			t.Errorf("%s: lean run materialized outputs, groups or final values", label)
+		}
+	}
+	ed := sim.Options{Model: sim.EventDriven, TrackClock: true, GateClock: true}
+	for _, circuit := range []string{"adder", "carry-select", "subtractor", "comparator"} {
+		d, w, err := Build(Spec{Kind: KindCircuit, Circuit: circuit, Width: 8}, 3, 256, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(circuit, d, w, sim.KernelUnitDelay, ed)
+		for seed := uint64(0); seed < 3; seed++ {
+			rt, err := Apply(testBudget(), d, w, "retime", seed)
+			if err != nil {
+				t.Fatalf("%s: retime: %v", circuit, err)
+			}
+			check(circuit+" retimed", rt, w, sim.KernelUnitDelay, ed)
+		}
+	}
+	d, w, err := Build(Spec{Kind: KindFSM, States: 5, Inputs: 2, Outputs: 2}, 3, 256, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fsm", d, w, "", sim.Options{TrackClock: true, GateClock: true})
 }
 
 // TestApplyAllPassesVerified applies every registered pass of each

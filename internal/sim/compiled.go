@@ -25,13 +25,16 @@ import (
 // under fixed electrical options: the shared environment tables plus —
 // for combinational netlists under the zero-delay model — the levelized
 // struct-of-arrays program the 64-lane packed kernel executes, and its
-// fused-superinstruction form (logic.Fuse) that runs get by default.
+// fused-superinstruction form (logic.Fuse) that runs get by default;
+// or — for event-driven options over a unit-delay, feed-forward netlist
+// — the unit-delay program lean runs execute 64 cycles at a time.
 // Safe for concurrent use: the tables and programs are read-only after
 // Compile, and the mutable kernel scratch is pooled per run.
 type Compiled struct {
 	e     *env
-	prog  *logic.Program      // nil: scalar-only (sequential or event-driven)
+	prog  *logic.Program      // nil: no zero-delay packed kernel (sequential or event-driven)
 	fused *logic.FusedProgram // fused form of prog (nil when prog is nil)
+	ud    *unitDelay          // non-nil: lean event-driven runs take the unit-delay path
 
 	// codegen holds the specialized evaluator once BuildCodegen has run.
 	// An atomic pointer so a serving layer can swap it in off the request
@@ -51,12 +54,16 @@ type Compiled struct {
 	scratchNews atomic.Int64
 }
 
-// Compile prepares a netlist for repeated runs under opts. Sequential
-// netlists and event-driven options compile to a scalar-only artifact
-// (runs degrade exactly like RunParallel, with the reason in
-// Result.Fallback); combinational zero-delay netlists additionally get
-// the levelized packed-kernel program. Netlist construction errors and
-// combinational cycles surface here, once, rather than on every run.
+// Compile prepares a netlist for repeated runs under opts.
+// Combinational zero-delay netlists get the levelized packed-kernel
+// program. Event-driven options over a netlist whose gates all have
+// Delay 1 and whose flip-flops (DFFs only, no latches) sit in no
+// feedback loop get the unit-delay program, which lean runs execute 64
+// cycles at a time with the timing wheel's exact results and budget
+// charges. Everything else compiles to a scalar-only artifact (runs
+// degrade exactly like RunParallel, with the reason in
+// Result.Fallback). Netlist construction errors and combinational
+// cycles surface here, once, rather than on every run.
 func Compile(n *logic.Netlist, opts Options) (c *Compiled, err error) {
 	defer hlerr.Recover(&err)
 	return compileNet(n, opts, true)
@@ -75,6 +82,9 @@ func compileNet(n *logic.Netlist, opts Options, wantProg bool) (*Compiled, error
 			return nil, err
 		}
 		c.fused = logic.Fuse(c.prog)
+	}
+	if wantProg {
+		c.ud = compileUnitDelay(e)
 	}
 	nGates := len(n.Gates)
 	c.scratch.New = func() any {
@@ -196,8 +206,10 @@ type RunOptions struct {
 	// per-group energy attribution, and the final settled values —
 	// Result.Outputs, Result.ByGroup, and Result.Final come back empty.
 	// Everything a power figure is built from (SwitchedCap, Power,
-	// PerCycleCap, Toggles, Shards/Fallback/Kernel) is computed in the
-	// exact same canonical order and is bit-identical to a full run.
+	// PerCycleCap, Toggles, Shards/Fallback) is computed in the exact
+	// same canonical order and is bit-identical to a full run, and so
+	// are the budget charges. Lean event-driven runs over a unit-delay
+	// artifact run on KernelUnitDelay instead of the timing wheel.
 	Lean bool
 }
 
@@ -213,6 +225,7 @@ func (c *Compiled) Run(b *budget.Budget, inputs InputProvider, cycles int, opts 
 	e := c.e
 	prog := c.prog
 	fused := c.fused
+	ud := c.ud
 	var cg *codegenProgram
 	if prog != nil && !opts.NoCodegen {
 		cg = c.codegen.Load()
@@ -220,16 +233,23 @@ func (c *Compiled) Run(b *budget.Budget, inputs InputProvider, cycles int, opts 
 	if opts.Scalar {
 		prog, fused, cg = nil, nil, nil
 	}
+	if opts.Scalar || !opts.Lean {
+		ud = nil
+	}
 	// Kernel names the tier that actually executes: the specialized
-	// evaluator when promoted, else the fused interpreter, else (for
-	// scalar runs) the interpreted engine's empty tag.
+	// evaluator when promoted, else the fused interpreter, else the
+	// unit-delay recurrence, else (for scalar runs) the interpreted
+	// engine's empty tag.
 	kernel := ""
 	switch {
 	case cg != nil:
 		kernel = KernelCodegen
 	case prog != nil:
 		kernel = KernelFused
+	case ud != nil:
+		kernel = KernelUnitDelay
 	}
+	pooled := prog != nil || ud != nil
 	words := opts.Words
 	if len(e.n.Inputs) > 64 {
 		words = nil
@@ -250,7 +270,10 @@ func (c *Compiled) Run(b *budget.Budget, inputs InputProvider, cycles int, opts 
 		if prog != nil {
 			return runShardPackedOpt(wb, e, prog, fused, inputs, words, opts.Lean, lo, hi, sc)
 		}
-		return runShard(wb, e, inputs, lo, hi)
+		if ud != nil {
+			return runShardUnitDelay(wb, e, ud, inputs, lo, hi, sc)
+		}
+		return runShard(wb, e, inputs, lo, hi, opts.Lean)
 	}
 	minShard := opts.MinShard
 	if minShard <= 0 {
@@ -263,7 +286,7 @@ func (c *Compiled) Run(b *budget.Budget, inputs InputProvider, cycles int, opts 
 	}
 	if e.sequential || parts < 2 {
 		var sc *packedScratch
-		if prog != nil {
+		if pooled {
 			sc = c.getScratch()
 			scratches = append(scratches, sc)
 		}
@@ -281,7 +304,7 @@ func (c *Compiled) Run(b *budget.Budget, inputs InputProvider, cycles int, opts 
 		return res, nil
 	}
 	spans := par.Shards(cycles, parts)
-	if prog != nil {
+	if pooled {
 		// Pre-acquire one scratch per shard: workers must never share
 		// scratch, and acquisition inside the worker would race the pool.
 		scratches = make([]*packedScratch, len(spans))
@@ -316,6 +339,8 @@ func (c *Compiled) Run(b *budget.Budget, inputs InputProvider, cycles int, opts 
 type packedScratch struct {
 	words    []uint64
 	carry    []uint64
+	state    []uint64   // unit-delay path: the recurrence's current step
+	commits  []udCommit // unit-delay path: one step's changed gates
 	cyc      [64]uint64
 	toggles  []int64
 	capByCyc []float64
@@ -340,6 +365,17 @@ func (sc *packedScratch) planes(nGates int) (words, carry []uint64) {
 	}
 	sc.words, sc.carry = sc.words[:nGates], sc.carry[:nGates]
 	return sc.words, sc.carry
+}
+
+// unitDelayState returns the unit-delay recurrence's state plane, sized
+// exactly to nGates, and an empty commit buffer that holds a whole step
+// without growing.
+func (sc *packedScratch) unitDelayState(nGates int) (state []uint64, commits []udCommit) {
+	if cap(sc.state) < nGates {
+		sc.state = make([]uint64, nGates)
+		sc.commits = make([]udCommit, 0, nGates)
+	}
+	return sc.state[:nGates], sc.commits[:0]
 }
 
 // togglesFor returns the zeroed per-net toggle accumulator.

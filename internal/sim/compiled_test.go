@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"hlpower/internal/bitutil"
@@ -188,6 +190,48 @@ func TestCompiledWordsLean(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, full, viaWords, "words-full")
+}
+
+// TestCompiledLeanScalar: Lean holds on scalar-only runs too — zero-
+// delay sequential netlists, event-driven netlists the unit-delay path
+// does not take, and Scalar runs of ones it does. A lean run
+// materializes no outputs, group rows or final values, and its power
+// figures, toggles and budget charges equal a full run's.
+func TestCompiledLeanScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 16; trial++ {
+		n := randEventNetlist(rng, 1+rng.Intn(5), 5+rng.Intn(30))
+		if trial%4 == 0 {
+			n = randUnitDelayNetlist(rng, 1+rng.Intn(5), 5+rng.Intn(30), udPipelined)
+		}
+		cycles := 1 + rng.Intn(150)
+		inputs := randVectors(rng, cycles, len(n.Inputs))
+		for oi, opts := range append([]Options{{TrackClock: true, GateClock: true}}, eventOptions...) {
+			c, err := Compile(n, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, scalar := range []bool{false, true} {
+				label := fmt.Sprintf("trial %d opts %d scalar %v", trial, oi, scalar)
+				bf, bl := budget.New(), budget.New()
+				lean, err := c.Run(bl, inputs, cycles, RunOptions{Workers: 1, Scalar: scalar, Lean: true})
+				if err != nil {
+					t.Fatalf("%s: lean: %v", label, err)
+				}
+				if lean.Kernel != "" && !scalar {
+					continue // a packed path: its own suite covers it
+				}
+				full, err := c.Run(bf, inputs, cycles, RunOptions{Workers: 1, Scalar: scalar})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				sameLean(t, full, lean, label)
+				if bf.StepsUsed() != bl.StepsUsed() || lean.Kernel != "" || full.Kernel != "" {
+					t.Fatalf("%s: lean %d steps on %q, full %d on %q", label, bl.StepsUsed(), lean.Kernel, bf.StepsUsed(), full.Kernel)
+				}
+			}
+		}
+	}
 }
 
 // TestCompiledBudgetAccounting: a compiled run charges the budget the

@@ -90,48 +90,43 @@ var eventOptions = []Options{
 	{Model: EventDriven, GateClock: true},
 }
 
-// runBoth runs the timing-wheel engine and the reference engine, each
-// under a fresh budget from mk, and returns both outcomes with the
-// steps each charged.
-func runBoth(n *logic.Netlist, inputs InputProvider, cycles int, opts Options, mk func() *budget.Budget) (got, want *Result, gotErr, wantErr error, gotSteps, wantSteps int64) {
-	bg, bw := mk(), mk()
-	got, gotErr = RunBudget(bg, n, inputs, cycles, opts)
-	want, wantErr = refRunBudget(bw, n, inputs, cycles, opts)
-	return got, want, gotErr, wantErr, bg.StepsUsed(), bw.StepsUsed()
-}
+// runFunc is one engine's run of a fixed workload under a budget.
+type runFunc func(b *budget.Budget) (*Result, error)
 
-// checkEventDrivenEquivalence asserts the timing-wheel engine matches
-// the reference on one workload: Float64bits-identical totals and every
-// other result field with an unlimited budget, then the same typed
-// exhaustion and steps charged under a step limit that trips halfway
-// and under a fault plan swept over every slow check point of the run.
-func checkEventDrivenEquivalence(t *testing.T, n *logic.Netlist, inputs InputProvider, cycles int, opts Options, label string) {
+// sameBudgetOutcomes asserts two engines behave identically under the
+// budget: with an unlimited budget both succeed and charge the same
+// steps (their results are returned for the caller to compare), and
+// they fail with the same typed exhaustion after the same steps under a
+// step limit that trips halfway and under a fault plan swept over every
+// slow check point of the run.
+func sameBudgetOutcomes(t *testing.T, label string, got, want runFunc) (gotRes, wantRes *Result) {
 	t.Helper()
-	got, want, gotErr, wantErr, gotSteps, wantSteps := runBoth(n, inputs, cycles, opts,
-		func() *budget.Budget { return budget.New() })
-	if gotErr != nil || wantErr != nil {
-		t.Fatalf("%s: errors: wheel %v, reference %v", label, gotErr, wantErr)
+	run := func(mk func() *budget.Budget) (gotRes, wantRes *Result, gotErr, wantErr error, gotSteps, wantSteps int64) {
+		bg, bw := mk(), mk()
+		gotRes, gotErr = got(bg)
+		wantRes, wantErr = want(bw)
+		return gotRes, wantRes, gotErr, wantErr, bg.StepsUsed(), bw.StepsUsed()
 	}
-	sameResult(t, want, got, label)
-	if len(got.Outputs) != len(want.Outputs) {
-		t.Fatalf("%s: %d output rows, reference %d", label, len(got.Outputs), len(want.Outputs))
+	gotRes, wantRes, gotErr, wantErr, gotSteps, wantSteps := run(func() *budget.Budget { return budget.New() })
+	if gotErr != nil || wantErr != nil {
+		t.Fatalf("%s: errors: got %v, want %v", label, gotErr, wantErr)
 	}
 	if gotSteps != wantSteps {
-		t.Fatalf("%s: StepsUsed %d, reference %d", label, gotSteps, wantSteps)
+		t.Fatalf("%s: StepsUsed %d, want %d", label, gotSteps, wantSteps)
 	}
 
 	sameFailure := func(kind string, mk func() *budget.Budget) bool {
 		t.Helper()
-		_, _, gotErr, wantErr, gotSteps, wantSteps := runBoth(n, inputs, cycles, opts, mk)
+		_, _, gotErr, wantErr, gotSteps, wantSteps := run(mk)
 		if (gotErr == nil) != (wantErr == nil) || gotSteps != wantSteps {
-			t.Fatalf("%s %s: wheel (%v, %d steps), reference (%v, %d steps)", label, kind, gotErr, gotSteps, wantErr, wantSteps)
+			t.Fatalf("%s %s: got (%v, %d steps), want (%v, %d steps)", label, kind, gotErr, gotSteps, wantErr, wantSteps)
 		}
 		if wantErr == nil {
 			return false
 		}
 		var ge, we *budget.Exceeded
 		if !errors.As(gotErr, &ge) || !errors.As(wantErr, &we) || *ge != *we {
-			t.Fatalf("%s %s: wheel error %v, reference %v", label, kind, gotErr, wantErr)
+			t.Fatalf("%s %s: got error %v, want %v", label, kind, gotErr, wantErr)
 		}
 		return true
 	}
@@ -152,6 +147,22 @@ func checkEventDrivenEquivalence(t *testing.T, n *logic.Netlist, inputs InputPro
 		if !tripped {
 			break
 		}
+	}
+	return gotRes, wantRes
+}
+
+// checkEventDrivenEquivalence asserts the timing-wheel engine matches
+// the reference on one workload: Float64bits-identical totals and every
+// other result field with an unlimited budget, and the same budget
+// behaviour (sameBudgetOutcomes).
+func checkEventDrivenEquivalence(t *testing.T, n *logic.Netlist, inputs InputProvider, cycles int, opts Options, label string) {
+	t.Helper()
+	got, want := sameBudgetOutcomes(t, label,
+		func(b *budget.Budget) (*Result, error) { return RunBudget(b, n, inputs, cycles, opts) },
+		func(b *budget.Budget) (*Result, error) { return refRunBudget(b, n, inputs, cycles, opts) })
+	sameResult(t, want, got, label)
+	if len(got.Outputs) != len(want.Outputs) {
+		t.Fatalf("%s: %d output rows, reference %d", label, len(got.Outputs), len(want.Outputs))
 	}
 }
 

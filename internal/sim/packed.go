@@ -29,7 +29,8 @@ const KernelPacked = "packed"
 
 // FallbackEventDriven in Result.Fallback: the packed kernel was
 // requested but the event-driven delay model needs per-event timing the
-// bit-parallel evaluation cannot express, so the scalar engine ran.
+// zero-delay bit-parallel evaluation cannot express, so the scalar
+// engine ran.
 const FallbackEventDriven = "event-driven-model"
 
 // CanPack reports whether a netlist is eligible for the bit-packed
@@ -64,7 +65,7 @@ func RunPackedBudget(b *budget.Budget, n *logic.Netlist, inputs InputProvider, c
 		reason = FallbackSequential
 	}
 	if reason != "" {
-		sh, err := runShard(b, e, inputs, 0, cycles)
+		sh, err := runShard(b, e, inputs, 0, cycles, false)
 		if err != nil {
 			return nil, err
 		}
@@ -103,50 +104,50 @@ var oneShotScratch = sync.Pool{New: func() any { return &packedScratch{} }}
 func execPacked(p *logic.Program, words []uint64) {
 	kinds, outs, argOff, args := p.Kinds, p.Outs, p.ArgOff, p.Args
 	for i := range kinds {
-		a := args[argOff[i]:argOff[i+1]]
-		var w uint64
-		switch kinds[i] {
-		case logic.Const0:
-			w = 0
-		case logic.Const1:
-			w = ^uint64(0)
-		case logic.Buf:
-			w = words[a[0]]
-		case logic.Not:
-			w = ^words[a[0]]
-		case logic.And:
-			w = words[a[0]] & words[a[1]]
-			for _, f := range a[2:] {
-				w &= words[f]
-			}
-		case logic.Or:
-			w = words[a[0]] | words[a[1]]
-			for _, f := range a[2:] {
-				w |= words[f]
-			}
-		case logic.Nand:
-			w = words[a[0]] & words[a[1]]
-			for _, f := range a[2:] {
-				w &= words[f]
-			}
-			w = ^w
-		case logic.Nor:
-			w = words[a[0]] | words[a[1]]
-			for _, f := range a[2:] {
-				w |= words[f]
-			}
-			w = ^w
-		case logic.Xor:
-			w = words[a[0]] ^ words[a[1]]
-		case logic.Xnor:
-			w = ^(words[a[0]] ^ words[a[1]])
-		case logic.Mux:
-			sel := words[a[0]]
-			w = (^sel & words[a[1]]) | (sel & words[a[2]])
-		default:
-			hlerr.Throwf("sim.execPacked", "uncompilable kind %v", kinds[i])
+		words[outs[i]] = evalWord(kinds[i], args[argOff[i]:argOff[i+1]], words)
+	}
+}
+
+// evalWord evaluates a combinational gate with fanins a over 64 lanes
+// of the value words w.
+func evalWord(k logic.Kind, a []int32, w []uint64) uint64 {
+	switch k {
+	case logic.Const0:
+		return 0
+	case logic.Const1:
+		return ^uint64(0)
+	case logic.Buf:
+		return w[a[0]]
+	case logic.Not:
+		return ^w[a[0]]
+	case logic.And, logic.Nand:
+		x := w[a[0]]
+		for _, f := range a[1:] {
+			x &= w[f]
 		}
-		words[outs[i]] = w
+		if k == logic.Nand {
+			x = ^x
+		}
+		return x
+	case logic.Or, logic.Nor:
+		x := w[a[0]]
+		for _, f := range a[1:] {
+			x |= w[f]
+		}
+		if k == logic.Nor {
+			x = ^x
+		}
+		return x
+	case logic.Xor:
+		return w[a[0]] ^ w[a[1]]
+	case logic.Xnor:
+		return ^(w[a[0]] ^ w[a[1]])
+	case logic.Mux:
+		sel := w[a[0]]
+		return (^sel & w[a[1]]) | (sel & w[a[2]])
+	default:
+		hlerr.Throwf("sim.evalWord", "not a combinational kind: %v", k)
+		return 0
 	}
 }
 

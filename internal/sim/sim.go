@@ -72,9 +72,11 @@ type Result struct {
 	// shard, for parallel runs): KernelPacked for the unfused 64-lane
 	// interpreter, KernelFused for the fused-superinstruction
 	// interpreter, KernelCodegen for the specialized evaluator of a
-	// promoted netlist, empty for the interpreted scalar engine. All
-	// tiers are Float64bits-identical; the tag reports where the cycles
-	// were spent, never a different answer.
+	// promoted netlist, KernelUnitDelay for the 64-lane event-driven
+	// recurrence, empty for the interpreted scalar engine (the timing
+	// wheel, for event-driven runs). All tiers are Float64bits-identical;
+	// the tag reports where the cycles were spent, never a different
+	// answer.
 	Kernel    string
 	vdd, freq float64
 }
@@ -164,7 +166,7 @@ func RunBudget(b *budget.Budget, n *logic.Netlist, inputs InputProvider, cycles 
 	if err != nil {
 		return nil, err
 	}
-	sh, err := runShard(b, e, inputs, 0, cycles)
+	sh, err := runShard(b, e, inputs, 0, cycles, false)
 	if err != nil {
 		return nil, err
 	}
@@ -316,24 +318,28 @@ type shard struct {
 // shards — valid only for state-free netlists — rebuild their
 // transition baseline by settling the previous shard's last input
 // vector, so transition counting across the shard boundary matches a
-// serial run cycle for cycle.
-func runShard(b *budget.Budget, e *env, inputs InputProvider, lo, hi int) (sh *shard, err error) {
+// serial run cycle for cycle. A lean shard (RunOptions.Lean) keeps only
+// the toggles and per-cycle capacitance, accumulated in the same order.
+func runShard(b *budget.Budget, e *env, inputs InputProvider, lo, hi int, lean bool) (sh *shard, err error) {
 	defer hlerr.Recover(&err)
 	n := e.n
 	sh = &shard{
 		lo: lo, hi: hi,
 		toggles:  make([]int64, len(n.Gates)),
 		capByCyc: make([]float64, hi-lo),
-		grpByCyc: make([][]float64, hi-lo),
-		outputs:  make([][]bool, 0, hi-lo),
 	}
-	grpFlat := make([]float64, (hi-lo)*len(e.groups))
-	for i := range sh.grpByCyc {
-		sh.grpByCyc[i] = grpFlat[i*len(e.groups) : (i+1)*len(e.groups)]
+	var outFlat []bool
+	if !lean {
+		sh.grpByCyc = make([][]float64, hi-lo)
+		grpFlat := make([]float64, (hi-lo)*len(e.groups))
+		for i := range sh.grpByCyc {
+			sh.grpByCyc[i] = grpFlat[i*len(e.groups) : (i+1)*len(e.groups)]
+		}
+		// Per-cycle output rows are views into one flat backing array;
+		// the hot loop must not allocate per cycle.
+		sh.outputs = make([][]bool, 0, hi-lo)
+		outFlat = make([]bool, (hi-lo)*len(n.Outputs))
 	}
-	// Per-cycle output rows are views into one flat backing array; the
-	// hot loop must not allocate per cycle.
-	outFlat := make([]bool, (hi-lo)*len(n.Outputs))
 
 	values := make([]bool, len(n.Gates)) // settled values
 	state := make([]bool, len(n.Gates))  // DFF/EnDFF/Latch state
@@ -347,7 +353,9 @@ func runShard(b *budget.Budget, e *env, inputs InputProvider, lo, hi int) (sh *s
 	record := func(id int) {
 		sh.toggles[id]++
 		sh.capByCyc[cur] += e.loads[id]
-		sh.grpByCyc[cur][e.groupOf[id]] += e.loads[id]
+		if !lean {
+			sh.grpByCyc[cur][e.groupOf[id]] += e.loads[id]
+		}
 	}
 
 	inVals := make([]bool, len(n.Inputs))
@@ -437,7 +445,9 @@ func runShard(b *budget.Budget, e *env, inputs InputProvider, lo, hi int) (sh *s
 						continue
 					}
 					sh.capByCyc[cur] += n.ClockCap
-					sh.grpByCyc[cur][e.clockGI] += n.ClockCap
+					if !lean {
+						sh.grpByCyc[cur][e.clockGI] += n.ClockCap
+					}
 				}
 			}
 		}
@@ -456,13 +466,18 @@ func runShard(b *budget.Budget, e *env, inputs InputProvider, lo, hi int) (sh *s
 			}
 		}
 
+		if lean {
+			continue
+		}
 		out := outFlat[cur*len(n.Outputs) : (cur+1)*len(n.Outputs) : (cur+1)*len(n.Outputs)]
 		for i, o := range n.Outputs {
 			out[i] = values[o]
 		}
 		sh.outputs = append(sh.outputs, out)
 	}
-	sh.final = values
+	if !lean {
+		sh.final = values
+	}
 	return sh, nil
 }
 
