@@ -89,8 +89,9 @@ cover:
 # cache-equivalence target (a job's status must not depend on the memo
 # cache, last_error included), the kernel
 # equivalence targets (fused vs unfused, codegen vs fused, the
-# event-driven timing wheel vs its map-scheduled reference, and lean
-# unit-delay runs vs the timing wheel, bit-identity including budget
+# event-driven timing wheel vs its map-scheduled reference, lean
+# unit-delay runs vs the timing wheel, and sim.Outputs' words vs
+# RunBudget's output rows, bit-identity including budget
 # exhaustion), the predict equivalence
 # target (the served predict path vs the one-shot, interpreted
 # reference), and the HTTP item-pipeline target (raw bodies
@@ -110,6 +111,7 @@ fuzz:
 	go test -run '^FuzzCodegenEquivalence$$' -fuzz '^FuzzCodegenEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzEventDrivenEquivalence$$' -fuzz '^FuzzEventDrivenEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzUnitDelayEquivalence$$' -fuzz '^FuzzUnitDelayEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
+	go test -run '^FuzzOutputsEquivalence$$' -fuzz '^FuzzOutputsEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzPredictEquivalence$$' -fuzz '^FuzzPredictEquivalence$$' -fuzztime $(FUZZTIME) ./internal/macromodel/
 	go test -run '^FuzzServeItem$$' -fuzz '^FuzzServeItem$$' -fuzztime $(FUZZTIME) ./internal/powerd/
 

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"hlpower"
+	"hlpower/internal/bitutil"
 	"hlpower/internal/budget"
 	"hlpower/internal/core"
 	"hlpower/internal/isa"
@@ -587,6 +588,50 @@ func main() {
 	mixEntry.NsPerOp = round3(mixEntry.NsPerOp / float64(mixCands))
 	snap.Results = append(snap.Results, mixEntry)
 
+	// Equivalence checking as the job engine runs it: one op is
+	// recipe.Verify of a retimed width-8 adder against its baseline and
+	// of the 4-state controller's one-hot re-encoding against its
+	// machine, at powerd's 128 verification cycles. Both candidates'
+	// output words are asserted equal to sim.RunBudget's output rows,
+	// steps included, before timing starts.
+	type verifyCase struct {
+		prev, next *recipe.Design
+		w          *recipe.Workload
+	}
+	var verifyCases []verifyCase
+	for _, vc := range []struct {
+		spec recipe.Spec
+		pass string
+	}{
+		{recipe.Spec{Kind: recipe.KindCircuit, Circuit: "adder", Width: 8}, "retime"},
+		{recipe.Spec{Kind: recipe.KindFSM, States: 4, Inputs: 1, Outputs: 2}, "enc-one-hot"},
+	} {
+		d, w, err := recipe.Build(vc.spec, 1, service.DefaultEvalCycles, service.DefaultVerifyCycle)
+		if err != nil {
+			fatal(err)
+		}
+		next, err := recipe.Apply(nil, d, w, vc.pass, 1)
+		if err != nil {
+			fatal(err)
+		}
+		for _, net := range []*logic.Netlist{d.Net, next.Net} {
+			if err := sameOutputs(net, w.VerifyVecs); err != nil {
+				fatal(fmt.Errorf("optimize/verify: %+v %s: %w", vc.spec, vc.pass, err))
+			}
+		}
+		verifyCases = append(verifyCases, verifyCase{d, next, w})
+	}
+	verifyEntry := measure("optimize/verify", 0, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, vc := range verifyCases {
+				if err := recipe.Verify(nil, vc.prev, vc.next, vc.w); err != nil {
+					fatal(err)
+				}
+			}
+		}
+	})
+	snap.Results = append(snap.Results, verifyEntry)
+
 	// Architectural simulator per-step cost over the predecoded
 	// dispatch tables; ns_per_op here is per retired instruction, not
 	// per program run.
@@ -630,6 +675,30 @@ func main() {
 	if snap.Note != "" {
 		fmt.Println("note:", snap.Note)
 	}
+}
+
+// sameOutputs checks that sim.Outputs returns sim.RunBudget's output
+// rows for the netlist over the vectors and charges the same steps.
+func sameOutputs(net *logic.Netlist, vecs [][]bool) error {
+	inputs := sim.VectorInputs(vecs)
+	bw, br := budget.New(), budget.New()
+	words, err := sim.Outputs(bw, net, inputs, len(vecs))
+	if err != nil {
+		return err
+	}
+	ref, err := sim.RunBudget(br, net, inputs, len(vecs), sim.Options{})
+	if err != nil {
+		return err
+	}
+	for c, row := range ref.Outputs {
+		if want := bitutil.FromBits(row); words[c] != want {
+			return fmt.Errorf("cycle %d: outputs %#x, RunBudget %#x", c, words[c], want)
+		}
+	}
+	if bw.StepsUsed() != br.StepsUsed() {
+		return fmt.Errorf("charged %d steps, RunBudget %d", bw.StepsUsed(), br.StepsUsed())
+	}
+	return nil
 }
 
 // runJob runs one job to completion on m and exits the run unless the

@@ -105,8 +105,13 @@ type Status struct {
 }
 
 type job struct {
-	id      string
-	mu      sync.Mutex
+	id string
+	mu sync.Mutex
+	// saveMu orders the job's checkpoints. Submit saves the initial
+	// snapshot after a worker may already be running the job, so
+	// without it a snapshot encoded first could be saved last and
+	// overwrite a newer one, even a terminal one.
+	saveMu  sync.Mutex
 	st      *State
 	started bool
 	resumed bool
@@ -416,6 +421,8 @@ func (m *Manager) worker() {
 // counted but do not fail the job: durability degrades, correctness
 // does not.
 func (m *Manager) checkpoint(j *job) {
+	j.saveMu.Lock()
+	defer j.saveMu.Unlock()
 	j.mu.Lock()
 	snap := EncodeState(j.st)
 	j.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -214,6 +215,69 @@ func TestJobCompletes(t *testing.T) {
 	c := m.Counters()
 	if c.Completed != 1 || c.Running != 0 || c.Queued != 0 {
 		t.Fatalf("counters %+v", c)
+	}
+}
+
+// gatedStore holds its first Save until release is closed, and closes
+// started when that Save arrives.
+type gatedStore struct {
+	*MemStore
+	once             sync.Once
+	started, release chan struct{}
+}
+
+func (s *gatedStore) Save(id string, snap []byte) error {
+	first := false
+	s.once.Do(func() { first = true })
+	if first {
+		close(s.started)
+		<-s.release
+	}
+	return s.MemStore.Save(id, snap)
+}
+
+// TestSubmitSnapshotNeverOverwritesNewer: Submit saves a job's initial
+// snapshot on the caller's goroutine after a worker may already be
+// running the job. That save is held until the job finishes (or, when
+// the worker's checkpoints wait for it, for a grace period), and the
+// store must still end on the terminal snapshot, not the initial one.
+func TestSubmitSnapshotNeverOverwritesNewer(t *testing.T) {
+	store := &gatedStore{MemStore: NewMemStore(), started: make(chan struct{}), release: make(chan struct{})}
+	m := New(Config{Workers: 1, Store: store})
+	defer drainManager(t, m)
+	p := testParams(5, 2)
+	id := p.Key().String()
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := m.Submit(p)
+		submitted <- err
+	}()
+	<-store.started
+	done, ok := m.Done(id)
+	if !ok {
+		t.Fatal("job not attached while its initial snapshot saves")
+	}
+	select {
+	case <-done:
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(store.release)
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitDone(t, m, id); fin.Phase != PhaseDone {
+		t.Fatalf("phase = %s (err %q), want done", fin.Phase, fin.Err)
+	}
+	snap, ok, err := store.Load(id)
+	if err != nil || !ok {
+		t.Fatalf("no snapshot: ok=%v err=%v", ok, err)
+	}
+	st, err := DecodeState(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Phase != PhaseDone || st.Step != p.Candidates {
+		t.Fatalf("stored snapshot at phase %s step %d, want done at step %d", st.Phase, st.Step, p.Candidates)
 	}
 }
 

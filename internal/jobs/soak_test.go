@@ -119,10 +119,23 @@ func TestJobsSoak(t *testing.T) {
 	store := NewMemStore()
 	mA := New(Config{Workers: 4, QueueDepth: njobs + 8, CheckpointEvery: 1, Store: store, Plan: plan})
 	submitAll(mA)
+	// Drain once three jobs are done and some job is at most halfway
+	// through its candidates: it checkpoints at its next step boundary,
+	// long before it could finish, so the drain lands mid-search. A job
+	// still in Build or its baseline would hand off at step 0.
+	earlyMidSearch := func() bool {
+		for _, p := range params {
+			st, ok := mA.Get(p.Key().String())
+			if ok && st.Phase == PhaseRunning && st.Step > 0 && st.Step <= st.Candidates/2 {
+				return true
+			}
+		}
+		return false
+	}
 	trigger := time.Now().Add(60 * time.Second)
-	for mA.Counters().Completed < 3 {
+	for mA.Counters().Completed < 3 || !earlyMidSearch() {
 		if time.Now().After(trigger) {
-			t.Fatalf("chaos fleet made no progress: %+v", mA.Counters())
+			t.Fatalf("chaos fleet never had three jobs done and one early mid-search: %+v", mA.Counters())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -57,6 +57,19 @@ func GuardEvaluation(n *logic.Netlist) (*logic.Netlist, int) {
 	return out, guarded
 }
 
+// HasEarlySelectMux reports whether some multiplexor's select is an
+// early signal. Without one GuardEvaluation guards nothing: it guards
+// only cones under such a mux, and its edits never make a late select
+// early.
+func HasEarlySelectMux(n *logic.Netlist) bool {
+	for _, g := range n.Gates {
+		if g.Kind == logic.Mux && isEarly(n, g.Fanin[0]) {
+			return true
+		}
+	}
+	return false
+}
+
 // isEarly reports whether a signal settles at time 0: a primary input,
 // constant, or register output.
 func isEarly(n *logic.Netlist, id int) bool {

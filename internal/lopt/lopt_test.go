@@ -9,6 +9,7 @@ import (
 	"hlpower/internal/fsm"
 	"hlpower/internal/logic"
 	"hlpower/internal/memo"
+	"hlpower/internal/rtlib"
 	"hlpower/internal/sim"
 	"hlpower/internal/trace"
 )
@@ -244,6 +245,43 @@ func TestGuardEvaluationEquivalence(t *testing.T) {
 		if a.Outputs[c][0] != b.Outputs[c][0] {
 			t.Fatalf("cycle %d: outputs differ", c)
 		}
+	}
+}
+
+// TestHasEarlySelectMux: wherever the predicate is false,
+// GuardEvaluation guards nothing — on the RT-library circuits and on
+// random netlists — and a design with an early-select mux is still
+// guarded.
+func TestHasEarlySelectMux(t *testing.T) {
+	var nets []*logic.Netlist
+	for _, w := range []int{4, 8} {
+		for _, m := range []*rtlib.Module{rtlib.NewAdder(w), rtlib.NewCarrySelectAdder(w), rtlib.NewSubtractor(w), rtlib.NewComparator(w), rtlib.NewMultiplier(w)} {
+			nets = append(nets, m.Net)
+		}
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nets = append(nets, randomNetlist(rng, 2+rng.Intn(5), 3+rng.Intn(30), 1+rng.Intn(3)))
+	}
+	early := 0
+	for i, n := range nets {
+		if HasEarlySelectMux(n) {
+			early++
+			continue
+		}
+		if _, guarded := GuardEvaluation(n); guarded != 0 {
+			t.Fatalf("netlist %d: no early-select mux, yet %d cones guarded", i, guarded)
+		}
+	}
+	if early == 0 || early == len(nets) {
+		t.Fatalf("%d of %d netlists have an early-select mux; want both kinds", early, len(nets))
+	}
+	nl, _ := guardCircuit(8)
+	if !HasEarlySelectMux(nl) {
+		t.Fatal("guard circuit: predicate false")
+	}
+	if _, guarded := GuardEvaluation(nl); guarded == 0 {
+		t.Fatal("guard circuit: no cones guarded")
 	}
 }
 

@@ -32,35 +32,48 @@ func waitStats(t *testing.T, s *Server, what string, cond func(Stats) bool) {
 // and the artifact's hotness.
 func TestPromotionObservable(t *testing.T) {
 	cfg := testConfig()
-	cfg.CodegenAfter = 2
+	cfg.CodegenAfter = 3
 	cfg.MemoMaxBytes = -1 // every request must reach the artifact, not the estimate cache
 	s := NewServer(cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	req := simulateRequest{Circuit: "adder", Width: 8, Cycles: 200, Seed: 5}
-	var fusedPower float64
-	for i := 0; i < 2; i++ {
+	simulate := func(what string) (kernel string, power float64) {
+		t.Helper()
 		resp, out := post(t, ts, "/v1/simulate", req)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("simulate %d: %d %v", i, resp.StatusCode, out)
+			t.Fatalf("%s simulate: %d %v", what, resp.StatusCode, out)
 		}
-		if out["kernel"] != "fused" {
-			t.Fatalf("request %d below threshold served by %v, want fused", i, out["kernel"])
+		kernel, _ = out["kernel"].(string)
+		return kernel, out["power"].(float64)
+	}
+	// Requests strictly below the threshold never start a build, so the
+	// fused tier serves them.
+	var fusedPower float64
+	for i := 0; i < cfg.CodegenAfter-1; i++ {
+		var kernel string
+		if kernel, fusedPower = simulate("below-threshold"); kernel != "fused" {
+			t.Fatalf("request %d below threshold served by %v, want fused", i, kernel)
 		}
-		fusedPower = out["power"].(float64)
+	}
+	// The crossing request starts the build, which may land before its
+	// own run loads the evaluator: either tier may serve it, with the
+	// same power.
+	kernel, power := simulate("crossing")
+	if kernel != "fused" && kernel != "codegen" {
+		t.Fatalf("crossing request served by %v, want fused or codegen", kernel)
+	}
+	if math.Float64bits(power) != math.Float64bits(fusedPower) {
+		t.Fatalf("crossing request changed power: %v vs %v", power, fusedPower)
 	}
 	waitStats(t, s, "promotion", func(st Stats) bool { return st.Kernel.Promotions == 1 })
 
-	resp, out := post(t, ts, "/v1/simulate", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-promotion simulate: %d %v", resp.StatusCode, out)
+	if kernel, power = simulate("post-promotion"); kernel != "codegen" {
+		t.Fatalf("post-promotion kernel = %v, want codegen", kernel)
 	}
-	if out["kernel"] != "codegen" {
-		t.Fatalf("post-promotion kernel = %v, want codegen", out["kernel"])
-	}
-	if math.Float64bits(out["power"].(float64)) != math.Float64bits(fusedPower) {
-		t.Fatalf("promotion changed power: %v vs %v", out["power"], fusedPower)
+	if math.Float64bits(power) != math.Float64bits(fusedPower) {
+		t.Fatalf("promotion changed power: %v vs %v", power, fusedPower)
 	}
 
 	// The same story over the wire.

@@ -2,6 +2,7 @@ package recipe
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"hlpower/internal/budget"
@@ -121,21 +122,19 @@ func verifyCircuit(b *budget.Budget, prev, next *Design, w *Workload) error {
 	}
 	cycles := len(w.VerifyVecs)
 	inputs := sim.VectorInputs(w.VerifyVecs)
-	ref, err := sim.RunBudget(b, prev.Net, inputs, cycles, sim.Options{})
+	ref, err := sim.Outputs(b, prev.Net, inputs, cycles)
 	if err != nil {
 		return err
 	}
-	got, err := sim.RunBudget(b, next.Net, inputs, cycles, sim.Options{})
+	got, err := sim.Outputs(b, next.Net, inputs, cycles)
 	if err != nil {
 		return err
 	}
 	// prev's output at cycle c reflects input c−prev.Latency; next's at
 	// c+Δ reflects the same input. Both are defined for c ≥ prev.Latency.
 	for c := prev.Latency; c+delta < cycles; c++ {
-		for o := range ref.Outputs[c] {
-			if ref.Outputs[c][o] != got.Outputs[c+delta][o] {
-				return &VerifyError{Cycle: c, Detail: fmt.Sprintf("output %d differs", o)}
-			}
+		if diff := ref[c] ^ got[c+delta]; diff != 0 {
+			return &VerifyError{Cycle: c, Detail: fmt.Sprintf("output %d differs", bits.TrailingZeros64(diff))}
 		}
 	}
 	return nil
@@ -146,19 +145,18 @@ func verifyFSM(b *budget.Budget, next *Design, w *Workload) error {
 		return err
 	}
 	_, refOut := next.F.Simulate(w.VerifySyms)
-	got, err := sim.RunBudget(b, next.Net, sim.VectorInputs(w.VerifyVecs), len(w.VerifyVecs), sim.Options{})
+	got, err := sim.Outputs(b, next.Net, sim.VectorInputs(w.VerifyVecs), len(w.VerifyVecs))
 	if err != nil {
 		return err
 	}
 	nOut := next.F.NumOutputs
-	for c := range refOut {
-		if len(got.Outputs[c]) != nOut {
-			return &VerifyError{Cycle: c, Detail: fmt.Sprintf("output width %d, want %d", len(got.Outputs[c]), nOut)}
-		}
-		for o := 0; o < nOut; o++ {
-			if got.Outputs[c][o] != (refOut[c]>>uint(o)&1 == 1) {
-				return &VerifyError{Cycle: c, Detail: fmt.Sprintf("output %d differs from machine", o)}
-			}
+	if width := len(next.Net.Outputs); width != nOut {
+		return &VerifyError{Detail: fmt.Sprintf("output width %d, want %d", width, nOut)}
+	}
+	mask := uint64(1)<<uint(nOut) - 1
+	for c, want := range refOut {
+		if diff := (got[c] ^ want) & mask; diff != 0 {
+			return &VerifyError{Cycle: c, Detail: fmt.Sprintf("output %d differs from machine", bits.TrailingZeros64(diff))}
 		}
 	}
 	return nil

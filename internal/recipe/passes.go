@@ -115,9 +115,14 @@ func init() {
 }
 
 // passGuard inserts transparent-latch guards on exclusive mux cones.
+// A design with no early-select mux has nothing to guard, which the
+// predicate tells without cloning the netlist.
 func passGuard(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error) {
 	if err := b.Step(int64(len(d.Net.Gates))); err != nil {
 		return nil, err
+	}
+	if !lopt.HasEarlySelectMux(d.Net) {
+		return nil, ErrNotApplicable
 	}
 	net, guarded := lopt.GuardEvaluation(d.Net)
 	if guarded == 0 {

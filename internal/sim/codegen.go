@@ -541,14 +541,6 @@ func runShardCodegen(b *budget.Budget, e *env, cg *codegenProgram, inputs InputP
 		outFlat = make([]bool, cycles*nOut)
 	}
 
-	fetch := func(cycle int) ([]bool, error) {
-		vec := inputs(cycle)
-		if len(vec) != len(n.Inputs) {
-			return nil, hlerr.Errorf("sim.Run", "input vector width %d, want %d", len(vec), len(n.Inputs))
-		}
-		return vec, nil
-	}
-
 	words, carry := sc.planes(len(n.Gates))
 
 	// Baseline: settle the pre-shard vector in lane 0 and seed the
@@ -563,7 +555,7 @@ func runShardCodegen(b *budget.Budget, e *env, cg *codegenProgram, inputs InputP
 			words[sig] = w >> uint(i) & 1
 		}
 	} else {
-		vec, err := fetch(base)
+		vec, err := fetchVec(n, inputs, base)
 		if err != nil {
 			return nil, err
 		}
@@ -616,7 +608,7 @@ func runShardCodegen(b *budget.Budget, e *env, cg *codegenProgram, inputs InputP
 				words[sig] = 0
 			}
 			for j := 0; j < lanes; j++ {
-				vec, err := fetch(lo + w0 + j)
+				vec, err := fetchVec(n, inputs, lo+w0+j)
 				if err != nil {
 					return nil, err
 				}

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"hlpower/internal/bitutil"
 	"hlpower/internal/budget"
 	"hlpower/internal/hlerr"
+	"hlpower/internal/logic"
 )
 
 // OutputWords evaluates the netlist's zero-delay function over a
@@ -60,6 +62,207 @@ func (c *Compiled) OutputWords(b *budget.Budget, inputs WordInputs, cycles int) 
 		clear(blk[len(n.Outputs):])
 		transpose64(blk)
 		copy(out[w0:], blk[:lanes])
+	}
+	return out, nil
+}
+
+// Outputs returns the settled primary outputs of a zero-delay run of n:
+// out[c] holds cycle c's outputs, bit i for output i. The words are
+// RunBudget's Result.Outputs under Options{}, and b is charged exactly
+// as RunBudget charges it — vector 0 is checked before any charge, then
+// each cycle charges one step per gate plus one, in cycle order, and a
+// wrong-width vector fails after its own cycle's charge — so step-limit
+// trips, fault-plan check points and cancellation land where they land
+// on RunBudget. Equivalence checking reads nothing else of a run.
+//
+// The netlist's shape picks the path, never an option:
+//   - feed-forward (no Latch or EnDFF, no cycle through a DFF): 64
+//     cycles per block on the unit-delay path's settle program;
+//   - small state (no Latch, flip-flops plus inputs at most 6 bits):
+//     one 64-lane settle tabulates outputs and next state over every
+//     (state, input) pair, then each cycle is one table lookup;
+//   - anything else: RunBudget, its output rows packed into words.
+//
+// Argument errors are RunBudget's; more than 64 outputs is a typed
+// input error.
+func Outputs(b *budget.Budget, n *logic.Netlist, inputs InputProvider, cycles int) (out []uint64, err error) {
+	defer hlerr.Recover(&err)
+	if n == nil {
+		return nil, hlerr.Errorf("sim.Run", "nil netlist")
+	}
+	if err := n.Err(); err != nil {
+		return nil, err
+	}
+	if err := checkRun(inputs, cycles); err != nil {
+		return nil, err
+	}
+	if len(n.Outputs) > 64 {
+		return nil, hlerr.Errorf("sim.Outputs", "%d outputs, want at most 64", len(n.Outputs))
+	}
+	ff, tab := planOutputs(n)
+	switch {
+	case ff != nil:
+		return ff.outputs(b, n, inputs, cycles)
+	case tab != nil:
+		return tab.outputs(b, n, inputs, cycles)
+	}
+	res, err := RunBudget(b, n, inputs, cycles, Options{})
+	if err != nil {
+		return nil, err
+	}
+	out = make([]uint64, cycles)
+	for c, row := range res.Outputs {
+		out[c] = bitutil.FromBits(row)
+	}
+	return out, nil
+}
+
+// planOutputs picks Outputs' path by the netlist's shape: a feed-forward
+// program, a (state, input) table, or (both nil) RunBudget.
+func planOutputs(n *logic.Netlist) (*feedForward, *stateTable) {
+	if ff, ok := compileFeedForward(n.Gates); ok {
+		return &ff, nil
+	}
+	return nil, tabulate(n)
+}
+
+// outputs runs the feed-forward path: blocks of 64 cycles, cycle c in
+// bit c mod 64, each settled in one pass and charged lane by lane
+// after it settles.
+func (ff *feedForward) outputs(b *budget.Budget, n *logic.Netlist, inputs InputProvider, cycles int) ([]uint64, error) {
+	if _, err := fetchVec(n, inputs, 0); err != nil {
+		return nil, err
+	}
+	perCycle := int64(len(n.Gates)) + 1
+	words, carry := make([]uint64, len(n.Gates)), make([]uint64, len(n.Gates))
+	out := make([]uint64, cycles)
+	var blk [64]uint64
+	for w0 := 0; w0 < cycles; w0 += 64 {
+		// The lanes before a wrong-width vector run and charge, then its
+		// cycle charges and fails.
+		lanes, bad := gatherBlock(n, inputs, words, w0, min(cycles-w0, 64))
+		ff.settle(n.Gates, words, carry, w0 == 0)
+		// Output planes in, one output word per cycle out.
+		for i, o := range n.Outputs {
+			blk[i] = words[o]
+		}
+		clear(blk[len(n.Outputs):])
+		transpose64(&blk)
+		copy(out[w0:], blk[:lanes])
+		for j := 0; j < lanes; j++ {
+			b.Check(perCycle)
+		}
+		if bad != nil {
+			b.Check(perCycle)
+			return nil, bad
+		}
+		for id, w := range words {
+			carry[id] = w >> 63
+		}
+	}
+	return out, nil
+}
+
+// stateTable is a netlist's zero-delay cycle function tabulated over
+// every (flip-flop state, input) pair. With the flip-flops cut into
+// free inputs one cycle's logic is feed-forward, so one 64-lane settle
+// evaluates it everywhere: lane k holds state bits k mod 2^F and input
+// bits k >> F, for F flip-flops, and F plus the input count is at most
+// 6. The table is exact because a zero-delay cycle's values depend on
+// nothing else: flip-flops hold the previous cycle's D (an EnDFF only
+// when enabled), inputs the current vector.
+type stateTable struct {
+	ffs   int    // F, the state bits below the input bits in a lane index
+	reset uint64 // the Init state, bit j for flip-flop j
+	next  [64]uint64
+	out   [64]uint64 // bit i for output i
+}
+
+// tabulate returns the netlist's state table, or nil when it has a
+// Latch, more than 6 flip-flop and input bits, or a combinational
+// cycle.
+func tabulate(n *logic.Netlist) *stateTable {
+	var ffs []int
+	for id, g := range n.Gates {
+		switch {
+		case g.Kind == logic.Latch:
+			return nil
+		case g.Kind.IsSequential():
+			ffs = append(ffs, id)
+		}
+	}
+	if len(ffs)+len(n.Inputs) > 6 {
+		return nil
+	}
+	cut := append([]logic.Gate(nil), n.Gates...)
+	for _, id := range ffs {
+		cut[id] = logic.Gate{Kind: logic.Input}
+	}
+	prog, ok := compileFeedForward(cut)
+	if !ok {
+		return nil
+	}
+	// Variable v is lane bit v: its word has lane k set when bit v of k is.
+	words := make([]uint64, len(n.Gates))
+	t := &stateTable{ffs: len(ffs)}
+	for j, id := range ffs {
+		words[id] = lanePattern[j]
+		if n.Gates[id].Init {
+			t.reset |= 1 << uint(j)
+		}
+	}
+	for i, sig := range n.Inputs {
+		words[sig] = lanePattern[len(ffs)+i]
+	}
+	prog.settle(cut, words, nil, true)
+	// Planes in (row i: output i's lanes, row j: flip-flop j's next
+	// lanes), one row per lane out.
+	for i, o := range n.Outputs {
+		t.out[i] = words[o]
+	}
+	transpose64(&t.out)
+	for j, id := range ffs {
+		g := &n.Gates[id]
+		if g.Kind == logic.DFF {
+			t.next[j] = words[g.Fanin[0]]
+		} else { // EnDFF: load D when enabled, else hold
+			en := words[g.Fanin[0]]
+			t.next[j] = en&words[g.Fanin[1]] | ^en&lanePattern[j]
+		}
+	}
+	transpose64(&t.next)
+	return t
+}
+
+// lanePattern[v] has bit k set when bit v of k is: variable v of a
+// 64-lane enumeration.
+var lanePattern = [6]uint64{
+	0xaaaaaaaaaaaaaaaa, 0xcccccccccccccccc, 0xf0f0f0f0f0f0f0f0,
+	0xff00ff00ff00ff00, 0xffff0000ffff0000, 0xffffffff00000000,
+}
+
+// outputs runs the table: one lookup per cycle from the reset state,
+// charging and fetching in RunBudget's order.
+func (t *stateTable) outputs(b *budget.Budget, n *logic.Netlist, inputs InputProvider, cycles int) ([]uint64, error) {
+	if _, err := fetchVec(n, inputs, 0); err != nil {
+		return nil, err
+	}
+	perCycle := int64(len(n.Gates)) + 1
+	out := make([]uint64, cycles)
+	s := t.reset
+	for c := range out {
+		b.Check(perCycle)
+		vec, err := fetchVec(n, inputs, c)
+		if err != nil {
+			return nil, err
+		}
+		k := s
+		for i, v := range vec {
+			if v {
+				k |= 1 << uint(t.ffs+i)
+			}
+		}
+		out[c], s = t.out[k], t.next[k]
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -144,5 +145,216 @@ func TestOutputWordsErrors(t *testing.T) {
 	}
 	if _, err := wc.OutputWords(nil, func(int) uint64 { return 0 }, 10); !hlerr.IsInput(err) {
 		t.Fatalf("65-input netlist: want input error, got %v", err)
+	}
+}
+
+// wantOutputsPath classifies a netlist for Outputs without Outputs' own
+// compile: logic.TopoOrder finds combinational cycles and, with every
+// DFF read as a buffer, cycles through a DFF.
+func wantOutputsPath(n *logic.Netlist) string {
+	bits := len(n.Inputs)
+	latch, endff := false, false
+	for _, g := range n.Gates {
+		switch g.Kind {
+		case logic.Latch:
+			latch = true
+		case logic.EnDFF:
+			endff = true
+			bits++
+		case logic.DFF:
+			bits++
+		}
+	}
+	if latch {
+		return PathRun
+	}
+	if !endff {
+		buf := n.Clone()
+		for id := range buf.Gates {
+			if buf.Gates[id].Kind == logic.DFF {
+				buf.Gates[id].Kind = logic.Buf
+			}
+		}
+		if _, err := buf.TopoOrder(); err == nil {
+			return PathFeedForward
+		}
+	}
+	if _, err := n.TopoOrder(); err == nil && bits <= 6 {
+		return PathTable
+	}
+	return PathRun
+}
+
+// checkOutputs compares Outputs with RunBudget's output rows on one
+// workload under sameBudgetOutcomes' three budget regimes, asserts the
+// path the netlist's shape picks, and returns it.
+func checkOutputs(t *testing.T, n *logic.Netlist, inputs InputProvider, cycles int, label string) string {
+	t.Helper()
+	path := OutputsPath(n)
+	if want := wantOutputsPath(n); path != want {
+		t.Fatalf("%s: path %q, want %q", label, path, want)
+	}
+	nOut := len(n.Outputs)
+	words := func(b *budget.Budget) (*Result, error) {
+		out, err := Outputs(b, n, inputs, cycles)
+		if err != nil {
+			return nil, err
+		}
+		res := &Result{Outputs: make([][]bool, len(out))}
+		for c, w := range out {
+			if w>>uint(nOut) != 0 {
+				t.Fatalf("%s: cycle %d word %#x has bits above output %d", label, c, w, nOut-1)
+			}
+			res.Outputs[c] = bitutil.ToBits(w, nOut)
+		}
+		return res, nil
+	}
+	run := func(b *budget.Budget) (*Result, error) { return RunBudget(b, n, inputs, cycles, Options{}) }
+	got, want := sameBudgetOutcomes(t, label+" "+path, words, run)
+	if len(got.Outputs) != len(want.Outputs) {
+		t.Fatalf("%s: %d output words, want %d", label, len(got.Outputs), len(want.Outputs))
+	}
+	for c, row := range want.Outputs {
+		if g, w := bitutil.FromBits(got.Outputs[c]), bitutil.FromBits(row); g != w {
+			t.Fatalf("%s (%s): cycle %d outputs %#x, RunBudget %#x", label, path, c, g, w)
+		}
+	}
+	return path
+}
+
+// outCycles straddle the 64-lane block edges.
+var outCycles = []int{1, 63, 64, 65, 128, 130}
+
+// randOutputsNetlist draws a netlist for the Outputs suite: a
+// unit-delay shape (feed-forward, pipelined, feedback, latch, enabled
+// flip-flop, odd delay) or a random event-driven netlist with latches
+// and flip-flop loops; small sizes make controllers whose flip-flop and
+// input bits fit a state table.
+func randOutputsNetlist(rng *rand.Rand, family, nIn, nGates int) *logic.Netlist {
+	if family < udShapes {
+		return randUnitDelayNetlist(rng, nIn, nGates, family)
+	}
+	return randEventNetlist(rng, nIn, nGates)
+}
+
+// TestOutputsMatchRunBudget is Outputs' differential property: over
+// random netlists of every shape, small and large, at cycle counts
+// around block edges, the output words are RunBudget's output rows,
+// with its budget charges and exhaustion outcomes, on the path the
+// netlist's shape picks — and every path runs.
+func TestOutputsMatchRunBudget(t *testing.T) {
+	trials := 40
+	if testing.Short() {
+		trials = 10
+	}
+	ran := map[string]int{}
+	for trial := 0; trial < trials; trial++ {
+		for family := 0; family <= udShapes; family++ {
+			rng := rand.New(rand.NewSource(int64(7000 + trial*(udShapes+1) + family)))
+			nIn, nGates := 1+rng.Intn(3), 1+rng.Intn(12)
+			if trial%2 == 1 {
+				nIn, nGates = 1+rng.Intn(6), 1+rng.Intn(40)
+			}
+			n := randOutputsNetlist(rng, family, nIn, nGates)
+			cycles := outCycles[rng.Intn(len(outCycles))]
+			label := fmt.Sprintf("trial %d family %d cycles %d", trial, family, cycles)
+			ran[checkOutputs(t, n, randVectors(rng, cycles, len(n.Inputs)), cycles, label)]++
+		}
+	}
+	for _, path := range []string{PathFeedForward, PathTable, PathRun} {
+		if ran[path] == 0 {
+			t.Errorf("no netlist took the %s path: %v", path, ran)
+		}
+	}
+}
+
+// FuzzOutputsEquivalence drives the differential property with fuzzed
+// netlist families, sizes and run lengths.
+func FuzzOutputsEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(3), uint8(20), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(2), uint8(9), uint8(3))
+	f.Add(int64(3), uint8(2), uint8(1), uint8(6), uint8(5))
+	f.Add(int64(4), uint8(3), uint8(4), uint8(30), uint8(2))
+	f.Add(int64(5), uint8(4), uint8(2), uint8(8), uint8(4))
+	f.Add(int64(6), uint8(6), uint8(2), uint8(7), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, family, nIn, nGates, cyc uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := randOutputsNetlist(rng, int(family)%(udShapes+1), 1+int(nIn)%8, 1+int(nGates)%64)
+		cycles := outCycles[int(cyc)%len(outCycles)]
+		checkOutputs(t, n, randVectors(rng, cycles, len(n.Inputs)), cycles, "fuzz")
+	})
+}
+
+// TestOutputsBadVector: on every path, a wrong-width vector fails with
+// RunBudget's input error after RunBudget's charges — mid-block, at
+// cycle 0 before any charge — and a step limit that trips first wins,
+// as on RunBudget.
+func TestOutputsBadVector(t *testing.T) {
+	nets := map[string]*logic.Netlist{
+		PathFeedForward: randUnitDelayNetlist(rand.New(rand.NewSource(11)), 4, 30, udPipelined),
+		PathTable:       randUnitDelayNetlist(rand.New(rand.NewSource(12)), 2, 6, udFeedback),
+		PathRun:         randUnitDelayNetlist(rand.New(rand.NewSource(13)), 4, 30, udLatch),
+	}
+	const cycles = 130
+	for path, n := range nets {
+		if got := OutputsPath(n); got != path {
+			t.Fatalf("netlist for %s takes %s", path, got)
+		}
+		for _, bad := range []int{0, 100} {
+			rng := rand.New(rand.NewSource(int64(bad)))
+			vecs := make([][]bool, cycles)
+			for c := range vecs {
+				vecs[c] = bitutil.ToBits(rng.Uint64(), len(n.Inputs))
+			}
+			vecs[bad] = vecs[bad][:1]
+			for _, limit := range []int64{0, 500, 3000} {
+				bg, bw := budget.New(budget.WithMaxSteps(limit)), budget.New(budget.WithMaxSteps(limit))
+				_, gotErr := Outputs(bg, n, VectorInputs(vecs), cycles)
+				_, wantErr := RunBudget(bw, n, VectorInputs(vecs), cycles, Options{})
+				if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() || bg.StepsUsed() != bw.StepsUsed() {
+					t.Fatalf("%s, bad vector %d, limit %d: got (%v, %d steps), RunBudget (%v, %d steps)",
+						path, bad, limit, gotErr, bg.StepsUsed(), wantErr, bw.StepsUsed())
+				}
+			}
+		}
+	}
+}
+
+// TestOutputsErrors: argument and netlist errors are RunBudget's own;
+// more than 64 outputs is a typed input error.
+func TestOutputsErrors(t *testing.T) {
+	ok := randUnitDelayNetlist(rand.New(rand.NewSource(1)), 2, 5, udFeedForward)
+	loop := logic.New()
+	x := loop.AddInput("x")
+	a := loop.Add(logic.And, x, x)
+	b := loop.Add(logic.Or, a, x)
+	loop.Gates[a].Fanin[1] = b
+	loop.MarkOutput(b)
+	vecs := VectorInputs([][]bool{{true, false}, {false, true}})
+	cases := []struct {
+		name   string
+		n      *logic.Netlist
+		inputs InputProvider
+		cycles int
+	}{
+		{"nil netlist", nil, vecs, 2},
+		{"zero cycles", ok, vecs, 0},
+		{"nil inputs", ok, nil, 2},
+		{"combinational cycle", loop, VectorInputs([][]bool{{true}}), 1},
+	}
+	for _, tc := range cases {
+		_, gotErr := Outputs(nil, tc.n, tc.inputs, tc.cycles)
+		_, wantErr := RunBudget(nil, tc.n, tc.inputs, tc.cycles, Options{})
+		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Errorf("%s: got %v, RunBudget %v", tc.name, gotErr, wantErr)
+		}
+	}
+	wide := logic.New()
+	in := wide.AddInput("x")
+	for i := 0; i < 65; i++ {
+		wide.MarkOutput(wide.Add(logic.Not, in))
+	}
+	if _, err := Outputs(nil, wide, VectorInputs([][]bool{{true}}), 1); !hlerr.IsInput(err) {
+		t.Fatalf("65 outputs: want input error, got %v", err)
 	}
 }

@@ -218,14 +218,6 @@ func runShardPackedOpt(b *budget.Budget, e *env, prog *logic.Program, fused *log
 		outFlat = make([]bool, cycles*nOut)
 	}
 
-	fetch := func(cycle int) ([]bool, error) {
-		vec := inputs(cycle)
-		if len(vec) != len(n.Inputs) {
-			return nil, hlerr.Errorf("sim.Run", "input vector width %d, want %d", len(vec), len(n.Inputs))
-		}
-		return vec, nil
-	}
-
 	words, carry := sc.planes(len(n.Gates))
 	settle := func() {
 		if fused != nil {
@@ -250,7 +242,7 @@ func runShardPackedOpt(b *budget.Budget, e *env, prog *logic.Program, fused *log
 			words[sig] = w >> uint(i) & 1
 		}
 	} else {
-		vec, err := fetch(base)
+		vec, err := fetchVec(n, inputs, base)
 		if err != nil {
 			return nil, err
 		}
@@ -312,7 +304,7 @@ func runShardPackedOpt(b *budget.Budget, e *env, prog *logic.Program, fused *log
 				words[sig] = 0
 			}
 			for j := 0; j < lanes; j++ {
-				vec, err := fetch(lo + w0 + j)
+				vec, err := fetchVec(n, inputs, lo+w0+j)
 				if err != nil {
 					return nil, err
 				}

@@ -228,6 +228,16 @@ func checkRun(inputs InputProvider, cycles int) error {
 	return nil
 }
 
+// fetchVec returns a cycle's input vector, or a typed input error when
+// its width is not the netlist's input count.
+func fetchVec(n *logic.Netlist, inputs InputProvider, cycle int) ([]bool, error) {
+	vec := inputs(cycle)
+	if len(vec) != len(n.Inputs) {
+		return nil, hlerr.Errorf("sim.Run", "input vector width %d, want %d", len(vec), len(n.Inputs))
+	}
+	return vec, nil
+}
+
 // prepareNet builds the netlist-derived environment — the read-only
 // tables every run over this netlist shares. Split from prepare so
 // Compile can pay this once for a whole batch of runs.
@@ -387,14 +397,6 @@ func runShard(b *budget.Budget, e *env, inputs InputProvider, lo, hi int, lean b
 			}
 		}
 	}
-	fetch := func(cycle int) ([]bool, error) {
-		vec := inputs(cycle)
-		if len(vec) != len(n.Inputs) {
-			return nil, hlerr.Errorf("sim.Run", "input vector width %d, want %d", len(vec), len(n.Inputs))
-		}
-		return vec, nil
-	}
-
 	// Baseline: transitions in the shard's first cycle are counted
 	// against the settled values of the previous input vector (vector 0
 	// for the first shard, matching the serial reset initialization).
@@ -402,7 +404,7 @@ func runShard(b *budget.Budget, e *env, inputs InputProvider, lo, hi int, lean b
 	if base < 0 {
 		base = 0
 	}
-	vec, err := fetch(base)
+	vec, err := fetchVec(n, inputs, base)
 	if err != nil {
 		return nil, err
 	}
@@ -420,7 +422,7 @@ func runShard(b *budget.Budget, e *env, inputs InputProvider, lo, hi int, lean b
 		b.Check(int64(len(e.order)) + 1)
 		cur = cycle - lo
 		copy(prev, values)
-		vec, err := fetch(cycle)
+		vec, err := fetchVec(n, inputs, cycle)
 		if err != nil {
 			return nil, err
 		}

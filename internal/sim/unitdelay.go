@@ -19,7 +19,6 @@ import (
 
 	"hlpower/internal/budget"
 	"hlpower/internal/hlerr"
-	"hlpower/internal/logic"
 )
 
 // KernelUnitDelay in Result.Kernel marks a lean event-driven run
@@ -28,18 +27,15 @@ import (
 const KernelUnitDelay = "unit-delay"
 
 // unitDelay is the compiled form of a netlist eligible for the
-// unit-delay path. Eligibility is a property of the netlist's shape:
-// an event-driven model, Delay 1 on every gate with a fanin (a
-// flip-flop's delay times the round that scheduling it opens, so DFFs
-// included), no Latch or EnDFF, and an acyclic graph over the fanin
-// edges including D→DFF — the feed-forward shape lopt.PipelineCut
-// builds. Acyclicity is what lets a whole block settle in one pass: a
-// DFF reads its D from the previous lane, and its D is settled first.
+// unit-delay path. Eligibility is a property of the netlist's shape: an
+// event-driven model, Delay 1 on every gate with a fanin (a flip-flop's
+// delay times the round that scheduling it opens, so DFFs included),
+// and a feed-forward settle program (no Latch or EnDFF, no cycle
+// through a DFF). The program settles a block's final values in one
+// pass; the step windows drive the recurrence from each cycle's start
+// to them.
 type unitDelay struct {
-	order  []int32      // every gate, fanins (a DFF's D included) first
-	kinds  []logic.Kind // per gate id
-	argOff []int32      // per gate id: fanins are args[argOff[id]:argOff[id+1]]
-	args   []int32
+	feedForward
 	reader []bool // per gate id: some gate, DFFs included, reads it
 
 	// A change reaches a gate one step per gate along a path from a
@@ -60,45 +56,17 @@ func compileUnitDelay(e *env) *unitDelay {
 		return nil
 	}
 	gates := e.n.Gates
-	nArgs := 0
 	for _, g := range gates {
-		if g.Kind == logic.Latch || g.Kind == logic.EnDFF || (len(g.Fanin) > 0 && g.Delay != 1) {
+		if len(g.Fanin) > 0 && g.Delay != 1 {
 			return nil
 		}
-		nArgs += len(g.Fanin)
 	}
-	u := &unitDelay{
-		order:  make([]int32, 0, len(gates)),
-		kinds:  make([]logic.Kind, len(gates)),
-		argOff: make([]int32, len(gates)+1),
-		args:   make([]int32, 0, nArgs),
-		reader: make([]bool, len(gates)),
+	ff, ok := compileFeedForward(gates)
+	if !ok {
+		return nil // a latch, an enabled flip-flop or a cycle: the wheel keeps it
 	}
-	// Kahn's algorithm over every fanin edge; the remaining in-degree
-	// lives in argOff until the CSR is built below.
-	indeg := u.argOff[1:]
-	for id, g := range gates {
-		indeg[id] = int32(len(g.Fanin))
-		if indeg[id] == 0 {
-			u.order = append(u.order, int32(id))
-		}
-	}
-	for head := 0; head < len(u.order); head++ {
-		for _, r := range e.fanouts[u.order[head]] {
-			if indeg[r]--; indeg[r] == 0 {
-				u.order = append(u.order, int32(r))
-			}
-		}
-	}
-	if len(u.order) != len(gates) {
-		return nil // a cycle through a flip-flop: the wheel keeps it
-	}
-	for id, g := range gates {
-		u.kinds[id] = g.Kind
-		for _, f := range g.Fanin {
-			u.args = append(u.args, int32(f))
-		}
-		u.argOff[id+1] = int32(len(u.args))
+	u := &unitDelay{feedForward: ff, reader: make([]bool, len(gates))}
+	for id := range gates {
 		u.reader[id] = len(e.fanouts[id]) > 0
 	}
 	// Path-length windows from the sources (DFFs included), then the
@@ -154,30 +122,6 @@ type udCommit struct {
 	w  uint64
 }
 
-// settle computes every gate's settled word from the input words
-// already in s. A DFF's lane j is its D's lane j−1; lane 0 is its D's
-// last lane in the previous block (held in carry) or, when first, its
-// Init value.
-func (u *unitDelay) settle(gates []logic.Gate, s, carry []uint64, first bool) {
-	for _, id := range u.order {
-		a := u.args[u.argOff[id]:u.argOff[id+1]]
-		switch k := u.kinds[id]; k {
-		case logic.Input:
-		case logic.DFF:
-			in := carry[a[0]]
-			if first {
-				in = 0
-				if gates[id].Init {
-					in = 1
-				}
-			}
-			s[id] = s[a[0]]<<1 | in
-		default:
-			s[id] = evalWord(k, a, s)
-		}
-	}
-}
-
 // runShardUnitDelay simulates cycles [lo, hi) of an eligible netlist on
 // the unit-delay recurrence, lean: it fills the shard's toggles and
 // per-cycle capacitance only. Lane layout follows runShardPackedOpt:
@@ -193,17 +137,9 @@ func runShardUnitDelay(b *budget.Budget, e *env, u *unitDelay, inputs InputProvi
 	settled, carry := sc.planes(nGates)
 	cur, commits := sc.unitDelayState(nGates)
 
-	fetch := func(cycle int) ([]bool, error) {
-		vec := inputs(cycle)
-		if len(vec) != len(n.Inputs) {
-			return nil, hlerr.Errorf("sim.Run", "input vector width %d, want %d", len(vec), len(n.Inputs))
-		}
-		return vec, nil
-	}
-
 	// Baseline: vector lo−1 settled (vector 0 and the reset state for
 	// the first shard), exactly as the wheel's shard settles it.
-	vec, err := fetch(max(lo-1, 0))
+	vec, err := fetchVec(n, inputs, max(lo-1, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -224,26 +160,9 @@ func runShardUnitDelay(b *budget.Budget, e *env, u *unitDelay, inputs InputProvi
 	var capBuf [64]float64
 	var rounds [64]int
 	for w0 := 0; w0 < cycles; w0 += 64 {
-		lanes := min(cycles-w0, 64)
-		// Gather. A wrong-width vector ends the block at its lane: the
-		// lanes before it run and charge, then its cycle charges and
-		// fails, as on the wheel.
-		for _, sig := range n.Inputs {
-			settled[sig] = 0
-		}
-		var bad error
-		for j := 0; j < lanes; j++ {
-			vec, err := fetch(lo + w0 + j)
-			if err != nil {
-				bad, lanes = err, j
-				break
-			}
-			for i, sig := range n.Inputs {
-				if vec[i] {
-					settled[sig] |= 1 << uint(j)
-				}
-			}
-		}
+		// The lanes before a wrong-width vector run and charge, then its
+		// cycle charges and fails, as on the wheel.
+		lanes, bad := gatherBlock(n, inputs, settled, lo+w0, min(cycles-w0, 64))
 		if lanes > 0 {
 			u.settle(n.Gates, settled, carry, lo+w0 == 0)
 			mask := ^uint64(0) >> uint(64-lanes)
