@@ -88,7 +88,8 @@ cover:
 # target (optimize request + checkpoint snapshot), the job
 # cache-equivalence target (a job's status must not depend on the memo
 # cache, last_error included), the kernel
-# equivalence targets (fused vs unfused, codegen vs fused, the
+# equivalence targets (compiled and one-shot fused runs vs the serial
+# engine, codegen vs fused, the
 # event-driven timing wheel vs its map-scheduled reference, lean
 # unit-delay runs vs the timing wheel, and sim.Outputs' words vs
 # RunBudget's output rows, bit-identity including budget
@@ -108,6 +109,7 @@ fuzz:
 	go test -run '^FuzzRecipeWire$$' -fuzz '^FuzzRecipeWire$$' -fuzztime $(FUZZTIME) ./internal/jobs/
 	go test -run '^FuzzJobCacheEquivalence$$' -fuzz '^FuzzJobCacheEquivalence$$' -fuzztime $(FUZZTIME) ./internal/jobs/
 	go test -run '^FuzzFusedEquivalence$$' -fuzz '^FuzzFusedEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
+	go test -run '^FuzzPackedEquivalence$$' -fuzz '^FuzzPackedEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzCodegenEquivalence$$' -fuzz '^FuzzCodegenEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzEventDrivenEquivalence$$' -fuzz '^FuzzEventDrivenEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzUnitDelayEquivalence$$' -fuzz '^FuzzUnitDelayEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/

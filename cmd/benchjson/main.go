@@ -49,11 +49,11 @@ type Entry struct {
 	Name  string `json:"name"`
 	Iters int    `json:"iterations"`
 	// Variant classifies the execution engine: "serial" (interpreted,
-	// one goroutine), "packed" (64-lane bit-packed kernel, one
-	// goroutine), "fused" (compiled superinstruction artifact),
-	// "codegen" (specialized per-netlist evaluator), "unit-delay"
-	// (64-lane event-driven recurrence), or "parallel" (sharded worker
-	// pool).
+	// one goroutine), "packed" (the one-shot sim.RunPacked: a compile
+	// plus a fused 64-lane run on one goroutine), "fused" (compiled
+	// superinstruction artifact), "codegen" (specialized per-netlist
+	// evaluator), "unit-delay" (64-lane event-driven recurrence), or
+	// "parallel" (sharded worker pool).
 	Variant string `json:"variant,omitempty"`
 	// GOMAXPROCS is the scheduler width this entry was measured under.
 	// Parallel variants are always recorded pinned to 1 (the scheduling
@@ -131,14 +131,30 @@ func main() {
 	serialSim.Variant = "serial"
 	snap.Results = append(snap.Results, serialSim)
 
+	// The serial engine is the reference every kernel entry is asserted
+	// against before timing starts.
+	serialRef, err := sim.Run(simNet, simInputs, cycles, sim.Options{})
+	if err != nil {
+		fatal(err)
+	}
+
+	// One-shot packed run (a compile plus a fused run per call): the
+	// library path cmd/repro's gate-level ground truth takes.
+	packedRef, err := sim.RunPacked(simNet, simInputs, cycles, sim.Options{})
+	if err != nil {
+		fatal(err)
+	}
+	if err := sameBits(packedRef, serialRef); err != nil {
+		fatal(fmt.Errorf("sim/packed: %v", err))
+	}
 	packedSim := measure("sim/packed", simBytes, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := sim.RunPacked(simNet, simInputs, cycles, sim.Options{})
 			if err != nil {
 				fatal(err)
 			}
-			if res.Kernel != sim.KernelPacked {
-				fatal(fmt.Errorf("packed run fell back: %q", res.Fallback))
+			if res.Kernel != sim.KernelFused {
+				fatal(fmt.Errorf("packed run on kernel %q, fallback %q", res.Kernel, res.Fallback))
 			}
 		}
 	})
@@ -151,7 +167,7 @@ func main() {
 	// lean result — the steady-state shape powerd serves. Compilation
 	// happens outside the timed region (the serving layer amortizes it
 	// across requests via the artifact cache); the power figure is
-	// asserted bit-identical to the unfused kernel before timing starts.
+	// asserted bit-identical to the serial engine before timing starts.
 	simComp, err := sim.Compile(simNet, sim.Options{})
 	if err != nil {
 		fatal(err)
@@ -159,16 +175,12 @@ func main() {
 	if simComp.FusedAbsorbed() == 0 {
 		fatal(fmt.Errorf("sim/fused: multiplier workload fused nothing"))
 	}
-	unfusedRef, err := sim.RunPacked(simNet, simInputs, cycles, sim.Options{})
-	if err != nil {
-		fatal(err)
-	}
 	fusedRef, err := simComp.Run(nil, simInputs, cycles, sim.RunOptions{Workers: 1, Words: simWords, Lean: true})
 	if err != nil {
 		fatal(err)
 	}
-	if math.Float64bits(unfusedRef.Power()) != math.Float64bits(fusedRef.Power()) {
-		fatal(fmt.Errorf("sim/fused: power %v differs from unfused %v", fusedRef.Power(), unfusedRef.Power()))
+	if math.Float64bits(serialRef.Power()) != math.Float64bits(fusedRef.Power()) {
+		fatal(fmt.Errorf("sim/fused: power %v differs from serial %v", fusedRef.Power(), serialRef.Power()))
 	}
 	runFused := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -296,19 +308,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	udRef := runUnitDelay()
-	if math.Float64bits(udRef.SwitchedCap) != math.Float64bits(edRef.SwitchedCap) {
-		fatal(fmt.Errorf("sim/unit-delay: switched cap %v differs from the wheel's %v", udRef.SwitchedCap, edRef.SwitchedCap))
-	}
-	for c, v := range edRef.PerCycleCap {
-		if math.Float64bits(udRef.PerCycleCap[c]) != math.Float64bits(v) {
-			fatal(fmt.Errorf("sim/unit-delay: cycle %d cap %v differs from the wheel's %v", c, udRef.PerCycleCap[c], v))
-		}
-	}
-	for id, v := range edRef.Toggles {
-		if udRef.Toggles[id] != v {
-			fatal(fmt.Errorf("sim/unit-delay: net %d toggles %d, the wheel %d", id, udRef.Toggles[id], v))
-		}
+	if err := sameBits(runUnitDelay(), edRef); err != nil {
+		fatal(fmt.Errorf("sim/unit-delay: %v", err))
 	}
 	udSim := measure("sim/unit-delay", edBytes, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -937,6 +938,26 @@ func serveHitBench() func(b *testing.B) {
 			}
 		}
 	}
+}
+
+// sameBits reports the first difference between a kernel's result and
+// the reference engine's in the figures a lean run keeps: switched
+// capacitance and per-cycle capacitance to the bit, and toggle counts.
+func sameBits(got, want *sim.Result) error {
+	if math.Float64bits(got.SwitchedCap) != math.Float64bits(want.SwitchedCap) {
+		return fmt.Errorf("switched cap %v differs from the reference's %v", got.SwitchedCap, want.SwitchedCap)
+	}
+	for c, v := range want.PerCycleCap {
+		if math.Float64bits(got.PerCycleCap[c]) != math.Float64bits(v) {
+			return fmt.Errorf("cycle %d cap %v differs from the reference's %v", c, got.PerCycleCap[c], v)
+		}
+	}
+	for id, v := range want.Toggles {
+		if got.Toggles[id] != v {
+			return fmt.Errorf("net %d toggles %d, the reference %d", id, got.Toggles[id], v)
+		}
+	}
+	return nil
 }
 
 func round3(v float64) float64 { return float64(int(v*1000+0.5)) / 1000 }

@@ -151,13 +151,15 @@ func SimulateBudget(b *Budget, n *Netlist, inputs func(cycle int) []bool, cycles
 	return sim.RunBudget(b, n, inputs, cycles, opts)
 }
 
-// SimulatePacked is SimulateBudget on the compiled 64-lane bit-packed
-// kernel: combinational netlists under the zero-delay model evaluate 64
-// Monte Carlo vectors per machine word, an order of magnitude faster
-// than the interpreted engine with bit-identical results. Ineligible
-// workloads (sequential netlists, event-driven runs) transparently take
-// the scalar path; Result.Kernel and Result.Fallback report which
-// engine actually ran.
+// SimulatePacked is SimulateBudget on the 64-lane bit-packed kernel:
+// each call compiles the netlist and runs it once on the fused executor
+// a CompileSim artifact runs, so combinational netlists under the
+// zero-delay model evaluate 64 Monte Carlo vectors per machine word, an
+// order of magnitude faster than the interpreted engine with
+// bit-identical results. Ineligible workloads (sequential netlists,
+// event-driven runs) transparently take the scalar path;
+// Result.Kernel and Result.Fallback report which engine actually ran.
+// Compile a netlist that runs many times with CompileSim instead.
 func SimulatePacked(b *Budget, n *Netlist, inputs func(cycle int) []bool, cycles int, opts SimOptions) (res *SimResult, err error) {
 	defer hlerr.RecoverAll(&err)
 	return sim.RunPackedBudget(b, n, inputs, cycles, opts)

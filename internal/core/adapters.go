@@ -58,10 +58,12 @@ func (e *GateLevelEstimator) key() memo.Key {
 }
 
 // Estimate runs the simulation and returns average power. It uses the
-// bit-packed kernel when the workload allows (RunPacked degrades to the
+// one-shot RunPacked, which compiles the netlist and runs it on the
+// fused 64-lane kernel when the workload allows and degrades to the
 // scalar engine for sequential netlists and event-driven runs, with
-// identical results either way). With Memo set, a repeated estimate is
-// replayed from the cache bit-identically instead of re-simulating.
+// results bit-identical to the serial engine either way. With Memo
+// set, a repeated estimate is replayed from the cache bit-identically
+// instead of re-simulating.
 func (e *GateLevelEstimator) Estimate() (float64, error) {
 	if e.Net == nil || e.Inputs == nil || e.Cycles <= 0 {
 		return 0, errors.New("core: gate estimator needs a netlist, inputs, and cycles")

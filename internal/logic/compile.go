@@ -19,10 +19,8 @@ type Program struct {
 	Outs   []int32 // destination signal id
 	ArgOff []int32 // len(Kinds)+1 offsets into Args
 	Args   []int32 // flattened fanin signal ids
-	Levels []int32 // levelization depth of each instruction
 
-	nGates  int
-	nLevels int
+	nGates int
 }
 
 // NumInstrs returns the number of compiled instructions (the netlist's
@@ -33,24 +31,25 @@ func (p *Program) NumInstrs() int { return len(p.Kinds) }
 // size of the value array an executor must allocate.
 func (p *Program) NumGates() int { return p.nGates }
 
-// NumLevels returns the number of distinct levelization depths.
-func (p *Program) NumLevels() int { return p.nLevels }
-
-// Compile levelizes a combinational netlist into a Program. Sequential
-// cells (DFF, EnDFF, Latch) are a typed input error: their cross-cycle
-// state breaks the pure-dataflow contract the compiled kernels rely on,
-// and callers are expected to keep those netlists on the interpreted
-// path. Construction errors and combinational cycles propagate from the
-// netlist exactly as TopoOrder reports them.
-func Compile(n *Netlist) (*Program, error) {
+// Compile levelizes a combinational netlist into a Program. topo is the
+// netlist's topological order as TopoOrder returns it: levels are
+// computed along it, because a gate's fanins need not have smaller ids
+// (a rewire through Gates can make a gate read a later one without
+// creating a cycle). An order that lists a gate before one of its
+// fanins, or that has the wrong length, is an error. Sequential cells
+// (DFF, EnDFF, Latch) are a typed input error: their cross-cycle state
+// breaks the pure-dataflow contract the compiled kernels rely on, and
+// callers are expected to keep those netlists on the interpreted path.
+// Construction errors propagate from the netlist.
+func Compile(n *Netlist, topo []int) (*Program, error) {
 	if n == nil {
 		return nil, hlerr.Errorf("logic.Compile", "nil netlist")
 	}
 	if err := n.Err(); err != nil {
 		return nil, err
 	}
-	if _, err := n.TopoOrder(); err != nil {
-		return nil, err
+	if len(topo) != len(n.Gates) {
+		return nil, hlerr.Errorf("logic.Compile", "topological order lists %d gates, netlist has %d", len(topo), len(n.Gates))
 	}
 	for id, g := range n.Gates {
 		if g.Kind.IsSequential() || g.Kind == Latch {
@@ -58,31 +57,34 @@ func Compile(n *Netlist) (*Program, error) {
 		}
 	}
 
-	// Levelize: inputs and constants sit at level 0; a gate sits one
-	// past its deepest fanin. Iterating ids in TopoOrder is unnecessary
-	// here — combinational fanins always have smaller levels, and a
-	// single ascending-id pass suffices only when fanins precede their
-	// readers, which AddG guarantees (fanin ids must already exist).
+	// Levelize along topo: inputs and constants sit at level 0; a gate
+	// sits one past its deepest fanin. A fanin still at -1 has not been
+	// visited, so topo does not order it before its reader.
 	level := make([]int32, len(n.Gates))
+	for id := range level {
+		level[id] = -1
+	}
 	maxLevel := int32(0)
-	for id, g := range n.Gates {
+	for _, id := range topo {
+		g := &n.Gates[id]
 		if g.Kind == Input || g.Kind == Const0 || g.Kind == Const1 {
+			level[id] = 0
 			continue
 		}
 		l := int32(0)
 		for _, f := range g.Fanin {
-			if level[f] > l {
-				l = level[f]
+			if level[f] < 0 {
+				return nil, hlerr.Errorf("logic.Compile", "topological order visits gate %d before its fanin %d", id, f)
 			}
+			l = max(l, level[f])
 		}
 		level[id] = l + 1
-		if level[id] > maxLevel {
-			maxLevel = level[id]
-		}
+		maxLevel = max(maxLevel, level[id])
 	}
 
 	// Bucket instructions by level (counting sort keeps the pass linear
-	// and the within-level order ascending by id).
+	// and the within-level order ascending by id). After the prefix sum,
+	// counts[l] is the next free slot of level l.
 	counts := make([]int32, maxLevel+2)
 	nInstr, nArgs := 0, 0
 	for id, g := range n.Gates {
@@ -97,29 +99,25 @@ func Compile(n *Netlist) (*Program, error) {
 		counts[l] += counts[l-1]
 	}
 	order := make([]int32, nInstr)
-	pos := append([]int32(nil), counts[:maxLevel+1]...)
 	for id, g := range n.Gates {
 		if g.Kind == Input {
 			continue
 		}
-		order[pos[level[id]]] = int32(id)
-		pos[level[id]]++
+		order[counts[level[id]]] = int32(id)
+		counts[level[id]]++
 	}
 
 	p := &Program{
-		Kinds:   make([]Kind, 0, nInstr),
-		Outs:    make([]int32, 0, nInstr),
-		ArgOff:  make([]int32, 1, nInstr+1),
-		Args:    make([]int32, 0, nArgs),
-		Levels:  make([]int32, 0, nInstr),
-		nGates:  len(n.Gates),
-		nLevels: int(maxLevel) + 1,
+		Kinds:  make([]Kind, 0, nInstr),
+		Outs:   make([]int32, 0, nInstr),
+		ArgOff: make([]int32, 1, nInstr+1),
+		Args:   make([]int32, 0, nArgs),
+		nGates: len(n.Gates),
 	}
 	for _, id := range order {
 		g := &n.Gates[id]
 		p.Kinds = append(p.Kinds, g.Kind)
 		p.Outs = append(p.Outs, id)
-		p.Levels = append(p.Levels, level[id])
 		for _, f := range g.Fanin {
 			p.Args = append(p.Args, int32(f))
 		}

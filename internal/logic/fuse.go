@@ -13,7 +13,7 @@
 // group computes exactly the words the unfused instructions computed
 // (AND/OR/XOR are bitwise-exact and commutative, so operand order
 // inside a group is free), which is what keeps fused runs Float64bits-
-// identical to unfused ones — the property the sim package's
+// identical to the serial engine — the property the sim package's
 // equivalence tests and FuzzFusedEquivalence pin.
 //
 // Legality: a producer may be hoisted into its consumer's position only

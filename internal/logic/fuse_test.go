@@ -6,10 +6,19 @@ import (
 	"testing"
 )
 
+// compileTopo compiles a netlist along its own topological order.
+func compileTopo(n *Netlist) (*Program, error) {
+	topo, err := n.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	return Compile(n, topo)
+}
+
 // fuseOf compiles and fuses a netlist, failing the test on any error.
 func fuseOf(t *testing.T, n *Netlist) (*Program, *FusedProgram) {
 	t.Helper()
-	p, err := Compile(n)
+	p, err := compileTopo(n)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
@@ -175,7 +184,7 @@ func TestFuseRandomNetlistInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		n := randNetlist(rng, 2+rng.Intn(6), 1+rng.Intn(60))
-		p, err := Compile(n)
+		p, err := compileTopo(n)
 		if err != nil {
 			t.Fatalf("trial %d: Compile: %v", trial, err)
 		}
@@ -186,6 +195,33 @@ func TestFuseRandomNetlistInvariants(t *testing.T) {
 		if !reflect.DeepEqual(fp, Fuse(p)) {
 			t.Fatalf("trial %d: Fuse is not deterministic", trial)
 		}
+	}
+}
+
+// TestCompileLevelizesAlongTopo: a gate may read a gate with a higher
+// id (a rewire through Gates builds one without a cycle). Compile
+// levelizes along the topological order it is given, so the fanin's
+// instruction comes first; an order that visits a reader before its
+// fanin, or lists the wrong number of gates, is an error.
+func TestCompileLevelizesAlongTopo(t *testing.T) {
+	n := New()
+	a, b := n.AddInput("a"), n.AddInput("b")
+	g2 := n.Add(And, a, b)
+	g3 := n.Add(Xor, a, b)
+	n.Gates[g2].Fanin[1] = g3
+	n.MarkOutput(g2)
+	p, err := compileTopo(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int32{int32(g3), int32(g2)}; !reflect.DeepEqual(p.Outs, want) {
+		t.Fatalf("instruction order %v, want %v", p.Outs, want)
+	}
+	if _, err := Compile(n, []int{a, b, g2, g3}); err == nil {
+		t.Fatal("an order visiting gate 2 before its fanin 3 compiled")
+	}
+	if _, err := Compile(n, []int{a, b, g3}); err == nil {
+		t.Fatal("an order missing a gate compiled")
 	}
 }
 

@@ -15,10 +15,11 @@ import (
 	"hlpower/internal/stats"
 )
 
-// oneShotTruth is the reference ground truth: a one-shot gate-level
-// simulation of the stream, first cycle dropped.
+// oneShotTruth is the reference ground truth: the serial engine's
+// gate-level simulation of the stream, first cycle dropped.
 func oneShotTruth(mod *rtlib.Module, as, bs []uint64) ([]float64, error) {
-	res, err := mod.SimulateStreamBudget(nil, as, bs, sim.ZeroDelay)
+	inputs := func(c int) []bool { return mod.InputVector(as[c], bs[c]) }
+	res, err := sim.RunBudget(nil, mod.Net, inputs, len(as), sim.Options{})
 	if err != nil {
 		return nil, err
 	}

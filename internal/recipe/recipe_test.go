@@ -198,8 +198,21 @@ func TestApplyUnknownAndWrongKind(t *testing.T) {
 	}
 }
 
+// registerTestPass registers p for the rest of the test and removes it
+// from the registry at cleanup, so the test can run again in the same
+// process (go test -count=N).
+func registerTestPass(t *testing.T, p Pass) {
+	t.Helper()
+	Register(p)
+	t.Cleanup(func() {
+		regMu.Lock()
+		defer regMu.Unlock()
+		delete(registry, p.Name)
+	})
+}
+
 func TestApplyPanicContained(t *testing.T) {
-	Register(Pass{Name: "zz-test-panic", Kind: KindBus,
+	registerTestPass(t, Pass{Name: "zz-test-panic", Kind: KindBus,
 		Apply: func(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error) {
 			panic("poisoned pass")
 		}})
@@ -217,7 +230,7 @@ func TestApplyPanicContained(t *testing.T) {
 // TestVerifyCatchesBrokenPass registers a pass that silently inverts
 // an output and checks the built-in equivalence gate rejects it.
 func TestVerifyCatchesBrokenPass(t *testing.T) {
-	Register(Pass{Name: "zz-test-broken", Kind: KindCircuit,
+	registerTestPass(t, Pass{Name: "zz-test-broken", Kind: KindCircuit,
 		Apply: func(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error) {
 			out := *d
 			net := d.Net.Clone()

@@ -62,8 +62,8 @@ type SimulateResponse struct {
 	Power       float64 `json:"power"`
 	Shards      int     `json:"shards"`
 	Fallback    string  `json:"fallback,omitempty"`
-	// Kernel is "packed" when the 64-lane bit-packed kernel served the
-	// request, empty when the interpreted scalar engine ran.
+	// Kernel names the 64-lane tier that served the request ("fused" or
+	// "codegen"), empty when the interpreted scalar engine ran.
 	Kernel string `json:"kernel,omitempty"`
 	Hedged bool   `json:"hedged"`
 	// Cached reports the response was replayed from the estimate cache
@@ -215,7 +215,6 @@ type Local struct {
 	codegenFails   atomic.Int64
 	promotions     atomic.Int64
 	tierScalar     atomic.Int64
-	tierPacked     atomic.Int64
 	tierFused      atomic.Int64
 	tierCodegen    atomic.Int64
 }
@@ -383,8 +382,6 @@ func (l *Local) noteTier(kernel string) {
 		l.tierCodegen.Add(1)
 	case sim.KernelFused:
 		l.tierFused.Add(1)
-	case sim.KernelPacked:
-		l.tierPacked.Add(1)
 	default:
 		l.tierScalar.Add(1)
 	}
@@ -424,8 +421,8 @@ type KernelStats struct {
 	// the process lifetime, however many requests race the cold start.
 	ArtifactBuilds int64 `json:"artifact_builds"`
 	// Tiers counts estimation runs served per kernel tier ("scalar",
-	// "packed", "fused", "codegen") across every artifact path —
-	// single requests, batch items, rank candidates, and predict's
+	// "fused", "codegen") across every artifact path — single
+	// requests, batch items, rank candidates, and predict's
 	// ground-truth runs (the training trace, plus the evaluation trace
 	// when it misses the estimate cache).
 	Tiers map[string]int64 `json:"tiers,omitempty"`
@@ -456,7 +453,6 @@ func (l *Local) KernelStats() KernelStats {
 	}
 	for name, c := range map[string]int64{
 		"scalar":  l.tierScalar.Load(),
-		"packed":  l.tierPacked.Load(),
 		"fused":   l.tierFused.Load(),
 		"codegen": l.tierCodegen.Load(),
 	} {

@@ -516,7 +516,7 @@ func (cg *codegenProgram) extractFull(words, cb []uint64, tog []int64, capBuf *[
 // runShardCodegen simulates cycles [lo, hi) on the specialized
 // evaluator. The shard protocol — baseline settle, carry seeding, the
 // per-64-cycle block loop, budget charging (source-program gates per
-// cycle), input gather, lane masking — mirrors runShardPackedOpt line
+// cycle), input gather, lane masking — mirrors runShardPacked line
 // for line; only the settle and the extraction are the generated,
 // layout-baked forms.
 func runShardCodegen(b *budget.Budget, e *env, cg *codegenProgram, inputs InputProvider, words64 WordInputs, lean bool, lo, hi int, sc *packedScratch) (sh *shard, err error) {
@@ -544,7 +544,7 @@ func runShardCodegen(b *budget.Budget, e *env, cg *codegenProgram, inputs InputP
 	words, carry := sc.planes(len(n.Gates))
 
 	// Baseline: settle the pre-shard vector in lane 0 and seed the
-	// per-net carry bits from it, exactly as runShardPackedOpt does.
+	// per-net carry bits from it, exactly as runShardPacked does.
 	base := lo - 1
 	if base < 0 {
 		base = 0

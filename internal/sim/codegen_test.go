@@ -100,7 +100,7 @@ func TestCodegenMultiplierWorkload(t *testing.T) {
 
 // TestCodegenBudgetBoundary mirrors TestFusedBudgetBoundary: budget
 // charging ignores the execution tier entirely, so a promoted run
-// charges exactly the steps the unfused kernel charges and trips at
+// charges exactly the steps the serial engine charges and trips at
 // exactly the same allowance boundary.
 func TestCodegenBudgetBoundary(t *testing.T) {
 	const w, cycles = 4, 500
@@ -113,7 +113,7 @@ func TestCodegenBudgetBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := budget.New(budget.WithMaxSteps(1 << 40))
-	if _, err := RunPackedBudget(ref, n, inputs, cycles, Options{}); err != nil {
+	if _, err := RunBudget(ref, n, inputs, cycles, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	need := ref.StepsUsed()
@@ -123,7 +123,7 @@ func TestCodegenBudgetBoundary(t *testing.T) {
 		t.Fatalf("exact budget failed: %v", err)
 	}
 	if exact.StepsUsed() != need {
-		t.Fatalf("codegen charged %d steps, unfused %d", exact.StepsUsed(), need)
+		t.Fatalf("codegen charged %d steps, serial %d", exact.StepsUsed(), need)
 	}
 
 	short := budget.New(budget.WithMaxSteps(need-1), budget.WithCheckInterval(1))

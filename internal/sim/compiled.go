@@ -1,14 +1,13 @@
 // Compiled simulation artifacts. A single estimation request pays the
 // whole netlist setup cost — validation, topological ordering, load and
-// fanout tables, levelized compilation into the struct-of-arrays
-// Program — before the first cycle simulates. A batched pipeline
+// fanout tables, levelized compilation and fusion into the struct-of-
+// arrays program — before the first cycle simulates. A batched pipeline
 // amortizes that cost: Compile performs the setup once and the
 // resulting Compiled value runs any number of workloads (different
 // cycle counts, seeds, worker counts) over the shared tables, reusing
 // the packed kernel's word-plane scratch across runs through a pool.
-// Every run is bit-identical to the corresponding one-shot entry point
-// (Run/RunParallel/RunPacked) — the compiled artifact changes where the
-// work happens, never what it computes.
+// Every run is bit-identical to the serial engine (Run) — the compiled
+// artifact changes where the work happens, never what it computes.
 package sim
 
 import (
@@ -23,17 +22,16 @@ import (
 
 // Compiled is a netlist prepared once for repeated simulation runs
 // under fixed electrical options: the shared environment tables plus —
-// for combinational netlists under the zero-delay model — the levelized
-// struct-of-arrays program the 64-lane packed kernel executes, and its
-// fused-superinstruction form (logic.Fuse) that runs get by default;
-// or — for event-driven options over a unit-delay, feed-forward netlist
-// — the unit-delay program lean runs execute 64 cycles at a time.
-// Safe for concurrent use: the tables and programs are read-only after
-// Compile, and the mutable kernel scratch is pooled per run.
+// for combinational netlists under the zero-delay model — the fused-
+// superinstruction program (logic.Fuse of the levelized logic.Program)
+// the 64-lane packed kernel executes; or — for event-driven options
+// over a unit-delay, feed-forward netlist — the unit-delay program lean
+// runs execute 64 cycles at a time. Safe for concurrent use: the tables
+// and programs are read-only after Compile, and the mutable kernel
+// scratch is pooled per run.
 type Compiled struct {
 	e     *env
-	prog  *logic.Program      // nil: no zero-delay packed kernel (sequential or event-driven)
-	fused *logic.FusedProgram // fused form of prog (nil when prog is nil)
+	fused *logic.FusedProgram // nil: no zero-delay packed kernel (sequential or event-driven)
 	ud    *unitDelay          // non-nil: lean event-driven runs take the unit-delay path
 
 	// codegen holds the specialized evaluator once BuildCodegen has run.
@@ -55,7 +53,7 @@ type Compiled struct {
 }
 
 // Compile prepares a netlist for repeated runs under opts.
-// Combinational zero-delay netlists get the levelized packed-kernel
+// Combinational zero-delay netlists get the fused packed-kernel
 // program. Event-driven options over a netlist whose gates all have
 // Delay 1 and whose flip-flops (DFFs only, no latches) sit in no
 // feedback loop get the unit-delay program, which lean runs execute 64
@@ -64,27 +62,17 @@ type Compiled struct {
 // degrade exactly like RunParallel, with the reason in
 // Result.Fallback). Netlist construction errors and combinational
 // cycles surface here, once, rather than on every run.
-func Compile(n *logic.Netlist, opts Options) (c *Compiled, err error) {
+func Compile(n *logic.Netlist, opts Options) (_ *Compiled, err error) {
 	defer hlerr.Recover(&err)
-	return compileNet(n, opts, true)
-}
-
-// compileNet builds the shared environment and, when wantProg allows it
-// and the workload is eligible, the packed-kernel program.
-func compileNet(n *logic.Netlist, opts Options, wantProg bool) (*Compiled, error) {
 	e, err := prepareNet(n, opts)
 	if err != nil {
 		return nil, err
 	}
-	c := &Compiled{e: e}
-	if wantProg && !e.sequential && opts.Model == ZeroDelay {
-		if c.prog, err = logic.Compile(n); err != nil {
+	c := &Compiled{e: e, ud: compileUnitDelay(e)}
+	if !e.sequential && opts.Model == ZeroDelay {
+		if c.fused, err = compileFused(e); err != nil {
 			return nil, err
 		}
-		c.fused = logic.Fuse(c.prog)
-	}
-	if wantProg {
-		c.ud = compileUnitDelay(e)
 	}
 	nGates := len(n.Gates)
 	c.scratch.New = func() any {
@@ -105,7 +93,7 @@ func (c *Compiled) NumGates() int { return len(c.e.n.Gates) }
 
 // Packed reports whether runs may execute on the 64-lane bit-packed
 // kernel (combinational netlist, zero-delay model).
-func (c *Compiled) Packed() bool { return c.prog != nil }
+func (c *Compiled) Packed() bool { return c.fused != nil }
 
 // FusedMix returns the fused program's opcode mix — instruction count
 // per fused-op name — or nil for scalar-only artifacts.
@@ -187,8 +175,6 @@ type RunOptions struct {
 	Workers int
 	// MinShard is the minimum cycles per shard (DefaultMinShard if 0).
 	MinShard int
-	// Scalar forces the interpreted scalar kernel inside each shard.
-	Scalar bool
 	// NoCodegen forces the fused interpreter even when the specialized
 	// evaluator is built. Serving layers use it to keep fault-armed
 	// requests off the promoted tier; results are bit-identical either
@@ -197,10 +183,11 @@ type RunOptions struct {
 	// Words, when non-nil, feeds the packed kernel pre-packed input
 	// words instead of calling the InputProvider per cycle. It MUST
 	// agree bit for bit with the provider — the provider remains the
-	// source of truth for validation and for every scalar path (Scalar
-	// option, sequential fallback), so a mismatch would silently break
-	// the packed/scalar equivalence. Ignored when the netlist has more
-	// than 64 inputs or the packed kernel is not running.
+	// source of truth for validation and for every scalar path
+	// (sequential or event-driven artifacts), so a mismatch would
+	// silently break the packed/scalar equivalence. Ignored when the
+	// netlist has more than 64 inputs or the packed kernel is not
+	// running.
 	Words WordInputs
 	// Lean skips materializing the per-cycle output vectors, the
 	// per-group energy attribution, and the final settled values —
@@ -223,17 +210,13 @@ func (c *Compiled) Run(b *budget.Budget, inputs InputProvider, cycles int, opts 
 		return nil, err
 	}
 	e := c.e
-	prog := c.prog
 	fused := c.fused
 	ud := c.ud
 	var cg *codegenProgram
-	if prog != nil && !opts.NoCodegen {
+	if fused != nil && !opts.NoCodegen {
 		cg = c.codegen.Load()
 	}
-	if opts.Scalar {
-		prog, fused, cg = nil, nil, nil
-	}
-	if opts.Scalar || !opts.Lean {
+	if !opts.Lean {
 		ud = nil
 	}
 	// Kernel names the tier that actually executes: the specialized
@@ -244,12 +227,12 @@ func (c *Compiled) Run(b *budget.Budget, inputs InputProvider, cycles int, opts 
 	switch {
 	case cg != nil:
 		kernel = KernelCodegen
-	case prog != nil:
+	case fused != nil:
 		kernel = KernelFused
 	case ud != nil:
 		kernel = KernelUnitDelay
 	}
-	pooled := prog != nil || ud != nil
+	pooled := fused != nil || ud != nil
 	words := opts.Words
 	if len(e.n.Inputs) > 64 {
 		words = nil
@@ -267,8 +250,8 @@ func (c *Compiled) Run(b *budget.Budget, inputs InputProvider, cycles int, opts 
 		if cg != nil {
 			return runShardCodegen(wb, e, cg, inputs, words, opts.Lean, lo, hi, sc)
 		}
-		if prog != nil {
-			return runShardPackedOpt(wb, e, prog, fused, inputs, words, opts.Lean, lo, hi, sc)
+		if fused != nil {
+			return runShardPacked(wb, e, fused, inputs, words, opts.Lean, lo, hi, sc)
 		}
 		if ud != nil {
 			return runShardUnitDelay(wb, e, ud, inputs, lo, hi, sc)

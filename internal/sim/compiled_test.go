@@ -61,11 +61,8 @@ func TestCompiledScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Interleave a differently shaped workload (odd cycle count, so the
-	// last word's tail lanes hold garbage) and an explicitly scalar run.
+	// last word's tail lanes hold garbage).
 	if _, err := c.Run(nil, inB, 257, RunOptions{Workers: 3, MinShard: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(nil, inB, 100, RunOptions{Scalar: true}); err != nil {
 		t.Fatal(err)
 	}
 	again, err := c.Run(nil, inA, 300, RunOptions{})
@@ -75,8 +72,8 @@ func TestCompiledScratchReuse(t *testing.T) {
 	sameResult(t, first, again, "scratch-reuse")
 }
 
-// TestCompiledScalarOption: forcing the interpreted kernel changes the
-// Kernel tag, never the numbers.
+// TestCompiledScalarOption: a sharded compiled run and the interpreted
+// scalar engine differ in the Kernel tag, never in the numbers.
 func TestCompiledScalarOption(t *testing.T) {
 	n, inputs := mcNetlist(t, 12, 400, 7)
 	c, err := Compile(n, Options{})
@@ -87,11 +84,11 @@ func TestCompiledScalarOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := c.Run(nil, inputs, 400, RunOptions{Workers: 2, MinShard: 10, Scalar: true})
+	scalar, err := Run(n, inputs, 400, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, packed, scalar, "scalar-option")
+	sameResult(t, scalar, packed, "scalar-option")
 	if packed.Kernel != KernelFused || scalar.Kernel != "" {
 		t.Fatalf("Kernel tags: packed=%q scalar=%q", packed.Kernel, scalar.Kernel)
 	}
@@ -193,10 +190,10 @@ func TestCompiledWordsLean(t *testing.T) {
 }
 
 // TestCompiledLeanScalar: Lean holds on scalar-only runs too — zero-
-// delay sequential netlists, event-driven netlists the unit-delay path
-// does not take, and Scalar runs of ones it does. A lean run
-// materializes no outputs, group rows or final values, and its power
-// figures, toggles and budget charges equal a full run's.
+// delay sequential netlists and event-driven netlists the unit-delay
+// path does not take. A lean run materializes no outputs, group rows or
+// final values, and its power figures, toggles and budget charges equal
+// a full run's.
 func TestCompiledLeanScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 16; trial++ {
@@ -211,24 +208,22 @@ func TestCompiledLeanScalar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, scalar := range []bool{false, true} {
-				label := fmt.Sprintf("trial %d opts %d scalar %v", trial, oi, scalar)
-				bf, bl := budget.New(), budget.New()
-				lean, err := c.Run(bl, inputs, cycles, RunOptions{Workers: 1, Scalar: scalar, Lean: true})
-				if err != nil {
-					t.Fatalf("%s: lean: %v", label, err)
-				}
-				if lean.Kernel != "" && !scalar {
-					continue // a packed path: its own suite covers it
-				}
-				full, err := c.Run(bf, inputs, cycles, RunOptions{Workers: 1, Scalar: scalar})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				sameLean(t, full, lean, label)
-				if bf.StepsUsed() != bl.StepsUsed() || lean.Kernel != "" || full.Kernel != "" {
-					t.Fatalf("%s: lean %d steps on %q, full %d on %q", label, bl.StepsUsed(), lean.Kernel, bf.StepsUsed(), full.Kernel)
-				}
+			label := fmt.Sprintf("trial %d opts %d", trial, oi)
+			bf, bl := budget.New(), budget.New()
+			lean, err := c.Run(bl, inputs, cycles, RunOptions{Workers: 1, Lean: true})
+			if err != nil {
+				t.Fatalf("%s: lean: %v", label, err)
+			}
+			if lean.Kernel != "" {
+				continue // a packed path: its own suite covers it
+			}
+			full, err := c.Run(bf, inputs, cycles, RunOptions{Workers: 1})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			sameLean(t, full, lean, label)
+			if bf.StepsUsed() != bl.StepsUsed() || full.Kernel != "" {
+				t.Fatalf("%s: lean %d steps on %q, full %d on %q", label, bl.StepsUsed(), lean.Kernel, bf.StepsUsed(), full.Kernel)
 			}
 		}
 	}

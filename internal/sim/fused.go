@@ -1,13 +1,14 @@
-// Fused-superinstruction execution for the 64-lane packed kernel. The
-// packed interpreter in execPacked pays one switch dispatch per compiled
-// gate; execFused runs the logic.Fuse form of the same program, paying
-// one dispatch per fused group (an AND4 chain, an AO22 carry cell, a
-// NOT-absorbed pair) while still writing every intermediate net's word —
-// per-net toggle counts and capacitive loads are observable results, so
-// fusion removes dispatches, never nets. Because AND/OR/XOR words are
+// Fused-superinstruction execution for the 64-lane packed kernel, the
+// one zero-delay settle every packed path runs: compiled artifacts,
+// the one-shot RunPacked, and OutputWords. execFused runs the
+// logic.Fuse form of the levelized program, paying one dispatch per
+// fused group (an AND4 chain, an AO22 carry cell, a NOT-absorbed pair)
+// while still writing every intermediate net's word — per-net toggle
+// counts and capacitive loads are observable results, so fusion
+// removes dispatches, never nets. Because AND/OR/XOR words are
 // bitwise-exact under regrouping, every net receives exactly the word
-// execPacked would have written, which keeps fused runs Float64bits-
-// identical to unfused ones (pinned by TestFusedBitIdentity and
+// its gate computes, which keeps fused runs Float64bits-identical to
+// the serial engine (pinned by TestFusedBitIdentity and
 // FuzzFusedEquivalence).
 package sim
 
@@ -17,15 +18,24 @@ import (
 )
 
 // KernelFused in Result.Kernel marks a run executed by the fused-
-// superinstruction interpreter — the default tier for compiled
-// artifacts, between "packed" (unfused 64-lane interpreter) and
-// "codegen" (specialized evaluator) on the kernel ladder.
+// superinstruction interpreter: every zero-delay 64-lane run that is
+// not on the codegen tier (specialized evaluator of a promoted
+// artifact).
 const KernelFused = "fused"
 
+// compileFused levelizes a combinational netlist along the
+// environment's topological order and fuses the program.
+func compileFused(e *env) (*logic.FusedProgram, error) {
+	prog, err := logic.Compile(e.n, e.order)
+	if err != nil {
+		return nil, err
+	}
+	return logic.Fuse(prog), nil
+}
+
 // execFused runs the fused instruction stream over the packed value
-// words, writing the identical word to every net that execPacked writes
-// for the source program. Lanes beyond the valid count compute garbage
-// that every consumer masks off, exactly as in execPacked.
+// words, writing to every net the word its source gate computes. Lanes
+// beyond the valid count compute garbage that every consumer masks off.
 func execFused(fp *logic.FusedProgram, words []uint64) {
 	ops, argOff, args, outOff, outs := fp.Ops, fp.ArgOff, fp.Args, fp.OutOff, fp.Outs
 	// Hot-loop shape: fixed-arity opcodes index the CSR arrays directly

@@ -79,7 +79,7 @@ func mulWorkload(w, cycles int, seed int64) (*logic.Netlist, InputProvider, Word
 // TestFusedBitIdentity is the fused tier's core property: across random
 // netlists and cycle counts straddling word boundaries, a Compiled run
 // (which executes the logic.Fuse form) is bit-identical in every result
-// field to the serial engine and to the unfused one-shot packed kernel.
+// field to the serial engine.
 func TestFusedBitIdentity(t *testing.T) {
 	cycleCounts := []int{1, 2, 63, 64, 65, 127, 128, 130, 333}
 	sawFusion := false
@@ -99,10 +99,6 @@ func TestFusedBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			unfused, err := RunPacked(n, inputs, cycles, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			fused, err := c.Run(nil, inputs, cycles, RunOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -111,7 +107,6 @@ func TestFusedBitIdentity(t *testing.T) {
 				t.Fatalf("trial %d cycles %d: Kernel=%q, want fused", trial, cycles, fused.Kernel)
 			}
 			sameResult(t, serial, fused, "fused-vs-serial")
-			sameResult(t, unfused, fused, "fused-vs-unfused")
 		}
 	}
 	if !sawFusion {
@@ -122,7 +117,7 @@ func TestFusedBitIdentity(t *testing.T) {
 // TestFusedMultiplierWorkload pins the serving workload: the array
 // multiplier's carry cells must actually fuse (AO22-dominated mix), and
 // the fused lean+words run — the exact shape powerd serves — must agree
-// with the unfused kernel to the bit on the power figure.
+// with the serial engine to the bit on the power figure.
 func TestFusedMultiplierWorkload(t *testing.T) {
 	const w, cycles = 8, 1000
 	n, inputs, words := mulWorkload(w, cycles, 77)
@@ -137,7 +132,7 @@ func TestFusedMultiplierWorkload(t *testing.T) {
 	if mix["ao22"] == 0 {
 		t.Fatalf("mix = %v, want ao22 carry cells", mix)
 	}
-	unfused, err := RunPacked(n, inputs, cycles, Options{Vdd: 1, Freq: 1})
+	serial, err := Run(n, inputs, cycles, Options{Vdd: 1, Freq: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +140,10 @@ func TestFusedMultiplierWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(unfused.Power()) != math.Float64bits(fused.Power()) {
-		t.Fatalf("Power differs: unfused %v fused %v", unfused.Power(), fused.Power())
+	if math.Float64bits(serial.Power()) != math.Float64bits(fused.Power()) {
+		t.Fatalf("Power differs: serial %v fused %v", serial.Power(), fused.Power())
 	}
-	if math.Float64bits(unfused.SwitchedCap) != math.Float64bits(fused.SwitchedCap) {
+	if math.Float64bits(serial.SwitchedCap) != math.Float64bits(fused.SwitchedCap) {
 		t.Fatalf("SwitchedCap differs")
 	}
 	gets, news := c.ScratchStats()
@@ -159,8 +154,8 @@ func TestFusedMultiplierWorkload(t *testing.T) {
 
 // TestFusedBudgetBoundary: budget charging ignores fusion (steps count
 // source-program gates), so exhaustion trips at exactly the same point
-// fused and unfused — including the boundary where the allowance covers
-// the run precisely.
+// on the fused kernel and the serial engine — including the boundary
+// where the allowance covers the run precisely.
 func TestFusedBudgetBoundary(t *testing.T) {
 	const w, cycles = 4, 500
 	n, inputs, _ := mulWorkload(w, cycles, 9)
@@ -169,7 +164,7 @@ func TestFusedBudgetBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := budget.New(budget.WithMaxSteps(1 << 40))
-	if _, err := RunPackedBudget(ref, n, inputs, cycles, Options{}); err != nil {
+	if _, err := RunBudget(ref, n, inputs, cycles, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	need := ref.StepsUsed()
@@ -179,16 +174,16 @@ func TestFusedBudgetBoundary(t *testing.T) {
 		t.Fatalf("exact budget failed: %v", err)
 	}
 	if exact.StepsUsed() != need {
-		t.Fatalf("fused charged %d steps, unfused %d", exact.StepsUsed(), need)
+		t.Fatalf("fused charged %d steps, serial %d", exact.StepsUsed(), need)
 	}
 
 	short := budget.New(budget.WithMaxSteps(need-1), budget.WithCheckInterval(1))
 	if _, err := c.Run(short, inputs, cycles, RunOptions{Workers: 1}); !errors.Is(err, budget.ErrExceeded) {
 		t.Fatalf("err = %v, want budget.ErrExceeded", err)
 	}
-	shortU := budget.New(budget.WithMaxSteps(need-1), budget.WithCheckInterval(1))
-	if _, err := RunPackedBudget(shortU, n, inputs, cycles, Options{}); !errors.Is(err, budget.ErrExceeded) {
-		t.Fatalf("unfused err = %v, want budget.ErrExceeded", err)
+	shortS := budget.New(budget.WithMaxSteps(need-1), budget.WithCheckInterval(1))
+	if _, err := RunBudget(shortS, n, inputs, cycles, Options{}); !errors.Is(err, budget.ErrExceeded) {
+		t.Fatalf("serial err = %v, want budget.ErrExceeded", err)
 	}
 }
 
@@ -225,43 +220,24 @@ func TestFusedScratchReuseNoAliasing(t *testing.T) {
 	}
 }
 
-// FuzzFusedEquivalence drives the fused/unfused bit-identity property
-// from fuzzed corners: arbitrary netlist shapes, cycle counts around
-// word boundaries, and budget allowances that may exhaust mid-run — in
-// which case both tiers must fail identically.
+// FuzzFusedEquivalence drives a compiled artifact's fused run against
+// the serial engine from fuzzed corners (fuzzAgainstSerial): arbitrary
+// netlist shapes, forward fanins included, cycle counts around word
+// boundaries, and step limits that may exhaust mid-run.
 func FuzzFusedEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(20), uint16(65), uint32(0))
 	f.Add(int64(2), uint8(1), uint8(1), uint16(1), uint32(0))
 	f.Add(int64(3), uint8(8), uint8(60), uint16(257), uint32(0))
 	f.Add(int64(42), uint8(4), uint8(30), uint16(128), uint32(500))
 	f.Fuzz(func(t *testing.T, seed int64, nIn, nGates uint8, cyc uint16, maxSteps uint32) {
-		nInputs := 1 + int(nIn)%8
-		gates := 1 + int(nGates)%48
-		cycles := 1 + int(cyc)%300
-		rng := rand.New(rand.NewSource(seed))
-		n := randComb(rng, nInputs, gates)
-		inputs := randVectors(rng, cycles, nInputs)
-		c, err := Compile(n, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var bu, bf *budget.Budget
-		if maxSteps > 0 {
-			bu = budget.New(budget.WithMaxSteps(int64(maxSteps)), budget.WithCheckInterval(1))
-			bf = budget.New(budget.WithMaxSteps(int64(maxSteps)), budget.WithCheckInterval(1))
-		}
-		unfused, errU := RunPackedBudget(bu, n, inputs, cycles, Options{})
-		fused, errF := c.Run(bf, inputs, cycles, RunOptions{Workers: 1})
-		if (errU == nil) != (errF == nil) {
-			t.Fatalf("error divergence: unfused=%v fused=%v", errU, errF)
-		}
-		if errU != nil {
-			if !errors.Is(errU, budget.ErrExceeded) || !errors.Is(errF, budget.ErrExceeded) {
-				t.Fatalf("unexpected errors: %v / %v", errU, errF)
-			}
-			return
-		}
-		sameResult(t, unfused, fused, "fuzz-fused")
+		fuzzAgainstSerial(t, seed, nIn, nGates, cyc, maxSteps,
+			func(b *budget.Budget, n *logic.Netlist, inputs InputProvider, cycles int) (*Result, error) {
+				c, err := Compile(n, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c.Run(b, inputs, cycles, RunOptions{Workers: 1})
+			})
 	})
 }
 

@@ -22,25 +22,17 @@ import (
 	"hlpower/internal/logic"
 )
 
-// KernelPacked in Result.Kernel marks a run (or every shard of a run)
-// executed by the 64-lane bit-packed kernel; an empty Kernel means the
-// interpreted scalar engine ran.
-const KernelPacked = "packed"
-
 // FallbackEventDriven in Result.Fallback: the packed kernel was
 // requested but the event-driven delay model needs per-event timing the
 // zero-delay bit-parallel evaluation cannot express, so the scalar
 // engine ran.
 const FallbackEventDriven = "event-driven-model"
 
-// CanPack reports whether a netlist is eligible for the bit-packed
-// kernel: packing evaluates each cycle as pure dataflow, so exactly the
-// netlists that can vector-shard (no cross-cycle state) can pack.
-func CanPack(n *logic.Netlist) bool { return CanShard(n) }
-
 // RunPacked is Run on the 64-lane bit-packed kernel: bit-identical
 // results at a fraction of the cost for combinational netlists under
-// the zero-delay model. Ineligible workloads (sequential netlists,
+// the zero-delay model. Each call compiles the netlist and runs one
+// shard on the fused executor Compiled runs use (Result.Kernel reads
+// KernelFused). Ineligible workloads (sequential netlists,
 // event-driven runs) degrade to the scalar engine with the reason in
 // Result.Fallback, so callers always get the serial-equivalent answer.
 func RunPacked(n *logic.Netlist, inputs InputProvider, cycles int, opts Options) (*Result, error) {
@@ -73,7 +65,7 @@ func RunPackedBudget(b *budget.Budget, n *logic.Netlist, inputs InputProvider, c
 		res.Fallback = reason
 		return res, nil
 	}
-	prog, err := logic.Compile(n)
+	fused, err := compileFused(e)
 	if err != nil {
 		return nil, err
 	}
@@ -82,14 +74,14 @@ func RunPackedBudget(b *budget.Budget, n *logic.Netlist, inputs InputProvider, c
 	// returned only after merge has copied every accumulator value out
 	// of the shard, so recycled memory can never alias a live Result.
 	sc := oneShotScratch.Get().(*packedScratch)
-	sh, err := runShardPacked(b, e, prog, inputs, 0, cycles, sc)
+	sh, err := runShardPacked(b, e, fused, inputs, nil, false, 0, cycles, sc)
 	if err != nil {
 		oneShotScratch.Put(sc)
 		return nil, err
 	}
 	res = merge(e, cycles, []*shard{sh})
 	oneShotScratch.Put(sc)
-	res.Kernel = KernelPacked
+	res.Kernel = KernelFused
 	return res, nil
 }
 
@@ -97,16 +89,6 @@ func RunPackedBudget(b *budget.Budget, n *logic.Netlist, inputs InputProvider, c
 // points (RunPacked/RunPackedBudget), which have no Compiled artifact to
 // hang a per-netlist pool off. Scratch is sized lazily per run.
 var oneShotScratch = sync.Pool{New: func() any { return &packedScratch{} }}
-
-// execPacked runs the compiled instruction stream over the packed value
-// words: words[id] holds 64 cycles of net id, one cycle per bit. Lanes
-// beyond the valid count compute garbage that every consumer masks off.
-func execPacked(p *logic.Program, words []uint64) {
-	kinds, outs, argOff, args := p.Kinds, p.Outs, p.ArgOff, p.Args
-	for i := range kinds {
-		words[outs[i]] = evalWord(kinds[i], args[argOff[i]:argOff[i+1]], words)
-	}
-}
 
 // evalWord evaluates a combinational gate with fanins a over 64 lanes
 // of the value words w.
@@ -151,34 +133,6 @@ func evalWord(k logic.Kind, a []int32, w []uint64) uint64 {
 	}
 }
 
-// runShardPacked simulates cycles [lo, hi) on the bit-packed kernel.
-// Lane layout: word k of the shard covers cycles lo+64k .. lo+64k+63,
-// cycle c in bit c-lo-64k; the final word's tail lanes are masked out
-// of every toggle count. The transition baseline is rebuilt exactly as
-// the scalar shard does — by settling the previous vector (vector 0 for
-// the first shard) — so shard boundaries and cycle 0 count transitions
-// identically to a serial run. sc, when non-nil, supplies reusable word
-// planes (every entry is rewritten before it is read, so recycled
-// planes cannot leak state between runs); nil allocates fresh ones.
-func runShardPacked(b *budget.Budget, e *env, prog *logic.Program, inputs InputProvider, lo, hi int, sc *packedScratch) (*shard, error) {
-	return runShardPackedOpt(b, e, prog, nil, inputs, nil, false, lo, hi, sc)
-}
-
-// runShardPackedOpt is runShardPacked with the batch pipeline's two
-// accelerators — words (optional) feeds input cycles as pre-packed words
-// and lean skips the per-cycle outputs, group attribution, and
-// final-value materialization — plus the fused-superinstruction tier:
-// when fused is non-nil, the fused form of prog executes with one
-// dispatch per fused group. Neither knob nor the fused tier touches the
-// toggle or capacitance accumulation paths (fusion still writes every
-// net's word), so the numbers that survive into the Result are
-// bit-identical to a full unfused run. Budget charging also ignores
-// fusion — steps count source-program gates — so exhaustion boundaries
-// are identical. The shard's numeric accumulators (toggles, per-cycle
-// cap, group rows) live on the scratch and are only valid until the
-// scratch is recycled; merge must copy them out before the caller Puts
-// sc back in a pool. Output rows and final values escape into the
-// Result, so they are always freshly allocated.
 // transpose64 transposes the 64×64 bit matrix held in a (row k = a[k],
 // bit j of row k = column j) in place, so that afterwards bit j of row
 // i is the old bit i of row j. Classic butterfly: six stages of
@@ -196,15 +150,30 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
-func runShardPackedOpt(b *budget.Budget, e *env, prog *logic.Program, fused *logic.FusedProgram, inputs InputProvider, words64 WordInputs, lean bool, lo, hi int, sc *packedScratch) (sh *shard, err error) {
+// runShardPacked simulates cycles [lo, hi) on the bit-packed kernel,
+// settling each 64-cycle block with execFused. Lane layout: word k of
+// the shard covers cycles lo+64k .. lo+64k+63, cycle c in bit
+// c-lo-64k; the final word's tail lanes are masked out of every toggle
+// count. The transition baseline is rebuilt exactly as the scalar shard
+// does — by settling the previous vector (vector 0 for the first
+// shard) — so shard boundaries and cycle 0 count transitions
+// identically to a serial run. words64 (optional) feeds input cycles as
+// pre-packed words, and lean skips the per-cycle outputs, group
+// attribution, and final-value materialization; neither touches the
+// toggle or capacitance accumulation, so the numbers that survive into
+// the Result are bit-identical to a full run. Budget charging counts
+// source-program gates, so exhaustion boundaries match the serial
+// engine. sc supplies the word planes (every entry is rewritten before
+// it is read) and the shard's numeric accumulators, which stay valid
+// only until sc is recycled: merge must copy them out before the caller
+// Puts sc back in a pool. Output rows and final values escape into the
+// Result, so they are always freshly allocated.
+func runShardPacked(b *budget.Budget, e *env, fused *logic.FusedProgram, inputs InputProvider, words64 WordInputs, lean bool, lo, hi int, sc *packedScratch) (sh *shard, err error) {
 	defer hlerr.Recover(&err)
 	n := e.n
 	cycles := hi - lo
 	ng := len(e.groups)
 	nOut := len(n.Outputs)
-	if sc == nil {
-		sc = newPackedScratch(len(n.Gates))
-	}
 	sh = &shard{
 		lo: lo, hi: hi,
 		toggles:  sc.togglesFor(len(n.Gates)),
@@ -219,13 +188,6 @@ func runShardPackedOpt(b *budget.Budget, e *env, prog *logic.Program, fused *log
 	}
 
 	words, carry := sc.planes(len(n.Gates))
-	settle := func() {
-		if fused != nil {
-			execFused(fused, words)
-		} else {
-			execPacked(prog, words)
-		}
-	}
 
 	// Baseline: settle the pre-shard vector in lane 0 and seed the
 	// per-net carry bits from it, mirroring the scalar shard's baseline
@@ -254,7 +216,7 @@ func runShardPackedOpt(b *budget.Budget, e *env, prog *logic.Program, fused *log
 			words[sig] = w
 		}
 	}
-	settle()
+	execFused(fused, words)
 	for id, w := range words {
 		carry[id] = w & 1
 	}
@@ -317,7 +279,7 @@ func runShardPackedOpt(b *budget.Budget, e *env, prog *logic.Program, fused *log
 			}
 		}
 
-		settle()
+		execFused(fused, words)
 
 		mask := ^uint64(0)
 		if lanes < 64 {

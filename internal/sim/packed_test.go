@@ -2,16 +2,21 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"hlpower/internal/bitutil"
 	"hlpower/internal/budget"
 	"hlpower/internal/logic"
 )
 
 // randComb builds a random combinational DAG exercising every packed
 // opcode: multi-input And/Or/Nand/Nor, Xor/Xnor, Not/Buf, Mux, and
-// constants, spread across a few accounting groups.
+// constants, spread across a few accounting groups. For half of the
+// draws the DAG's topological order is a random permutation of the
+// gates rather than their id order, so gates read gates with higher
+// ids: AddG cannot build such a netlist, a rewire through Gates can.
 func randComb(rng *rand.Rand, nInputs, nGates int) *logic.Netlist {
 	n := logic.New()
 	var sigs []int
@@ -19,6 +24,7 @@ func randComb(rng *rand.Rand, nInputs, nGates int) *logic.Netlist {
 		sigs = append(sigs, n.AddInput("x"))
 	}
 	sigs = append(sigs, n.Add(logic.Const0), n.Add(logic.Const1))
+	nSources := len(sigs)
 	groups := []string{"exec", "ctrl", "misc"}
 	pick := func() int { return sigs[rng.Intn(len(sigs))] }
 	for g := 0; g < nGates; g++ {
@@ -45,7 +51,20 @@ func randComb(rng *rand.Rand, nInputs, nGates int) *logic.Netlist {
 		}
 		sigs = append(sigs, id)
 	}
-	n.MarkOutput(sigs[len(sigs)-1])
+	last := sigs[len(sigs)-1]
+	if rng.Intn(2) == 0 {
+		// Each gate of a random order reads only sources and the gates
+		// before it in that order; the order's last gate is an output.
+		avail := append([]int(nil), sigs[:nSources]...)
+		for _, k := range rng.Perm(nGates) {
+			last = sigs[nSources+k]
+			for j := range n.Gates[last].Fanin {
+				n.Gates[last].Fanin[j] = avail[rng.Intn(len(avail))]
+			}
+			avail = append(avail, last)
+		}
+	}
+	n.MarkOutput(last)
 	n.MarkOutput(sigs[len(sigs)/2])
 	return n
 }
@@ -82,8 +101,8 @@ func TestPackedBitIdenticalToSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if packed.Kernel != KernelPacked || packed.Fallback != "" {
-				t.Fatalf("trial %d cycles %d: Kernel=%q Fallback=%q, want packed/\"\"",
+			if packed.Kernel != KernelFused || packed.Fallback != "" {
+				t.Fatalf("trial %d cycles %d: Kernel=%q Fallback=%q, want fused/\"\"",
 					trial, cycles, packed.Kernel, packed.Fallback)
 			}
 			sameResult(t, serial, packed, "packed")
@@ -137,9 +156,8 @@ func TestPackedEventDrivenFallback(t *testing.T) {
 	sameResult(t, serial, packed, "event-driven-fallback")
 }
 
-// TestParallelUsesPackedKernel: RunParallel rides the packed kernel by
-// default for eligible workloads, reports it, and stays bit-identical;
-// the Scalar opt-out forces the interpreted kernel.
+// TestParallelUsesPackedKernel: RunParallel rides the packed kernel for
+// eligible workloads, reports it, and stays bit-identical.
 func TestParallelUsesPackedKernel(t *testing.T) {
 	n, inputs := mcNetlist(t, 12, 2000, 42)
 	serial, err := Run(n, inputs, 2000, Options{})
@@ -154,15 +172,6 @@ func TestParallelUsesPackedKernel(t *testing.T) {
 		t.Fatalf("parallel Kernel=%q, want %q", packed.Kernel, KernelFused)
 	}
 	sameResult(t, serial, packed, "parallel-packed")
-
-	scalar, err := RunParallel(nil, n, inputs, 2000, ParallelOptions{Workers: 4, Scalar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scalar.Kernel != "" {
-		t.Fatalf("Scalar run reported Kernel=%q, want \"\"", scalar.Kernel)
-	}
-	sameResult(t, serial, scalar, "parallel-scalar")
 }
 
 // TestPackedBudgetAccounting: the packed kernel charges one step per
@@ -205,22 +214,29 @@ func TestPackedInputWidthMismatch(t *testing.T) {
 	}
 }
 
-// FuzzPackedEquivalence drives the bit-identity property from fuzzed
-// corners: arbitrary seeds, netlist shapes, and cycle counts (the
-// generator keeps them small; the interesting structure is cycles%64
-// and the random DAG).
-func FuzzPackedEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint8(20), uint16(65))
-	f.Add(int64(2), uint8(1), uint8(1), uint16(1))
-	f.Add(int64(3), uint8(8), uint8(60), uint16(257))
-	f.Add(int64(99), uint8(3), uint8(12), uint16(64))
-	f.Fuzz(func(t *testing.T, seed int64, nIn, nGates uint8, cyc uint16) {
-		nInputs := 1 + int(nIn)%8
-		gates := 1 + int(nGates)%48
-		cycles := 1 + int(cyc)%300
-		rng := rand.New(rand.NewSource(seed))
-		n := randComb(rng, nInputs, gates)
-		inputs := randVectors(rng, cycles, nInputs)
+// TestForwardFaninMatchesSerial: every 64-lane path levelizes in the
+// netlist's topological order, not by gate id, so a gate that reads a
+// higher id settles after its fanin and each path equals the serial
+// engine. The netlist: inputs a, b; g2 = And(a, g3); g3 = Xor(a, b);
+// outputs g2 and Or(g3, b). AddG cannot build it (a fanin must exist
+// when its reader is added), but a rewire through the exported Gates
+// slice can, and the netlist has no cycle.
+func TestForwardFaninMatchesSerial(t *testing.T) {
+	n := logic.New()
+	a, b := n.AddInput("a"), n.AddInput("b")
+	g2 := n.Add(logic.And, a, b)
+	g3 := n.Add(logic.Xor, a, b)
+	n.Gates[g2].Fanin[1] = g3
+	n.MarkOutput(g2)
+	n.MarkOutput(n.Add(logic.Or, g3, b))
+	rng := rand.New(rand.NewSource(5))
+	for _, cycles := range []int{5, 130} {
+		vectors := [][]bool{{false, false}, {true, false}, {false, true}, {true, true}, {false, true}}
+		for len(vectors) < cycles {
+			vectors = append(vectors, []bool{rng.Intn(2) == 1, rng.Intn(2) == 1})
+		}
+		inputs := VectorInputs(vectors[:cycles])
+		label := fmt.Sprintf("cycles %d", cycles)
 		serial, err := Run(n, inputs, cycles, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -229,6 +245,115 @@ func FuzzPackedEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, serial, packed, "fuzz-packed")
+		sameResult(t, serial, packed, label+": RunPacked")
+		// OutputWords runs first: a settle left in the pooled planes by
+		// an earlier run of the same inputs would mask a stale read.
+		c, err := Compile(n, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantOut, err := Outputs(nil, n, inputs, cycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotOut, err := c.OutputWords(nil, func(cy int) uint64 { return bitutil.FromBits(inputs(cy)) }, cycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cy := range wantOut {
+			if gotOut[cy] != wantOut[cy] {
+				t.Fatalf("%s: OutputWords[%d] = %d, sim.Outputs %d", label, cy, gotOut[cy], wantOut[cy])
+			}
+		}
+		fused, err := c.Run(nil, inputs, cycles, RunOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, serial, fused, label+": compiled")
+		if err := c.BuildCodegen(); err != nil {
+			t.Fatal(err)
+		}
+		cg, err := c.Run(nil, inputs, cycles, RunOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cg.Kernel != KernelCodegen {
+			t.Fatalf("%s: Kernel %q after BuildCodegen", label, cg.Kernel)
+		}
+		sameResult(t, serial, cg, label+": codegen")
+		if cycles > 64 {
+			par, err := RunParallel(nil, n, inputs, cycles, ParallelOptions{Workers: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if par.Shards != 3 {
+				t.Fatalf("%s: RunParallel ran %d shards, want 3", label, par.Shards)
+			}
+			sameResult(t, serial, par, label+": RunParallel")
+		}
+	}
+}
+
+// fuzzAgainstSerial is the body of the fused-kernel fuzz targets: it
+// draws a randComb netlist and vectors from the fuzzed corners and runs
+// the serial engine (RunBudget) and run under fresh budgets with the
+// same step limit (none when maxSteps is 0). Every path charges the
+// same total, so both trip exactly when that total exceeds the limit;
+// when the serial run finishes, run must equal it to the bit, report
+// the fused kernel, and charge the same number of steps.
+func fuzzAgainstSerial(t *testing.T, seed int64, nIn, nGates uint8, cyc uint16, maxSteps uint32,
+	run func(b *budget.Budget, n *logic.Netlist, inputs InputProvider, cycles int) (*Result, error)) {
+	t.Helper()
+	nInputs := 1 + int(nIn)%8
+	gates := 1 + int(nGates)%48
+	cycles := 1 + int(cyc)%300
+	rng := rand.New(rand.NewSource(seed))
+	n := randComb(rng, nInputs, gates)
+	inputs := randVectors(rng, cycles, nInputs)
+	newBudget := func() *budget.Budget {
+		if maxSteps == 0 {
+			return budget.New()
+		}
+		return budget.New(budget.WithMaxSteps(int64(maxSteps)), budget.WithCheckInterval(1))
+	}
+	bs, bf := newBudget(), newBudget()
+	serial, errS := RunBudget(bs, n, inputs, cycles, Options{})
+	fused, errF := run(bf, n, inputs, cycles)
+	if errS != nil {
+		if !errors.Is(errS, budget.ErrExceeded) || !errors.Is(errF, budget.ErrExceeded) {
+			t.Fatalf("errors: serial %v, fused %v", errS, errF)
+		}
+		return
+	}
+	if errF != nil {
+		t.Fatalf("serial finished; fused %v", errF)
+	}
+	if fused.Kernel != KernelFused {
+		t.Fatalf("Kernel=%q, want fused", fused.Kernel)
+	}
+	sameResult(t, serial, fused, "fuzz")
+	if bf.StepsUsed() != bs.StepsUsed() {
+		t.Fatalf("steps: serial %d, fused %d", bs.StepsUsed(), bf.StepsUsed())
+	}
+}
+
+// FuzzPackedEquivalence drives the one-shot RunPackedBudget against the
+// serial engine from the same fuzzed corners as FuzzFusedEquivalence;
+// a combinational netlist must never take a kernel fallback.
+func FuzzPackedEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(5), uint8(20), uint16(65), uint32(0))
+	f.Add(int64(2), uint8(1), uint8(1), uint16(1), uint32(0))
+	f.Add(int64(3), uint8(8), uint8(60), uint16(257), uint32(0))
+	f.Add(int64(99), uint8(3), uint8(12), uint16(64), uint32(0))
+	f.Add(int64(42), uint8(4), uint8(30), uint16(128), uint32(500))
+	f.Fuzz(func(t *testing.T, seed int64, nIn, nGates uint8, cyc uint16, maxSteps uint32) {
+		fuzzAgainstSerial(t, seed, nIn, nGates, cyc, maxSteps,
+			func(b *budget.Budget, n *logic.Netlist, inputs InputProvider, cycles int) (*Result, error) {
+				res, err := RunPackedBudget(b, n, inputs, cycles, Options{})
+				if err == nil && res.Fallback != "" {
+					t.Fatalf("Fallback=%q, want none", res.Fallback)
+				}
+				return res, err
+			})
 	})
 }

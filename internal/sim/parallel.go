@@ -30,11 +30,6 @@ type ParallelOptions struct {
 	// (DefaultMinShard when zero). Runs shorter than two shards fall
 	// back to the serial path.
 	MinShard int
-	// Scalar forces the interpreted scalar kernel inside each shard
-	// even when the workload is eligible for the 64-lane bit-packed
-	// kernel. Benchmarks use it to measure sharding and bit-packing
-	// separately; results are bit-identical either way.
-	Scalar bool
 }
 
 // Serial-fallback reasons reported in Result.Fallback when RunParallel
@@ -92,11 +87,9 @@ func RunParallel(b *budget.Budget, n *logic.Netlist, inputs InputProvider, cycle
 	// results, a fraction of the per-gate cost. Compilation — tables and
 	// the levelized program, shared read-only by every worker — is the
 	// one-shot form of what sim.Compile amortizes across a batch.
-	c, err := compileNet(n, opts.Options, !opts.Scalar)
+	c, err := Compile(n, opts.Options)
 	if err != nil {
 		return nil, err
 	}
-	return c.Run(b, inputs, cycles, RunOptions{
-		Workers: opts.Workers, MinShard: opts.MinShard, Scalar: opts.Scalar,
-	})
+	return c.Run(b, inputs, cycles, RunOptions{Workers: opts.Workers, MinShard: opts.MinShard})
 }

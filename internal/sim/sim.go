@@ -69,9 +69,8 @@ type Result struct {
 	// instead of silently paying serial latency.
 	Fallback string
 	// Kernel names the execution tier that produced the result (every
-	// shard, for parallel runs): KernelPacked for the unfused 64-lane
-	// interpreter, KernelFused for the fused-superinstruction
-	// interpreter, KernelCodegen for the specialized evaluator of a
+	// shard, for parallel runs): KernelFused for the fused-
+	// superinstruction 64-lane interpreter, KernelCodegen for the specialized evaluator of a
 	// promoted netlist, KernelUnitDelay for the 64-lane event-driven
 	// recurrence, empty for the interpreted scalar engine (the timing
 	// wheel, for event-driven runs). All tiers are Float64bits-identical;

@@ -124,7 +124,7 @@ type udCommit struct {
 
 // runShardUnitDelay simulates cycles [lo, hi) of an eligible netlist on
 // the unit-delay recurrence, lean: it fills the shard's toggles and
-// per-cycle capacitance only. Lane layout follows runShardPackedOpt:
+// per-cycle capacitance only. Lane layout follows runShardPacked:
 // block k covers cycles lo+64k .. lo+64k+63, cycle c in bit c-lo-64k.
 // The planes and accumulators live on sc; merge must copy them out
 // before sc returns to its pool.

@@ -61,9 +61,10 @@ func BenchmarkSimSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkSimPacked runs the same workload on the compiled 64-lane
-// bit-packed kernel (one goroutine); compare against BenchmarkSimSerial
-// for the packing speedup alone, with no threading in the picture.
+// BenchmarkSimPacked runs the same workload through the one-shot
+// RunPacked (a compile plus a fused 64-lane run on one goroutine);
+// compare against BenchmarkSimSerial for the packing speedup alone,
+// with no threading in the picture.
 func BenchmarkSimPacked(b *testing.B) {
 	n, inputs := benchMCWorkload(8, benchSimCycles)
 	b.ReportAllocs()
@@ -73,8 +74,8 @@ func BenchmarkSimPacked(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Kernel != sim.KernelPacked {
-			b.Fatalf("Kernel=%q, want %q (fallback: %q)", res.Kernel, sim.KernelPacked, res.Fallback)
+		if res.Kernel != sim.KernelFused {
+			b.Fatalf("Kernel=%q, want %q (fallback: %q)", res.Kernel, sim.KernelFused, res.Fallback)
 		}
 	}
 }
