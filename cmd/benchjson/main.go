@@ -578,7 +578,7 @@ func main() {
 	}
 	mixEntry := measure("optimize/job-mix", 0, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cache := memo.New(memo.Options{MaxBytes: srvCfg.MemoMaxBytes, Shards: srvCfg.MemoShards})
+			cache := memo.New(memo.Options{MaxBytes: srvCfg.MemoMaxBytes})
 			m := jobs.New(jobs.Config{Workers: 1, Cache: func() *memo.Cache { return cache }})
 			for _, p := range mixParams {
 				runJob(m, p)
@@ -904,7 +904,7 @@ func serveHitBench() func(b *testing.B) {
 		path string
 		body any
 	}{
-		{"/v1/simulate", service.SimulateRequest{Circuit: "multiplier", Width: 8, Cycles: 1024, Seed: 1, Workers: 1}},
+		{"/v1/simulate", service.SimulateRequest{Circuit: "multiplier", Width: 8, Cycles: 1024, Seed: 1}},
 		{"/v1/rank", service.RankRequest{Width: 8, Cycles: 1024, Seed: 2}},
 		{"/v1/bdd", service.BDDRequest{Function: "majority", Vars: 12}},
 		{"/v1/predict", service.PredictRequest{Circuit: "adder", Width: 8, Model: "pfa", Train: 512, Eval: 512, Seed: 3}},

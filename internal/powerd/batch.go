@@ -22,9 +22,9 @@ import (
 // item and a single request share keys, cache entries, singleflight and
 // breakers — and, in cluster mode, whole-group forwarding to each
 // group's ring owner with the established shed-to-local fallback. A
-// batch is admitted as one request (one worker slot): its parallelism
-// comes from per-item Workers and from group fan-out across the ring,
-// not from occupying the admission queue.
+// batch is admitted as one request (one worker slot) and its items run
+// on one shard each: its parallelism comes from group fan-out across
+// the ring, not from occupying the admission queue.
 
 // ---------------------------------------------------------------------
 // POST /v1/batch — buffered batched estimation.

@@ -65,8 +65,7 @@ func TestBatchHTTPBitIdenticalToSingleCalls(t *testing.T) {
 			}
 			bitEq("power", got.Simulate.Power, want.Power)
 			bitEq("switched_cap", got.Simulate.SwitchedCap, want.SwitchedCap)
-			if got.Simulate.Shards != want.Shards || got.Simulate.Fallback != want.Fallback ||
-				got.Simulate.Kernel != want.Kernel || got.Simulate.Cycles != want.Cycles {
+			if got.Simulate.Kernel != want.Kernel || got.Simulate.Cycles != want.Cycles {
 				t.Fatalf("simulate metadata differs: %+v vs %+v", got.Simulate, want)
 			}
 		case service.OpRank:

@@ -57,7 +57,7 @@ func TestMemoCachedReplayBitIdentical(t *testing.T) {
 	_, mts := newMemoTestServer(t, base)
 	_, pts := newMemoTestServer(t, plain)
 
-	// Simulate: the richest metadata (shards, kernel, fallback).
+	// Simulate: the richest metadata (kernel).
 	simReq := simulateRequest{Circuit: "multiplier", Width: 5, Cycles: 300, Seed: 42, Workers: 3}
 	if code, first := postAs[simulateResponse](t, mts, "/v1/simulate", simReq); code != http.StatusOK || first.Cached {
 		t.Fatalf("first simulate: code %d cached %v, want fresh 200", code, first.Cached)
@@ -76,7 +76,7 @@ func TestMemoCachedReplayBitIdentical(t *testing.T) {
 	if math.Float64bits(sim2.SwitchedCap) != math.Float64bits(simRef.SwitchedCap) {
 		t.Errorf("cached switched_cap bits %016x != recomputed %016x", math.Float64bits(sim2.SwitchedCap), math.Float64bits(simRef.SwitchedCap))
 	}
-	if sim2.Cycles != simRef.Cycles || sim2.Shards != simRef.Shards || sim2.Fallback != simRef.Fallback || sim2.Kernel != simRef.Kernel {
+	if sim2.Cycles != simRef.Cycles || sim2.Kernel != simRef.Kernel {
 		t.Errorf("cached metadata diverged: cached %+v, recomputed %+v", sim2, simRef)
 	}
 	if sim2.Hedged {

@@ -67,8 +67,6 @@ type Config struct {
 	// the memo package default (64 MiB), negative disables memoization
 	// entirely.
 	MemoMaxBytes int64
-	// MemoShards is the estimate cache's shard count (0 = default).
-	MemoShards int
 	// DrainTimeout bounds graceful shutdown: how long Drain waits for
 	// in-flight requests, and the Retry-After hint handed to requests
 	// arriving mid-drain (0 = DefaultConfig's 30s).
@@ -239,7 +237,7 @@ func NewServer(cfg Config) *Server {
 		breakers: make(map[string]*resilience.Breaker, len(Subsystems)),
 	}
 	if cfg.MemoMaxBytes >= 0 {
-		s.memo = memo.New(memo.Options{MaxBytes: cfg.MemoMaxBytes, Shards: cfg.MemoShards})
+		s.memo = memo.New(memo.Options{MaxBytes: cfg.MemoMaxBytes})
 	}
 	for _, name := range Subsystems {
 		s.breakers[name] = resilience.NewBreaker(resilience.BreakerConfig{

@@ -27,10 +27,11 @@ import (
 // leaves behind. They were recorded once and are never regenerated to
 // make a change pass; a diff here is a wire-format change.
 //
-// The bytes are host-independent: every simulate names its workers
-// (shards, and the step-trip text of a sharded run, otherwise follow
-// GOMAXPROCS), codegen promotion is off, and the clock is a fake, so
-// retry backoff and breaker Retry-After hints are exact.
+// The bytes are host-independent: every simulate runs on one shard
+// whatever GOMAXPROCS is (the recorded requests still name workers,
+// which pins that the field is accepted and ignored), codegen promotion
+// is off, and the clock is a fake, so retry backoff and breaker
+// Retry-After hints are exact.
 
 // wireRequest is one transcript step: a POST of a raw JSON body.
 type wireRequest struct {
@@ -112,8 +113,8 @@ var wireLimitSequence = []wireRequest{
 	{"predict", "/v1/predict", `{"circuit":"multiplier","width":16,"model":"dbt","train":20000,"eval":64,"seed":1}`},
 }
 
-// wireBatchItems is batchTestItems with explicit simulate workers plus
-// one malformed item.
+// wireBatchItems is batchTestItems with simulate workers named (and
+// ignored) plus one malformed item.
 func wireBatchItems() []service.BatchItem {
 	items := batchTestItems()
 	for i := range items {

@@ -340,8 +340,6 @@ func (r *GroupRunner) RunItem(ctx context.Context, b *budget.Budget, it BatchIte
 			Cycles:      res.Cycles,
 			SwitchedCap: res.SwitchedCap,
 			Power:       res.Power(),
-			Shards:      res.Shards,
-			Fallback:    res.Fallback,
 			Kernel:      res.Kernel,
 		}
 	case OpRank:

@@ -29,15 +29,14 @@ func (k Keys) enc(endpoint string) *memo.Enc {
 }
 
 // Simulate derives the content key of a simulate request. Workers is
-// included because it changes the Shards metadata the response replays
-// (the power figures themselves are bit-identical at any worker count).
+// left out: the service ignores it, so requests that differ only in
+// Workers share one entry.
 func (k Keys) Simulate(req SimulateRequest) memo.Key {
 	e := k.enc("simulate")
 	e.String(req.Circuit)
 	e.Int(req.Width)
 	e.Int(req.Cycles)
 	e.Int64(req.Seed)
-	e.Int(req.Workers)
 	return e.Key()
 }
 

@@ -86,34 +86,37 @@ func TestArtifactSingleflight(t *testing.T) {
 // threshold and pins the whole ladder: fused serves until the
 // background build lands, the swap-in changes only the kernel tag —
 // the power figures stay Float64bits-identical — and the stats
-// counters tell the story.
+// counters tell the story. The build waits until the threshold-crossing
+// serve has finished, so that serve runs fused on any schedule.
 func TestPromotionLifecycle(t *testing.T) {
 	svc := Local{CodegenAfter: 3}
+	crossed := make(chan struct{})
+	svc.buildCodegen = func(c *sim.Compiled) error {
+		<-crossed
+		return c.BuildCodegen()
+	}
 	req := SimulateRequest{Circuit: "multiplier", Width: 6, Cycles: 400, Seed: 7}
 
 	var fusedPower, fusedCap float64
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		res, err := svc.Simulate(ctxBG(), nil, req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Kernel != sim.KernelFused {
-			t.Fatalf("run %d: Kernel=%q, want fused below threshold", i, res.Kernel)
+			t.Fatalf("run %d: Kernel=%q, want fused before the build lands", i, res.Kernel)
 		}
 		fusedPower, fusedCap = res.Power(), res.SwitchedCap
 	}
+	// The third serve crossed the threshold; the build is asynchronous.
 	st := svc.KernelStats()
-	if st.Hotness["multiplier/6"] != 2 {
-		t.Fatalf("Hotness = %v, want multiplier/6: 2", st.Hotness)
+	if st.Hotness["multiplier/6"] != 3 {
+		t.Fatalf("Hotness = %v, want multiplier/6: 3", st.Hotness)
 	}
 	if st.Promotions != 0 || st.CodegenArtifacts != 0 {
 		t.Fatalf("premature promotion: %+v", st)
 	}
-
-	// Third serve crosses the threshold; the build is asynchronous.
-	if _, err := svc.Simulate(ctxBG(), nil, req); err != nil {
-		t.Fatal(err)
-	}
+	close(crossed)
 	waitFor(t, "promotion", func() bool { return svc.KernelStats().Promotions == 1 })
 
 	res, err := svc.Simulate(ctxBG(), nil, req)

@@ -43,13 +43,17 @@ const (
 )
 
 // SimulateRequest asks for the gate-level Monte Carlo power of one
-// RT-library circuit.
+// RT-library circuit. Every simulate runs on one shard: the figure does
+// not depend on how the vectors are split, and a server's parallelism
+// is the concurrent requests it schedules.
 type SimulateRequest struct {
 	Circuit string `json:"circuit"`
 	Width   int    `json:"width"`
 	Cycles  int    `json:"cycles"`
 	Seed    int64  `json:"seed"`
-	Workers int    `json:"workers"`
+	// Workers is ignored. It stays decodable so that clients which
+	// still name it are not rejected as sending an unknown field.
+	Workers int `json:"workers"`
 }
 
 // SimulateResponse is the simulate wire type. Hedged and Cached are
@@ -60,16 +64,13 @@ type SimulateResponse struct {
 	Cycles      int     `json:"cycles"`
 	SwitchedCap float64 `json:"switched_cap"`
 	Power       float64 `json:"power"`
-	Shards      int     `json:"shards"`
-	Fallback    string  `json:"fallback,omitempty"`
 	// Kernel names the 64-lane tier that served the request ("fused" or
 	// "codegen"), empty when the interpreted scalar engine ran.
 	Kernel string `json:"kernel,omitempty"`
 	Hedged bool   `json:"hedged"`
 	// Cached reports the response was replayed from the estimate cache
 	// (or shared with a concurrent identical request) — bit-identical to
-	// a recomputation, including the Shards/Fallback/Kernel metadata of
-	// the run that produced it.
+	// a recomputation, including the Kernel of the run that produced it.
 	Cached bool `json:"cached"`
 }
 
@@ -586,23 +587,15 @@ func (l *Local) Simulate(_ context.Context, b *budget.Budget, req SimulateReques
 }
 
 // simulateWith is Simulate over an already resolved artifact, shared by
-// single requests and batch simulate groups. Words and Lean are pure
-// accelerators: Words feeds the kernel the same bits as the provider
-// without the per-cycle []bool, and Lean skips Result fields no
-// response reads. Routing through runArtifact makes every path count
-// toward, and benefit from, codegen promotion alike.
+// single requests and batch simulate groups. It runs on one shard
+// through runStreams, as rank candidates and predict traces do, so
+// req.Workers never reaches the kernel.
 func (l *Local) simulateWith(b *budget.Budget, art *artifact, req SimulateRequest) (*sim.Result, error) {
 	if err := CheckCycles(req.Cycles); err != nil {
 		return nil, err
 	}
 	as, bs := OperandStreams(req.Cycles, req.Width, req.Seed)
-	mod := art.mod
-	prov := func(c int) []bool { return mod.InputVector(as[c], bs[c]) }
-	return l.runArtifact(b, art, prov, req.Cycles, sim.RunOptions{
-		Workers: req.Workers,
-		Words:   func(c int) uint64 { return mod.InputWord(as[c], bs[c]) },
-		Lean:    true,
-	})
+	return l.runStreams(b, art, as, bs)
 }
 
 // EvalCand evaluates one rank candidate — (design, workload) pair —
@@ -638,7 +631,9 @@ func (l *Local) evalCandStreams(b *budget.Budget, name string, width int, as, bs
 // runStreams simulates an operand stream pair on the artifact: lean,
 // fed pre-packed input words, and single-shard, so b is charged
 // directly, exactly as the one-shot RunPackedBudget path charges it,
-// and the result is Float64bits-identical to that path's.
+// and the result is Float64bits-identical to that path's. Routing
+// through runArtifact makes every path count toward, and benefit from,
+// codegen promotion alike.
 func (l *Local) runStreams(b *budget.Budget, art *artifact, as, bs []uint64) (*sim.Result, error) {
 	mod := art.mod
 	prov := func(c int) []bool { return mod.InputVector(as[c], bs[c]) }

@@ -3,12 +3,16 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"hlpower/internal/budget"
 	"hlpower/internal/hlerr"
 	"hlpower/internal/memo"
+	"hlpower/internal/sim"
 )
 
 func ctxBG() context.Context { return context.Background() }
@@ -34,27 +38,81 @@ func TestSimulateDeterministic(t *testing.T) {
 	}
 }
 
-// The power figure must not depend on the worker count — only response
-// metadata (Shards) may differ. Cluster nodes with different worker
-// configurations would otherwise disagree on forwarded results.
-func TestSimulateWorkerCountInvariant(t *testing.T) {
-	var svc Local
-	base := SimulateRequest{Circuit: "multiplier", Width: 4, Cycles: 160, Seed: 7}
-	var powers []float64
-	for _, w := range []int{1, 2, 4} {
+// Every simulate runs on one shard, whatever Workers says: the result
+// bits, the execution metadata and the content key are those of a
+// one-worker request, and a request naming many workers allocates no
+// more than a one-worker one (no per-shard scratch, budget forks or
+// shard goroutines). Sharded at 1,000 workers, this multiplier/16
+// 20,000-cycle request would cut 625 shards.
+func TestSimulateIgnoresWorkers(t *testing.T) {
+	svc := Local{CodegenAfter: -1} // no background promotion builds
+	var k Keys
+	base := SimulateRequest{Circuit: "multiplier", Width: 16, Cycles: 20_000, Seed: 7, Workers: 1}
+	ref, err := svc.Simulate(ctxBG(), nil, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{0, 3, 1000} {
 		req := base
 		req.Workers = w
 		res, err := svc.Simulate(ctxBG(), nil, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		powers = append(powers, res.Power())
-	}
-	for i := 1; i < len(powers); i++ {
-		if math.Float64bits(powers[i]) != math.Float64bits(powers[0]) {
-			t.Fatalf("worker count changed the figure: %v vs %v", powers[i], powers[0])
+		if d := resultBitsDiff(ref, res); d != "" {
+			t.Errorf("workers=%d: %s", w, d)
+		}
+		if k.Simulate(req) != k.Simulate(base) {
+			t.Errorf("workers=%d changed the simulate key", w)
 		}
 	}
+
+	// Each measured run starts from an empty scratch pool (two GCs drop
+	// sync.Pool contents), so both sides pay the same refill and no GC
+	// runs inside the measurement. The 1.5x slack absorbs run-to-run
+	// noise; a 625-shard split allocates over 40x the bytes.
+	many := base
+	many.Workers = 1000
+	cost := func(req SimulateRequest) (bytes, objs uint64) {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := svc.Simulate(ctxBG(), nil, req); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+	}
+	oneB, oneO := cost(base)
+	manyB, manyO := cost(many)
+	if manyB > oneB*3/2 || manyO > oneO*3/2 {
+		t.Errorf("1000 workers allocated %d B in %d objects, 1 worker %d B in %d objects", manyB, manyO, oneB, oneO)
+	}
+}
+
+// resultBitsDiff describes the first difference between two results'
+// figures (compared as Float64bits) and execution metadata, or returns
+// "" when they are identical.
+func resultBitsDiff(a, b *sim.Result) string {
+	switch {
+	case a.Cycles != b.Cycles || a.Shards != b.Shards || a.Fallback != b.Fallback || a.Kernel != b.Kernel:
+		return fmt.Sprintf("metadata %d/%d/%q/%q, want %d/%d/%q/%q",
+			b.Cycles, b.Shards, b.Fallback, b.Kernel, a.Cycles, a.Shards, a.Fallback, a.Kernel)
+	case math.Float64bits(a.SwitchedCap) != math.Float64bits(b.SwitchedCap),
+		math.Float64bits(a.Power()) != math.Float64bits(b.Power()):
+		return fmt.Sprintf("power %v, want %v", b.Power(), a.Power())
+	case !slices.Equal(a.Toggles, b.Toggles):
+		return "toggle counts differ"
+	case len(a.PerCycleCap) != len(b.PerCycleCap):
+		return "per-cycle capacitance lengths differ"
+	}
+	for i := range a.PerCycleCap {
+		if math.Float64bits(a.PerCycleCap[i]) != math.Float64bits(b.PerCycleCap[i]) {
+			return fmt.Sprintf("per-cycle capacitance differs at cycle %d", i)
+		}
+	}
+	return ""
 }
 
 // Malformed requests surface as hlerr input errors from every
@@ -283,7 +341,8 @@ func TestPredictSelfConsistent(t *testing.T) {
 }
 
 // Content keys separate everything budget- or result-relevant: every
-// request field, the endpoint, and the server's step allowance.
+// request field the service reads, the endpoint, and the server's step
+// allowance.
 func TestKeysSensitivity(t *testing.T) {
 	k := Keys{MaxSteps: 1000}
 	base := SimulateRequest{Circuit: "adder", Width: 4, Cycles: 64, Seed: 1, Workers: 2}
@@ -302,9 +361,12 @@ func TestKeysSensitivity(t *testing.T) {
 		{"width", SimulateRequest{Circuit: "adder", Width: 5, Cycles: 64, Seed: 1, Workers: 2}},
 		{"cycles", SimulateRequest{Circuit: "adder", Width: 4, Cycles: 65, Seed: 1, Workers: 2}},
 		{"seed", SimulateRequest{Circuit: "adder", Width: 4, Cycles: 64, Seed: 2, Workers: 2}},
-		{"workers", SimulateRequest{Circuit: "adder", Width: 4, Cycles: 64, Seed: 1, Workers: 3}},
 	} {
 		add("simulate/"+m.name, k.Simulate(m.req))
+	}
+	// Workers is ignored by the service, so it is not keyed.
+	if k.Simulate(SimulateRequest{Circuit: "adder", Width: 4, Cycles: 64, Seed: 1, Workers: 3}) != k.Simulate(base) {
+		t.Error("workers changed the simulate key")
 	}
 	// A reconfigured server is a different service: MaxSteps is keyed.
 	add("maxsteps", Keys{MaxSteps: 2000}.Simulate(base))

@@ -161,14 +161,14 @@ func TestCodegenSwapMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := c.Run(nil, inputs, 700, RunOptions{Workers: 4, MinShard: 10, Words: words})
+	before, err := c.Run(nil, inputs, 700, RunOptions{Workers: 4, Words: words})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.BuildCodegen(); err != nil {
 		t.Fatal(err)
 	}
-	after, err := c.Run(nil, inputs, 700, RunOptions{Workers: 4, MinShard: 10, Words: words})
+	after, err := c.Run(nil, inputs, 700, RunOptions{Workers: 4, Words: words})
 	if err != nil {
 		t.Fatal(err)
 	}

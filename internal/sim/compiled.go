@@ -173,8 +173,6 @@ type RunOptions struct {
 	// Workers bounds the shard worker pool exactly as
 	// ParallelOptions.Workers does.
 	Workers int
-	// MinShard is the minimum cycles per shard (DefaultMinShard if 0).
-	MinShard int
 	// NoCodegen forces the fused interpreter even when the specialized
 	// evaluator is built. Serving layers use it to keep fault-armed
 	// requests off the promoted tier; results are bit-identical either
@@ -258,12 +256,8 @@ func (c *Compiled) Run(b *budget.Budget, inputs InputProvider, cycles int, opts 
 		}
 		return runShard(wb, e, inputs, lo, hi, opts.Lean)
 	}
-	minShard := opts.MinShard
-	if minShard <= 0 {
-		minShard = DefaultMinShard
-	}
 	workers := par.Workers(opts.Workers)
-	parts := cycles / minShard
+	parts := cycles / DefaultMinShard
 	if parts > workers {
 		parts = workers
 	}

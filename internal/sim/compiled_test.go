@@ -28,12 +28,12 @@ func TestCompiledBitIdenticalToRunParallel(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
 		want, err := RunParallel(nil, n, inputs, 700, ParallelOptions{
-			Options: opts, Workers: workers, MinShard: 10,
+			Options: opts, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Run(nil, inputs, 700, RunOptions{Workers: workers, MinShard: 10})
+		got, err := c.Run(nil, inputs, 700, RunOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestCompiledScratchReuse(t *testing.T) {
 	}
 	// Interleave a differently shaped workload (odd cycle count, so the
 	// last word's tail lanes hold garbage).
-	if _, err := c.Run(nil, inB, 257, RunOptions{Workers: 3, MinShard: 10}); err != nil {
+	if _, err := c.Run(nil, inB, 257, RunOptions{Workers: 3}); err != nil {
 		t.Fatal(err)
 	}
 	again, err := c.Run(nil, inA, 300, RunOptions{})
@@ -80,7 +80,7 @@ func TestCompiledScalarOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := c.Run(nil, inputs, 400, RunOptions{Workers: 2, MinShard: 10})
+	packed, err := c.Run(nil, inputs, 400, RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +112,12 @@ func TestCompiledSequentialFallback(t *testing.T) {
 		vectors[i] = []bool{i%3 == 0}
 	}
 	want, err := RunParallel(nil, n, VectorInputs(vectors), 200, ParallelOptions{
-		Options: Options{TrackClock: true}, Workers: 8, MinShard: 10,
+		Options: Options{TrackClock: true}, Workers: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Run(nil, VectorInputs(vectors), 200, RunOptions{Workers: 8, MinShard: 10})
+	got, err := c.Run(nil, VectorInputs(vectors), 200, RunOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,16 +140,15 @@ func TestCompiledWordsLean(t *testing.T) {
 		t.Fatal(err)
 	}
 	words := func(cycle int) uint64 { return bitutil.FromBits(inputs(cycle)) }
-	for _, cycles := range []int{3, 64, 65, 257, 700} {
+	// At 4 workers, 129 cycles cut 4 sub-word shards, one with an odd
+	// tail lane.
+	for _, cycles := range []int{3, 64, 65, 129, 257, 700} {
 		for _, workers := range []int{1, 4} {
-			full, err := c.Run(nil, inputs, cycles, RunOptions{Workers: workers, MinShard: 10})
+			full, err := c.Run(nil, inputs, cycles, RunOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			lean, err := c.Run(nil, inputs, cycles, RunOptions{
-				Workers: workers, MinShard: 10,
-				Words: words, Lean: true,
-			})
+			lean, err := c.Run(nil, inputs, cycles, RunOptions{Workers: workers, Words: words, Lean: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +241,7 @@ func TestCompiledBudgetAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	bc := budget.New()
-	if _, err := c.Run(bc, inputs, 600, RunOptions{Workers: 4, MinShard: 10}); err != nil {
+	if _, err := c.Run(bc, inputs, 600, RunOptions{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if bs.StepsUsed() != bc.StepsUsed() {
@@ -250,7 +249,7 @@ func TestCompiledBudgetAccounting(t *testing.T) {
 	}
 	// Exhaustion still unwinds to a typed error.
 	tight := budget.New(budget.WithMaxSteps(200))
-	if _, err := c.Run(tight, inputs, 600, RunOptions{Workers: 4, MinShard: 10}); !errors.Is(err, budget.ErrExceeded) {
+	if _, err := c.Run(tight, inputs, 600, RunOptions{Workers: 4}); !errors.Is(err, budget.ErrExceeded) {
 		t.Fatalf("want budget exhaustion, got %v", err)
 	}
 }

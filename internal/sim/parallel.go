@@ -26,10 +26,6 @@ type ParallelOptions struct {
 	// coarser grain (e.g. cmd/repro -j) should divide the machine
 	// between the levels rather than multiply them.
 	Workers int
-	// MinShard is the minimum number of cycles per shard
-	// (DefaultMinShard when zero). Runs shorter than two shards fall
-	// back to the serial path.
-	MinShard int
 }
 
 // Serial-fallback reasons reported in Result.Fallback when RunParallel
@@ -39,8 +35,8 @@ const (
 	// vector sharding would be unsound (see CanShard).
 	FallbackSequential = "sequential-netlist"
 	// FallbackShortRun: the run could not be cut into at least two
-	// MinShard-sized shards for the available workers, so parallelism
-	// would cost more than it buys.
+	// DefaultMinShard-sized shards for the available workers, so
+	// parallelism would cost more than it buys.
 	FallbackShortRun = "short-run"
 )
 
@@ -91,5 +87,5 @@ func RunParallel(b *budget.Budget, n *logic.Netlist, inputs InputProvider, cycle
 	if err != nil {
 		return nil, err
 	}
-	return c.Run(b, inputs, cycles, RunOptions{Workers: opts.Workers, MinShard: opts.MinShard})
+	return c.Run(b, inputs, cycles, RunOptions{Workers: opts.Workers})
 }

@@ -118,7 +118,7 @@ func TestParallelBitIdenticalToSerial(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 3, 7, 16} {
 			res, err := RunParallel(nil, n, inputs, 700, ParallelOptions{
-				Options: opts, Workers: workers, MinShard: 10,
+				Options: opts, Workers: workers,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -146,7 +146,7 @@ func TestParallelSequentialFallsBackToSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	parallel, err := RunParallel(nil, n, VectorInputs(vectors), 400, ParallelOptions{
-		Options: Options{TrackClock: true}, Workers: 8, MinShard: 10,
+		Options: Options{TrackClock: true}, Workers: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestParallelFallbackObservable(t *testing.T) {
 	for c := range vectors {
 		vectors[c] = []bool{c%3 == 0}
 	}
-	res, err := RunParallel(nil, n, VectorInputs(vectors), 200, ParallelOptions{Workers: 8, MinShard: 10})
+	res, err := RunParallel(nil, n, VectorInputs(vectors), 200, ParallelOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestParallelFallbackObservable(t *testing.T) {
 
 	// Run shorter than two shards: fallback with the short-run reason.
 	comb, inputs := mcNetlist(t, 8, 40, 2)
-	res, err = RunParallel(nil, comb, inputs, 40, ParallelOptions{Workers: 8, MinShard: 32})
+	res, err = RunParallel(nil, comb, inputs, 40, ParallelOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestParallelFallbackObservable(t *testing.T) {
 
 	// A shardable run reports its shard count and no fallback.
 	comb, inputs = mcNetlist(t, 8, 400, 2)
-	res, err = RunParallel(nil, comb, inputs, 400, ParallelOptions{Workers: 4, MinShard: 10})
+	res, err = RunParallel(nil, comb, inputs, 400, ParallelOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestParallelInputErrors(t *testing.T) {
 	// Wrong-width vectors must surface as a typed error from inside the
 	// worker pool, not a panic.
 	bad := func(cycle int) []bool { return []bool{true} }
-	if _, err := RunParallel(nil, n, bad, 500, ParallelOptions{Workers: 4, MinShard: 10}); err == nil {
+	if _, err := RunParallel(nil, n, bad, 500, ParallelOptions{Workers: 4}); err == nil {
 		t.Fatal("wrong-width vector accepted")
 	}
 }
@@ -236,7 +236,7 @@ func TestParallelInputErrors(t *testing.T) {
 func TestParallelBudgetExhaustion(t *testing.T) {
 	n, inputs := mcNetlist(t, 16, 2000, 5)
 	b := budget.New(budget.WithMaxSteps(200))
-	_, err := RunParallel(b, n, inputs, 2000, ParallelOptions{Workers: 4, MinShard: 10})
+	_, err := RunParallel(b, n, inputs, 2000, ParallelOptions{Workers: 4})
 	if !errors.Is(err, budget.ErrExceeded) {
 		t.Fatalf("want budget exhaustion, got %v", err)
 	}
@@ -252,7 +252,7 @@ func TestParallelFaultInjectionUnwinds(t *testing.T) {
 			budget.WithFaultPlan(budget.FaultPlan{FailAtCheck: fail}),
 			budget.WithCheckInterval(64),
 		)
-		_, err := RunParallel(b, n, inputs, 1200, ParallelOptions{Workers: 4, MinShard: 10})
+		_, err := RunParallel(b, n, inputs, 1200, ParallelOptions{Workers: 4})
 		var ex *budget.Exceeded
 		if !errors.As(err, &ex) {
 			t.Fatalf("fail@%d: want *budget.Exceeded, got %v", fail, err)
@@ -269,7 +269,7 @@ func TestParallelBudgetAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp := budget.New()
-	if _, err := RunParallel(bp, n, inputs, 600, ParallelOptions{Workers: 4, MinShard: 10}); err != nil {
+	if _, err := RunParallel(bp, n, inputs, 600, ParallelOptions{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if bs.StepsUsed() != bp.StepsUsed() {
