@@ -48,7 +48,6 @@ func main() {
 		queue     = flag.Int("queue", 64, "max queued requests before shedding with 429")
 		timeout   = flag.Duration("timeout", 5*time.Second, "per-request budget deadline")
 		maxSteps  = flag.Int64("max-steps", 50_000_000, "per-request step allowance")
-		hedge     = flag.Duration("hedge", 0, "hedged-backup delay for simulate requests (0 = off)")
 		faultProb = flag.Float64("fault-prob", 0, "chaos: per-check fault injection probability")
 		faultSeed = flag.Int64("fault-seed", 1, "chaos: fault plan seed")
 		memoBytes = flag.Int64("memo-bytes", 0, "estimate-cache byte budget (0 = 64 MiB default, negative = disable memoization)")
@@ -65,10 +64,8 @@ func main() {
 		jobMaxSteps = flag.Int64("job-total-steps", 0, "aggregate step ceiling per job (0 = unlimited)")
 
 		codegenAfter = flag.Int("codegen-after", 0, "requests before a hot netlist is promoted to the specialized codegen kernel (0 = default 8, negative = disable)")
+		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain window: max wait for in-flight requests on shutdown, and the Retry-After hint sent mid-drain")
 	)
-	var drainTimeout time.Duration
-	flag.DurationVar(&drainTimeout, "drain-timeout", 30*time.Second, "graceful-drain window: max wait for in-flight requests on shutdown, and the Retry-After hint sent mid-drain")
-	flag.DurationVar(&drainTimeout, "drain-wait", 30*time.Second, "deprecated alias for -drain-timeout")
 	flag.Parse()
 
 	cfg := powerd.DefaultConfig()
@@ -78,9 +75,8 @@ func main() {
 	cfg.QueueDepth = *queue
 	cfg.RequestTimeout = *timeout
 	cfg.MaxSteps = *maxSteps
-	cfg.HedgeDelay = *hedge
 	cfg.MemoMaxBytes = *memoBytes
-	cfg.DrainTimeout = drainTimeout
+	cfg.DrainTimeout = *drainTimeout
 	cfg.JobWorkers = *jobWorkers
 	cfg.JobQueueDepth = *jobQueue
 	cfg.JobStallTimeout = *jobStall
@@ -151,8 +147,8 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	log.Printf("signal received; draining (max %s)", drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	log.Printf("signal received; draining (max %s)", *drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	// Stop admitting estimation work first, then close listeners: late
 	// arrivals between the two get a clean 503 instead of a reset.

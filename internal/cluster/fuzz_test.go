@@ -27,6 +27,7 @@ func FuzzGossipHandler(f *testing.F) {
 		`null`,
 		`[]`,
 		``,
+		`{"from":"b","view":{"b":2}}{"from":"c","view":{"c":1}}`,
 	} {
 		f.Add([]byte(seed))
 	}

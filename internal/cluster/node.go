@@ -338,6 +338,12 @@ func (n *Node) Handler() http.Handler {
 			http.Error(w, "bad gossip payload", http.StatusBadRequest)
 			return
 		}
+		// A payload is one message: anything but whitespace after it
+		// is rejected too.
+		if _, err := dec.Token(); err != io.EOF {
+			http.Error(w, "bad gossip payload", http.StatusBadRequest)
+			return
+		}
 		n.gossipRecv.Add(1)
 		// The sender reporting at all is first-hand evidence of life; its
 		// claimed SentAt is recorded for skew stats but never judged.

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -220,13 +221,27 @@ func TestNodeGossipRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET on gossip endpoint = %d, want 405", resp.StatusCode)
 	}
-	resp, err = http.Post(srv.URL, "application/json", bytes.NewReader([]byte("not json")))
-	if err != nil {
-		t.Fatal(err)
+	// A payload is one JSON value: a second one, or anything else but
+	// whitespace after it, is rejected and not counted as received.
+	msg := `{"from":"a","view":{"a":3}}`
+	for body, want := range map[string]int{
+		"not json":        http.StatusBadRequest,
+		msg + " trailing": http.StatusBadRequest,
+		msg + msg:         http.StatusBadRequest,
+		msg + "}":         http.StatusBadRequest,
+		msg + "\n":        http.StatusNoContent,
+	} {
+		resp, err = http.Post(srv.URL, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("payload %q = %d, want %d", body, resp.StatusCode, want)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad payload = %d, want 400", resp.StatusCode)
+	if got := b.Stats().GossipRecv; got != 3 {
+		t.Errorf("receiver gossip_recv = %d after one more valid payload, want 3", got)
 	}
 }
 

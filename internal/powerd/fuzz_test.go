@@ -37,6 +37,7 @@ func FuzzServeItem(f *testing.F) {
 		seed(seq.reqs)
 	}
 	seed(wireLimitSequence)
+	seed([]wireRequest{{"trailing data", "/v1/simulate", `{"circuit":"adder","width":4,"cycles":64,"seed":1} trailing`}})
 	cfg := wireConfig()
 	cfg.MemoMaxBytes = -1
 	s := NewServer(cfg)
@@ -136,7 +137,7 @@ func payloadJSON(t *testing.T, item service.BatchItemResult) []byte {
 }
 
 // comparablePayload re-encodes a payload of op with the per-call
-// execution flags (cached, hedged) cleared.
+// execution flag (cached) cleared.
 func comparablePayload(t *testing.T, op string, raw []byte) []byte {
 	var p any
 	switch op {
@@ -154,7 +155,7 @@ func comparablePayload(t *testing.T, op string, raw []byte) []byte {
 	}
 	switch p := p.(type) {
 	case *simulateResponse:
-		p.Cached, p.Hedged = false, false
+		p.Cached = false
 	case *rankResponse:
 		p.Cached = false
 	case *bddResponse:

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"time"
 
 	"hlpower/internal/budget"
 	"hlpower/internal/memo"
@@ -34,29 +33,16 @@ type (
 // batch of one, so an entry stored by either path replays on the other
 // by construction. The paths differ only in the policy they pass.
 
-// policy is how an item's computation executes.
+// policy is how an item's computation executes. A single request gets
+// a fresh budget per attempt and the configured retry loop. A batch
+// item instead runs once on the budget the batch pipeline hands it; a
+// failed item is reported and the caller resubmits just that one.
 type policy struct {
 	// budget is every attempt's budget; nil builds a fresh one per
 	// attempt (budgets are sticky, so a tripped one is never reused).
 	budget *budget.Budget
 	// retry re-runs failed attempts; its zero value runs one.
 	retry resilience.RetryPolicy
-	// hedge, when positive, launches a backup attempt for a computation
-	// still running after it.
-	hedge time.Duration
-}
-
-// singlePolicy is a single request's policy: a fresh budget per
-// attempt and the configured retry loop. Simulation is deterministic
-// for a fixed seed and mutates nothing, so it alone is safe to hedge. A
-// batch item instead runs once on the budget the batch pipeline hands
-// it; a failed item is reported and the caller resubmits just that one.
-func (s *Server) singlePolicy(op string) policy {
-	p := policy{retry: s.cfg.Retry}
-	if op == service.OpSimulate {
-		p.hedge = s.cfg.HedgeDelay
-	}
-	return p
 }
 
 // breakerFor maps an op onto its subsystem breaker.
@@ -99,7 +85,7 @@ func (s *Server) handleSingle(op string) http.HandlerFunc {
 		if op != service.OpRank && s.tryForward(w, r, "/v1/"+op, k, req) {
 			return
 		}
-		res, err := s.serveItem(r.Context(), s.singlePolicy(op), it, k, nil, tt)
+		res, err := s.serveItem(r.Context(), policy{retry: s.cfg.Retry}, it, k, nil, tt)
 		if err != nil {
 			s.fail(w, err)
 			return
@@ -164,12 +150,10 @@ func (s *Server) itemKey(it service.BatchItem, tt []bool) memo.Key {
 // serveItem runs one item, keyed k, through the pipeline. runner is the
 // item's group runner; a single request passes nil, and a miss builds a
 // group of one (over tt, its already materialized bdd table), so a memo
-// hit resolves no artifact. The result carries the payload with this
-// caller's Cached and Hedged flags.
+// hit resolves no artifact. A miss runs the item on the caller's
+// goroutine behind the op's breaker, once per attempt. The result
+// carries the payload with this caller's Cached flag.
 func (s *Server) serveItem(ctx context.Context, pol policy, it service.BatchItem, k memo.Key, runner *service.GroupRunner, tt []bool) (service.BatchItemResult, error) {
-	// Hedging is a property of this call's execution, never replayed
-	// from the cache; the stored payload always carries Hedged=false.
-	var hedged bool
 	v, cached, err := s.memoDo(k, func() (any, int64, bool, error) {
 		r := runner
 		if r == nil {
@@ -178,17 +162,10 @@ func (s *Server) serveItem(ctx context.Context, pol policy, it service.BatchItem
 				return nil, 0, false, err
 			}
 		}
-		var v any
-		var err error
-		if pol.hedge > 0 {
-			var attempt int
-			v, attempt, err = resilience.Hedge(ctx, pol.hedge, func(ctx context.Context, _ int) (any, error) {
-				return s.compute(ctx, pol, r, it)
-			})
-			hedged = attempt > 0
-		} else {
-			v, err = s.compute(ctx, pol, r, it)
-		}
+		v, err := s.execute(ctx, pol, breakerFor[it.Op], func(b *budget.Budget) (any, error) {
+			res, err := r.RunItem(ctx, b, it)
+			return payload(res), err
+		})
 		if err != nil {
 			return nil, 0, false, err
 		}
@@ -198,18 +175,7 @@ func (s *Server) serveItem(ctx context.Context, pol policy, it service.BatchItem
 	if err != nil {
 		return service.BatchItemResult{}, err
 	}
-	return replay(it, v, cached, hedged)
-}
-
-// compute runs one missed item on its group runner behind the op's
-// breaker, returning the payload. A hedged item runs it once per hedge.
-// It is a method rather than a closure so that only a hedged item
-// allocates one; an unhedged item's op closure stays on the stack.
-func (s *Server) compute(ctx context.Context, pol policy, r *service.GroupRunner, it service.BatchItem) (any, error) {
-	return s.execute(ctx, pol, breakerFor[it.Op], func(b *budget.Budget) (any, error) {
-		res, err := r.RunItem(ctx, b, it)
-		return payload(res), err
-	})
+	return replay(it, v, cached)
 }
 
 // stored turns a computed payload into its memo entry, with the entry's
@@ -242,14 +208,14 @@ func stored(p any) (any, int64, bool) {
 }
 
 // replay rebuilds a caller's result from a memo entry: a copy of the
-// stored payload (never the entry itself) carrying this caller's flags,
-// and for bdd this caller's function name.
-func replay(it service.BatchItem, v any, cached, hedged bool) (service.BatchItemResult, error) {
+// stored payload (never the entry itself) carrying this caller's Cached
+// flag, and for bdd this caller's function name.
+func replay(it service.BatchItem, v any, cached bool) (service.BatchItemResult, error) {
 	var out service.BatchItemResult
 	switch val := v.(type) {
 	case *simulateResponse:
 		resp := *val
-		resp.Cached, resp.Hedged = cached, hedged
+		resp.Cached = cached
 		out.Simulate = &resp
 	case *rankResponse:
 		resp := *val

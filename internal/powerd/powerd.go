@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -60,9 +61,6 @@ type Config struct {
 	FailureThreshold int
 	OpenTimeout      time.Duration
 	HalfOpenProbes   int
-	// HedgeDelay, when positive, arms a hedged backup attempt for
-	// idempotent simulation requests that straggle past the delay.
-	HedgeDelay time.Duration
 	// MemoMaxBytes sizes the content-addressed estimate cache: 0 means
 	// the memo package default (64 MiB), negative disables memoization
 	// entirely.
@@ -604,16 +602,18 @@ func (s *Server) execute(ctx context.Context, pol policy, name string, op func(b
 }
 
 // permanent reports whether retrying err cannot change the outcome:
-// input errors, and step or node allowances the work exceeds — as
+// input errors; step or node allowances the work exceeds, as
 // deterministic for a request under the configured MaxSteps as its
-// memo key, which folds MaxSteps in. Deadline, cancellation and
-// injected-fault trips stay retryable, and count against the breaker.
+// memo key, which folds MaxSteps in; and a canceled trip, since no
+// retry brings back a context that has ended (a client that hung up, a
+// batch whose deadline passed). Deadline and injected-fault trips stay
+// retryable, and count against the breaker.
 func permanent(err error) bool {
 	if err == nil {
 		return false
 	}
 	var ex *budget.Exceeded
-	return hlerr.IsInput(err) || errors.As(err, &ex) && (ex.Resource == "steps" || ex.Resource == "nodes")
+	return hlerr.IsInput(err) || errors.As(err, &ex) && (ex.Resource == "steps" || ex.Resource == "nodes" || ex.Resource == "canceled")
 }
 
 // ---------------------------------------------------------------------
@@ -694,12 +694,16 @@ func decode(r *http.Request, v any) error {
 }
 
 // decodeLimit parses a JSON request body, bounding its size to limit
-// bytes.
+// bytes. The body is one JSON value: anything but whitespace after it is
+// rejected, so a second request object is never silently dropped.
 func decodeLimit(r *http.Request, v any, limit int64) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return hlerr.Errorf("powerd.decode", "bad request body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return hlerr.Errorf("powerd.decode", "bad request body: data after the JSON value")
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -121,6 +122,46 @@ func TestInputErrorsAre400(t *testing.T) {
 	for _, name := range Subsystems {
 		if st := s.Breaker(name).Stats(); st.Opened > 0 {
 			t.Fatalf("breaker %s opened on input errors: %+v", name, st)
+		}
+	}
+}
+
+// TestTrailingDataIs400 posts bodies that carry more than one JSON
+// value to every endpoint that decodes a client or peer body: each
+// answers 400, so a second request object is never silently dropped. A
+// trailing newline, which json.Encoder writes, is still accepted.
+func TestTrailingDataIs400(t *testing.T) {
+	s := NewServer(jobConfig())
+	defer drainServer(t, s)
+	batch := `{"items":[{"op":"simulate","simulate":{"circuit":"adder","width":4,"cycles":64,"seed":1}}]}`
+	bodies := map[string]string{
+		"/v1/simulate":     `{"circuit":"adder","width":4,"cycles":64,"seed":1}`,
+		"/v1/rank":         `{"width":4,"cycles":64,"seed":1}`,
+		"/v1/bdd":          `{"function":"parity","vars":4}`,
+		"/v1/predict":      `{"circuit":"adder","width":4,"model":"pfa","train":64,"eval":64,"seed":1}`,
+		"/v1/batch":        batch,
+		"/v1/batch/stream": batch,
+		"/v1/optimize":     `{"kind":"circuit","circuit":"adder","width":4,"seed":1,"candidates":2}`,
+		"/cluster/v1/cand": `{"name":"adder","width":4,"cycles":64,"seed":1}`,
+	}
+	serve := func(path, body string) int {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		if path == "/cluster/v1/cand" { // mounted in cluster mode only
+			s.handleClusterCand(rec, req)
+		} else {
+			s.Handler().ServeHTTP(rec, req)
+		}
+		return rec.Code
+	}
+	for path, body := range bodies {
+		if code := serve(path, body+"\n"); code != http.StatusOK && code != http.StatusAccepted {
+			t.Errorf("%s with a trailing newline: %d, want success", path, code)
+		}
+		for _, tail := range []string{" trailing garbage", body, "junk", "}"} {
+			if code := serve(path, body+tail); code != http.StatusBadRequest {
+				t.Errorf("%s %q: %d, want 400", path, body+tail, code)
+			}
 		}
 	}
 }
@@ -362,22 +403,6 @@ func TestSimulateMatchesLibrary(t *testing.T) {
 	}
 }
 
-func TestHedgedSimulate(t *testing.T) {
-	cfg := testConfig()
-	cfg.HedgeDelay = time.Nanosecond // backup fires essentially immediately
-	s := NewServer(cfg)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	resp, out := post(t, ts, "/v1/simulate", simulateRequest{Circuit: "adder", Width: 6, Cycles: 400, Seed: 11})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("hedged simulate: %d %v", resp.StatusCode, out)
-	}
-	if out["power"].(float64) <= 0 {
-		t.Fatalf("hedged simulate returned nonpositive power: %v", out)
-	}
-}
-
 func TestRetryAfterHintFloor(t *testing.T) {
 	s := NewServer(testConfig())
 	if s.retryAfterHint() < time.Second {
@@ -481,5 +506,65 @@ func TestStepLimitNeverOpensBreaker(t *testing.T) {
 	}
 	if st := s.Breaker("sim").Stats(); st.Failures != 0 || st.Opened != 0 || st.Successes != 3 {
 		t.Fatalf("sim breaker counted step-limit trips: %+v, want 3 successes (one per request)", st)
+	}
+}
+
+// TestHangUpsNeverOpenBreaker has FailureThreshold clients hang up in
+// the middle of long simulates. Each abandoned run stops at its
+// budget's next check with a canceled trip, which no retry can undo,
+// so the sim breaker records it as a success: clients that go away
+// cannot open the breaker for the next one.
+func TestHangUpsNeverOpenBreaker(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MemoMaxBytes = -1
+	cfg.MaxSteps = -1 // no step trip: only the hang-up ends a run early
+	s := NewServer(cfg)
+	started, served := make(chan struct{}), make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.RawQuery != "hangup" {
+			s.Handler().ServeHTTP(w, r)
+			return
+		}
+		started <- struct{}{}
+		s.Handler().ServeHTTP(w, r)
+		served <- struct{}{}
+	}))
+	defer ts.Close()
+	for i := 0; i < cfg.FailureThreshold; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		body := fmt.Sprintf(`{"circuit":"multiplier","width":16,"cycles":%d,"seed":%d}`, service.MaxCycles, i)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/simulate?hangup", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hungUp := make(chan error, 1)
+		go func() {
+			resp, err := ts.Client().Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			hungUp <- err
+		}()
+		select {
+		case <-started:
+		case err := <-hungUp:
+			t.Fatalf("hang-up %d: the request never reached the handler: %v", i, err)
+		}
+		cancel()
+		err = <-hungUp
+		// The handler outlives its client; it returns once the abandoned
+		// run's outcome is recorded by the breaker.
+		<-served
+		if err == nil {
+			t.Fatalf("hang-up %d: the simulate finished before the client went away", i)
+		}
+	}
+	if st := s.Breaker("sim").Stats(); st.State != "closed" || st.Failures != 0 || st.Successes != int64(cfg.FailureThreshold) {
+		t.Fatalf("sim breaker after %d hang-ups: %+v, want closed with one success each", cfg.FailureThreshold, st)
+	}
+	resp, out := post(t, ts, "/v1/simulate", simulateRequest{Circuit: "adder", Width: 4, Cycles: 64, Seed: 1})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate after hang-ups: %d %v, want 200", resp.StatusCode, out)
 	}
 }

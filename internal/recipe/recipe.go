@@ -67,9 +67,7 @@ func (s Spec) Validate() error {
 		if s.Width < 2 || s.Width > MaxSpecWidth {
 			return hlerr.Errorf("recipe.spec", "width %d out of range [2,%d]", s.Width, MaxSpecWidth)
 		}
-		switch s.Circuit {
-		case "adder", "carry-select", "multiplier", "subtractor", "comparator":
-		default:
+		if _, ok := rtlib.Constructor(s.Circuit); !ok {
 			return hlerr.Errorf("recipe.spec", "unknown circuit %q", s.Circuit)
 		}
 	case KindFSM:
@@ -240,10 +238,8 @@ func Build(spec Spec, seed int64, evalCycles, verifyCycles int) (*Design, *Workl
 	verifySeed := uint64(seed) ^ 0xd1b54a32d192ed03
 	switch spec.Kind {
 	case KindCircuit:
-		mod, err := moduleFor(spec.Circuit, spec.Width)
-		if err != nil {
-			return nil, nil, err
-		}
+		build, _ := rtlib.Constructor(spec.Circuit) // Validate checked the name
+		mod := build(spec.Width)
 		nIn := len(mod.Net.Inputs)
 		d := &Design{Kind: KindCircuit, Net: mod.Net}
 		w := &Workload{
@@ -291,27 +287,6 @@ func Build(spec Spec, seed int64, evalCycles, verifyCycles int) (*Design, *Workl
 		return d, &Workload{Kind: KindBus, Stream: stream}, nil
 	default:
 		return nil, nil, hlerr.Errorf("recipe.build", "unknown design kind %q", spec.Kind)
-	}
-}
-
-// moduleFor mirrors the service layer's RT-library switch. recipe
-// cannot import internal/service (service imports recipe for the
-// optimize wire types), so the five-name switch is duplicated here
-// under recipe's own tighter limits.
-func moduleFor(circuit string, width int) (*rtlib.Module, error) {
-	switch circuit {
-	case "adder":
-		return rtlib.NewAdder(width), nil
-	case "carry-select":
-		return rtlib.NewCarrySelectAdder(width), nil
-	case "multiplier":
-		return rtlib.NewMultiplier(width), nil
-	case "subtractor":
-		return rtlib.NewSubtractor(width), nil
-	case "comparator":
-		return rtlib.NewComparator(width), nil
-	default:
-		return nil, hlerr.Errorf("recipe.build", "unknown circuit %q", circuit)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package resilience provides the fault-tolerance primitives of the
 // estimation service: retry with exponential backoff and full jitter,
-// per-subsystem circuit breakers, hedged requests for idempotent
-// operations, and panic-safe work units. Everything time-dependent is
-// driven through a Clock so tests replace the wall clock with a fake
-// and assert transition sequences deterministically — the same design
-// discipline budget.FaultPlan applies to failure injection.
+// per-subsystem circuit breakers, and panic-safe work units. Everything
+// time-dependent is driven through a Clock so tests replace the wall
+// clock with a fake and assert transition sequences deterministically —
+// the same design discipline budget.FaultPlan applies to failure
+// injection.
 package resilience
 
 import (

@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -208,64 +207,5 @@ func TestBreakerTransitionCountersMonotonic(t *testing.T) {
 	st := b.Stats()
 	if st.Opened == 0 || st.HalfOpened == 0 {
 		t.Fatalf("load never cycled the breaker: %+v", st)
-	}
-}
-
-// The hedge must cancel the losing attempt the moment a winner
-// returns: the loser's context is done before Hedge itself returns.
-func TestHedgeCancelsLosingAttempt(t *testing.T) {
-	loserDone := make(chan struct{})
-	v, attempt, err := Hedge(context.Background(), time.Millisecond,
-		func(ctx context.Context, attempt int) (int, error) {
-			if attempt == 0 {
-				// The straggler: blocks until the hedge cancels it, then
-				// proves it observed the cancellation.
-				<-ctx.Done()
-				close(loserDone)
-				return 0, ctx.Err()
-			}
-			return 99, nil
-		})
-	if err != nil || v != 99 || attempt != 1 {
-		t.Fatalf("got (%d, %d, %v), want backup win", v, attempt, err)
-	}
-	select {
-	case <-loserDone:
-		// The loser saw ctx.Done() — cancellation propagated.
-	case <-time.After(2 * time.Second):
-		t.Fatal("losing attempt never observed cancellation")
-	}
-}
-
-// Symmetric case: the primary wins while the backup straggles; the
-// backup must be cancelled rather than left running.
-func TestHedgeCancelsStragglingBackup(t *testing.T) {
-	primaryGate := make(chan struct{})
-	backupLaunched := make(chan struct{})
-	backupDone := make(chan struct{})
-	go func() {
-		// Release the primary only once the backup is actually running,
-		// so both attempts are in flight and the backup must lose.
-		<-backupLaunched
-		close(primaryGate)
-	}()
-	v, attempt, err := Hedge(context.Background(), time.Millisecond,
-		func(ctx context.Context, attempt int) (int, error) {
-			if attempt == 1 {
-				close(backupLaunched)
-				<-ctx.Done()
-				close(backupDone)
-				return 0, ctx.Err()
-			}
-			<-primaryGate
-			return 7, nil
-		})
-	if err != nil || v != 7 || attempt != 0 {
-		t.Fatalf("got (%d, %d, %v), want primary win", v, attempt, err)
-	}
-	select {
-	case <-backupDone:
-	case <-time.After(2 * time.Second):
-		t.Fatal("straggling backup never observed cancellation")
 	}
 }

@@ -345,3 +345,21 @@ func NewCarrySelectAdder(width int) *Module {
 	return &Module{Name: fmt.Sprintf("csel%d", width), Net: n, A: a, B: b,
 		Out: append(append(logic.Bus{}, sum...), cout)}
 }
+
+// circuits names the standalone modules a request may ask for: the
+// circuits the estimation service serves and optimization jobs start
+// from.
+var circuits = map[string]func(width int) *Module{
+	"adder":        NewAdder,
+	"carry-select": NewCarrySelectAdder,
+	"multiplier":   NewMultiplier,
+	"subtractor":   NewSubtractor,
+	"comparator":   NewComparator,
+}
+
+// Constructor returns the constructor of the named standalone module,
+// and false when no module has that name.
+func Constructor(name string) (func(width int) *Module, bool) {
+	c, ok := circuits[name]
+	return c, ok
+}

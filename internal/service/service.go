@@ -56,9 +56,9 @@ type SimulateRequest struct {
 	Workers int `json:"workers"`
 }
 
-// SimulateResponse is the simulate wire type. Hedged and Cached are
-// execution metadata owned by the serving layer; the remaining fields
-// are pure functions of the request.
+// SimulateResponse is the simulate wire type. Cached is execution
+// metadata owned by the serving layer; the remaining fields are pure
+// functions of the request.
 type SimulateResponse struct {
 	Circuit     string  `json:"circuit"`
 	Cycles      int     `json:"cycles"`
@@ -67,7 +67,6 @@ type SimulateResponse struct {
 	// Kernel names the 64-lane tier that served the request ("fused" or
 	// "codegen"), empty when the interpreted scalar engine ran.
 	Kernel string `json:"kernel,omitempty"`
-	Hedged bool   `json:"hedged"`
 	// Cached reports the response was replayed from the estimate cache
 	// (or shared with a concurrent identical request) — bit-identical to
 	// a recomputation, including the Kernel of the run that produced it.
@@ -256,20 +255,10 @@ type artifact struct {
 	promoteFailed atomic.Bool
 }
 
-// circuits is the servable RT-library: every circuit name with its
-// constructor. KnownCircuit, checkModule and ModuleFor all read it.
-var circuits = map[string]func(width int) *rtlib.Module{
-	"adder":        rtlib.NewAdder,
-	"carry-select": rtlib.NewCarrySelectAdder,
-	"multiplier":   rtlib.NewMultiplier,
-	"subtractor":   rtlib.NewSubtractor,
-	"comparator":   rtlib.NewComparator,
-}
-
 // KnownCircuit reports whether name is a servable RT-library circuit
 // (the set ModuleFor builds).
 func KnownCircuit(name string) bool {
-	_, ok := circuits[name]
+	_, ok := rtlib.Constructor(name)
 	return ok
 }
 
@@ -312,7 +301,8 @@ func (l *Local) artifactFor(circuit string, width int) (*artifact, error) {
 	}
 	e.once.Do(func() {
 		l.artifactBuilds.Add(1)
-		mod := circuits[circuit](width)
+		build, _ := rtlib.Constructor(circuit)
+		mod := build(width)
 		comp, err := sim.Compile(mod.Net, sim.Options{Vdd: 1, Freq: 1})
 		if err != nil {
 			e.err = err
@@ -510,7 +500,8 @@ func ModuleFor(circuit string, width int) (*rtlib.Module, error) {
 	if err := checkModule(circuit, width); err != nil {
 		return nil, err
 	}
-	return circuits[circuit](width), nil
+	build, _ := rtlib.Constructor(circuit)
+	return build(width), nil
 }
 
 // CheckCycles validates a cycle count against the shared limits.
