@@ -97,10 +97,8 @@ cover:
 # target (the served predict path vs the one-shot, interpreted
 # reference), the HTTP item-pipeline target (raw bodies
 # through a single endpoint and a one-item batch must land in the same
-# outcome class with identical payloads), and the two peer-endpoint
-# targets (raw gossip bodies never change ring membership; raw
-# candidate bodies answer 200 with EvalCand's exact power, 400 or a
-# budget trip) a budget of FUZZTIME
+# outcome class with identical payloads), and the gossip target (raw
+# gossip bodies never change ring membership) a budget of FUZZTIME
 # (override with e.g. `make fuzz FUZZTIME=5s` for CI smoke runs).
 fuzz:
 	for f in FuzzBusInvertRoundTrip FuzzT0RoundTrip FuzzGrayRoundTrip \
@@ -119,7 +117,6 @@ fuzz:
 	go test -run '^FuzzOutputsEquivalence$$' -fuzz '^FuzzOutputsEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzPredictEquivalence$$' -fuzz '^FuzzPredictEquivalence$$' -fuzztime $(FUZZTIME) ./internal/macromodel/
 	go test -run '^FuzzServeItem$$' -fuzz '^FuzzServeItem$$' -fuzztime $(FUZZTIME) ./internal/powerd/
-	go test -run '^FuzzClusterCand$$' -fuzz '^FuzzClusterCand$$' -fuzztime $(FUZZTIME) ./internal/powerd/
 	go test -run '^FuzzGossipHandler$$' -fuzz '^FuzzGossipHandler$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 
 # soak runs the powerd chaos harness under the race detector: >= 1000

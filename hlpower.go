@@ -105,15 +105,6 @@ func RankParallel(b *Budget, workers int, candidates []Candidate) Ranking {
 	return core.RankParallel(b, workers, candidates)
 }
 
-// RankParallelMemo is RankParallel with per-candidate estimate
-// memoization: candidates carrying a MemoKey reuse previously computed
-// power figures, so re-ranking an overlapping candidate set only
-// evaluates the new designs. Degraded and failed estimates are never
-// stored, and a nil cache degrades to RankParallel.
-func RankParallelMemo(b *Budget, workers int, c *EstimateCache, candidates []Candidate) Ranking {
-	return core.RankParallelMemo(b, workers, c, candidates)
-}
-
 // Gate-level substrate.
 type (
 	// Netlist is a synchronous gate-level circuit.

@@ -14,7 +14,6 @@ import (
 
 	"hlpower/internal/budget"
 	"hlpower/internal/hlerr"
-	"hlpower/internal/memo"
 	"hlpower/internal/par"
 )
 
@@ -113,22 +112,14 @@ func (f FuncB) EstimateBudget(b *budget.Budget) (float64, bool, error) {
 type Candidate struct {
 	Name      string
 	Estimator Estimator
-	// MemoKey, when non-nil, is the content key identifying this
-	// candidate's (design, workload, options) input to RankParallelMemo.
-	// Estimators are closures and cannot be hashed; the caller, who knows
-	// what the closure captures, derives the key with a memo.Enc.
-	MemoKey *memo.Key
 }
 
-// Ranked is a candidate with its evaluated estimate.
+// Ranked is a candidate with its evaluated estimate, or the error its
+// estimator returned.
 type Ranked struct {
 	Candidate Candidate
 	Estimate  Estimate
 	Err       error
-	// Cached reports that the estimate was replayed from a memoization
-	// cache (or shared with a concurrent identical evaluation) rather
-	// than computed by this call.
-	Cached bool
 }
 
 // Ranking is the outcome of one improvement-loop evaluation, cheapest
@@ -186,92 +177,6 @@ func RankParallel(b *budget.Budget, workers int, candidates []Candidate) Ranking
 	})
 	sortRanking(out)
 	return out
-}
-
-// CandidateEstimate is what RankParallelMemo stores per candidate: the
-// scalar outcome of one estimator evaluation. It is immutable by
-// construction (two plain fields, copied on read). It is exported so
-// other serving layers (the cluster candidate endpoint) can store and
-// read the same cache entries under the same content keys.
-type CandidateEstimate struct {
-	Power    float64
-	Degraded bool
-}
-
-// RankParallelMemo is RankParallel with per-candidate estimate
-// memoization: candidates carrying a MemoKey reuse a previously
-// computed power figure — so re-ranking an overlapping candidate set
-// only simulates the new designs — and concurrent rankings of the same
-// candidate collapse onto one evaluation.
-//
-// Only exact successes are stored: degraded estimates, failures (other
-// than negative-cached input errors, which the cache handles itself),
-// and anything computed while a fault-injection plan is armed on the
-// budget go through the normal path and are never written back. With a
-// nil cache, or for candidates without a MemoKey, the behavior is
-// exactly RankParallel's.
-func RankParallelMemo(b *budget.Budget, workers int, cache *memo.Cache, candidates []Candidate) Ranking {
-	if cache == nil || b.FaultArmed() {
-		return RankParallel(b, workers, candidates)
-	}
-	out := make(Ranking, len(candidates))
-	par.Do(b, workers, len(candidates), func(i int, wb *budget.Budget) error {
-		c := candidates[i]
-		if c.MemoKey == nil {
-			out[i] = evaluate(wb, c)
-			return nil
-		}
-		var (
-			r        Ranked
-			computed bool
-		)
-		v, shared, err := cache.Do(*c.MemoKey, func() (any, int64, bool, error) {
-			r = evaluate(wb, c)
-			computed = true
-			if r.Err != nil {
-				return nil, 0, false, r.Err
-			}
-			return CandidateEstimate{Power: r.Estimate.Power, Degraded: r.Estimate.Degraded},
-				32, !r.Estimate.Degraded, nil
-		})
-		if computed {
-			// This worker ran evaluate; r carries the full outcome.
-			out[i] = r
-			return nil
-		}
-		if !shared {
-			// Defensive: compute failed before producing r.
-			out[i] = rankedErr(c, err)
-			return nil
-		}
-		if err != nil {
-			out[i] = rankedErr(c, err)
-			out[i].Cached = true
-			return nil
-		}
-		ce := v.(CandidateEstimate)
-		out[i] = Ranked{
-			Candidate: c,
-			Estimate: Estimate{
-				Power: ce.Power, Level: c.Estimator.Level(),
-				Model: c.Estimator.Name(), Degraded: ce.Degraded,
-			},
-			Cached: true,
-		}
-		return nil
-	})
-	sortRanking(out)
-	return out
-}
-
-// rankedErr builds the failed-candidate entry shared by the memoized
-// and direct paths.
-func rankedErr(c Candidate, err error) Ranked {
-	return Ranked{
-		Candidate: c,
-		Estimate:  Estimate{Level: c.Estimator.Level(), Model: c.Estimator.Name()},
-		Err:       err,
-	}
 }
 
 // evaluate runs one candidate's estimator under a budget, containing

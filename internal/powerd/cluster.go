@@ -1,15 +1,11 @@
 package powerd
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 
-	"hlpower/internal/budget"
 	"hlpower/internal/cluster"
-	"hlpower/internal/core"
 	"hlpower/internal/memo"
-	"hlpower/internal/service"
 )
 
 // Forwarding headers. A request carrying ForwardedHeader has already
@@ -23,10 +19,10 @@ const (
 )
 
 // EnableCluster joins this server to a powerd ring: it builds the
-// cluster node, mounts the peer endpoints (gossip and candidate
-// evaluation) on the server's mux, and starts the gossip loop. Call it
-// after NewServer and before serving traffic; Drain stops the loop.
-// Single-node operation is simply never calling this.
+// cluster node, mounts the gossip endpoint on the server's mux, and
+// starts the gossip loop. Call it after NewServer and before serving
+// traffic; Drain stops the loop. Single-node operation is simply never
+// calling this.
 func (s *Server) EnableCluster(ccfg cluster.Config) error {
 	if ccfg.Clock == nil {
 		ccfg.Clock = s.cfg.Clock
@@ -37,7 +33,6 @@ func (s *Server) EnableCluster(ccfg cluster.Config) error {
 	}
 	s.cluster = n
 	s.mux.Handle("POST /cluster/v1/gossip", n.Handler())
-	s.mux.HandleFunc("POST /cluster/v1/cand", s.handleClusterCand)
 	n.Start()
 	return nil
 }
@@ -114,89 +109,4 @@ func relay(w http.ResponseWriter, status int, body []byte, hdr http.Header, owne
 	w.Header().Set(ServedByHeader, ownerID)
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
-}
-
-// clusterCandRequest is the peer-to-peer unit of rank work: one named
-// candidate under one workload.
-type clusterCandRequest struct {
-	Name   string `json:"name"`
-	Width  int    `json:"width"`
-	Cycles int    `json:"cycles"`
-	Seed   int64  `json:"seed"`
-}
-
-// remoteCand is the service layer's RemoteCand hook: when a live peer
-// owns a rank candidate's key, evaluate it there — landing on the
-// owner's cache and singleflight so concurrent rankings across the
-// whole ring collapse onto one simulation. Any failure, non-200, or
-// undecodable reply returns ok=false and the candidate is evaluated
-// locally.
-func (s *Server) remoteCand(ctx context.Context, name string, req service.RankRequest) (service.CandEstimate, bool) {
-	if s.cluster == nil || s.plan.Load() != nil {
-		return service.CandEstimate{}, false
-	}
-	owner, remote := s.cluster.Owner(*s.keys.RankCand(name, req))
-	if !remote {
-		return service.CandEstimate{}, false
-	}
-	body, err := json.Marshal(clusterCandRequest{
-		Name: name, Width: req.Width, Cycles: req.Cycles, Seed: req.Seed,
-	})
-	if err != nil {
-		return service.CandEstimate{}, false
-	}
-	status, respBody, _, err := s.cluster.Forward(ctx, owner, "/cluster/v1/cand", body,
-		map[string]string{ForwardedHeader: s.cluster.SelfID()})
-	if err != nil || status != http.StatusOK {
-		s.fallbacks.Add(1)
-		return service.CandEstimate{}, false
-	}
-	var est service.CandEstimate
-	if err := json.Unmarshal(respBody, &est); err != nil {
-		s.fallbacks.Add(1)
-		return service.CandEstimate{}, false
-	}
-	return est, true
-}
-
-// handleClusterCand serves POST /cluster/v1/cand: one rank candidate
-// evaluated under this node's admission control, breaker, budget, and
-// — crucially — the same cache entries (core.CandidateEstimate under
-// the RankCand key) its own local rankings use, so a peer's fan-out
-// and a local ranking collapse onto one evaluation.
-func (s *Server) handleClusterCand(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	var req clusterCandRequest
-	if err := decode(r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	rr := service.RankRequest{Width: req.Width, Cycles: req.Cycles, Seed: req.Seed}
-	v, cached, err := s.memoDo(*s.keys.RankCand(req.Name, rr), func() (any, int64, bool, error) {
-		ev, err := s.execute(r.Context(), policy{retry: s.cfg.Retry}, "rank", func(b *budget.Budget) (any, error) {
-			p, deg, err := s.svc.EvalCand(b, req.Name, rr)
-			if err != nil {
-				return nil, err
-			}
-			return core.CandidateEstimate{Power: p, Degraded: deg}, nil
-		})
-		if err != nil {
-			return nil, 0, false, err
-		}
-		ce := ev.(core.CandidateEstimate)
-		return ce, 32, !ce.Degraded, nil
-	})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	ce := v.(core.CandidateEstimate)
-	s.peerServed.Add(1)
-	writeJSON(w, http.StatusOK, service.CandEstimate{
-		Power: ce.Power, Degraded: ce.Degraded, Cached: cached,
-	})
 }

@@ -3,7 +3,6 @@ package powerd
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -168,57 +167,4 @@ func comparablePayload(t *testing.T, op string, raw []byte) []byte {
 		t.Fatal(err)
 	}
 	return out
-}
-
-// FuzzClusterCand posts raw bodies to the peer candidate endpoint
-// (POST /cluster/v1/cand), whose bodies come from other ring nodes. It
-// answers 200, 400 or a 503 budget trip, never anything else, and a
-// 200's power is Float64bits-equal to service.Local's EvalCand on the
-// same fields. The server keeps no memo and a small step allowance, as
-// in FuzzServeItem, so every call computes and large inputs trip on
-// steps, never on the deadline.
-func FuzzClusterCand(f *testing.F) {
-	for _, seed := range []string{
-		`{"name":"adder","width":5,"cycles":64,"seed":5}`,
-		`{"name":"carry-select","width":16,"cycles":20000,"seed":2}`,
-		`{"name":"subtractor","width":4,"cycles":100,"seed":-1}`,
-		`{"name":"comparator","width":2,"cycles":2}`,
-		`{"name":"nonsense","width":4,"cycles":64}`,
-		`{"name":"adder","width":99,"cycles":64}`,
-		`{"name":"adder","width":4,"cycles":1}`,
-		`{"name":"adder","width":4,"cycles":64,"x":1}`,
-		`[1,2]`,
-		``,
-	} {
-		f.Add([]byte(seed))
-	}
-	cfg := wireConfig()
-	cfg.MemoMaxBytes = -1
-	s := NewServer(cfg)
-	var ref service.Local
-	f.Fuzz(func(t *testing.T, body []byte) {
-		rec := httptest.NewRecorder()
-		s.handleClusterCand(rec, httptest.NewRequest(http.MethodPost, "/cluster/v1/cand", bytes.NewReader(body)))
-		switch singleClass(t, rec.Code, rec.Body.Bytes()) {
-		case service.BatchErrInput, service.BatchErrBudget:
-			return
-		case service.BatchErrUnavailable:
-			t.Fatalf("%q: answered %d %s", body, rec.Code, rec.Body.Bytes())
-		}
-		var req clusterCandRequest
-		if err := decode(httptest.NewRequest(http.MethodPost, "/cluster/v1/cand", bytes.NewReader(body)), &req); err != nil {
-			t.Fatalf("%q: 200 for a body that does not decode: %v", body, err)
-		}
-		var got service.CandEstimate
-		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
-			t.Fatalf("%q: 200 body %q: %v", body, rec.Body.Bytes(), err)
-		}
-		want, _, err := ref.EvalCand(nil, req.Name, service.RankRequest{Width: req.Width, Cycles: req.Cycles, Seed: req.Seed})
-		if err != nil {
-			t.Fatalf("%q: 200, but EvalCand fails: %v", body, err)
-		}
-		if math.Float64bits(got.Power) != math.Float64bits(want) || got.Degraded || got.Cached {
-			t.Fatalf("%q: answered %+v, EvalCand power %v", body, got, want)
-		}
-	})
 }

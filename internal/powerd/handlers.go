@@ -54,9 +54,9 @@ var breakerFor = map[string]string{
 }
 
 // handleSingle serves one single endpoint as a batch of one: decode the
-// op's request, validate what its key needs, forward it to the key's
-// owner when a live peer owns it, run it through serveItem, and answer
-// with the payload alone.
+// op's request, validate what its key needs, forward the whole request
+// to the key's owner when a live peer owns it (rank included), run it
+// through serveItem, and answer with the payload alone.
 func (s *Server) handleSingle(op string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		release, ok := s.admit(w, r)
@@ -77,12 +77,7 @@ func (s *Server) handleSingle(op string) http.HandlerFunc {
 			return
 		}
 		k := s.itemKey(it, tt)
-		// Rank is a fan-out job, so cluster mode does not forward the
-		// whole request: the node that received it aggregates, and each
-		// candidate's evaluation is routed to that candidate key's owner
-		// (see remoteCand), which is where cross-node singleflight
-		// collapses duplicates.
-		if op != service.OpRank && s.tryForward(w, r, "/v1/"+op, k, req) {
+		if s.tryForward(w, r, "/v1/"+op, k, req) {
 			return
 		}
 		res, err := s.serveItem(r.Context(), policy{retry: s.cfg.Retry}, it, k, nil, tt)

@@ -128,6 +128,29 @@ func TestMemoCachedReplayBitIdentical(t *testing.T) {
 		}
 	}
 
+	// Rank over the step allowance: the adder fits, carry-select trips
+	// the steps limit and the subtractor fails on the tripped budget. A
+	// partial ranking is never stored, so every call recomputes it on
+	// its own budget and answers what the memo-off server answers.
+	tReq := rankRequest{Width: 16, Cycles: 200_000, Seed: 1}
+	code, tRef := postAs[rankResponse](t, pts, "/v1/rank", tReq)
+	if code != http.StatusOK || tRef.Best != "adder" || len(tRef.Ranking) != 3 || tRef.Ranking[0].Err != "" ||
+		tRef.Ranking[1].Err == "" || tRef.Ranking[2].Err == "" {
+		t.Fatalf("memo-disabled tripping rank: code %d %+v, want adder computed and two step-limit errors", code, tRef)
+	}
+	for call := 1; call <= 3; call++ {
+		code, got := postAs[rankResponse](t, mts, "/v1/rank", tReq)
+		if code != http.StatusOK || got.Best != tRef.Best || len(got.Ranking) != len(tRef.Ranking) {
+			t.Fatalf("tripping rank call %d: code %d %+v, recomputed %+v", call, code, got, tRef)
+		}
+		for i, g := range got.Ranking {
+			w := tRef.Ranking[i]
+			if g.Name != w.Name || g.Err != w.Err || math.Float64bits(g.Power) != math.Float64bits(w.Power) {
+				t.Errorf("tripping rank call %d: ranking[%d] = %+v, recomputed %+v", call, i, g, w)
+			}
+		}
+	}
+
 	// BDD: exact node counts replay.
 	bReq := bddRequest{Function: "majority", Vars: 10}
 	postAs[bddResponse](t, mts, "/v1/bdd", bReq)

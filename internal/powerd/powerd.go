@@ -214,7 +214,6 @@ type Server struct {
 	shed       atomic.Int64 // subset of rejected: 429 load-shed
 	forwarded  atomic.Int64 // requests answered by a peer's response
 	fallbacks  atomic.Int64 // forward attempts shed to local compute
-	peerServed atomic.Int64 // candidate evaluations served for peers
 	batches    atomic.Int64 // batch requests served (buffered + streamed)
 	batchItems atomic.Int64 // items carried by those batches
 
@@ -249,10 +248,8 @@ func NewServer(cfg Config) *Server {
 	}
 	s.keys = service.Keys{MaxSteps: cfg.MaxSteps}
 	s.svc = &service.Local{
-		Keys:         s.keys,
 		Cache:        s.estimateCache,
 		OnBDDStats:   s.recordBDDStats,
-		RemoteCand:   s.remoteCand,
 		CodegenAfter: cfg.CodegenAfter,
 	}
 	s.jobsMgr = jobs.New(jobs.Config{
@@ -400,14 +397,12 @@ type Stats struct {
 	Kernel service.KernelStats `json:"kernel"`
 	// Cluster fields, present only when cluster mode is enabled:
 	// Forwarded counts requests answered with a peer owner's response,
-	// Fallbacks counts forward attempts that shed to local compute
+	// and Fallbacks counts forward attempts that shed to local compute
 	// (dead owner, open breaker, transport failure, or an overloaded
-	// owner), and PeerServed counts candidate evaluations this node
-	// computed on behalf of peers' rank fan-outs.
-	Forwarded  int64          `json:"forwarded,omitempty"`
-	Fallbacks  int64          `json:"fallbacks,omitempty"`
-	PeerServed int64          `json:"peer_served,omitempty"`
-	Cluster    *cluster.Stats `json:"cluster,omitempty"`
+	// owner).
+	Forwarded int64          `json:"forwarded,omitempty"`
+	Fallbacks int64          `json:"fallbacks,omitempty"`
+	Cluster   *cluster.Stats `json:"cluster,omitempty"`
 }
 
 // Snapshot returns the current counters.
@@ -437,7 +432,6 @@ func (s *Server) Snapshot() Stats {
 		st.Cluster = &cs
 		st.Forwarded = s.forwarded.Load()
 		st.Fallbacks = s.fallbacks.Load()
-		st.PeerServed = s.peerServed.Load()
 	}
 	s.mu.Lock()
 	st.Transitions = append(st.Transitions, s.transitions...)

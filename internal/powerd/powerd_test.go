@@ -127,9 +127,9 @@ func TestInputErrorsAre400(t *testing.T) {
 }
 
 // TestTrailingDataIs400 posts bodies that carry more than one JSON
-// value to every endpoint that decodes a client or peer body: each
-// answers 400, so a second request object is never silently dropped. A
-// trailing newline, which json.Encoder writes, is still accepted.
+// value to every endpoint that decodes a client body: each answers 400,
+// so a second request object is never silently dropped. A trailing
+// newline, which json.Encoder writes, is still accepted.
 func TestTrailingDataIs400(t *testing.T) {
 	s := NewServer(jobConfig())
 	defer drainServer(t, s)
@@ -142,16 +142,10 @@ func TestTrailingDataIs400(t *testing.T) {
 		"/v1/batch":        batch,
 		"/v1/batch/stream": batch,
 		"/v1/optimize":     `{"kind":"circuit","circuit":"adder","width":4,"seed":1,"candidates":2}`,
-		"/cluster/v1/cand": `{"name":"adder","width":4,"cycles":64,"seed":1}`,
 	}
 	serve := func(path, body string) int {
 		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
-		if path == "/cluster/v1/cand" { // mounted in cluster mode only
-			s.handleClusterCand(rec, req)
-		} else {
-			s.Handler().ServeHTTP(rec, req)
-		}
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
 		return rec.Code
 	}
 	for path, body := range bodies {

@@ -104,8 +104,8 @@ var wireSequences = []struct {
 
 // wireLimitSequence is one step-limit trip per single endpoint: valid
 // requests whose work exceeds MaxSteps. They run on a server of their
-// own, so how often a trip is attempted (and how much rank-candidate
-// memo traffic the attempts make) stays out of the stats transcript.
+// own, so how often a trip is attempted stays out of the stats
+// transcript.
 var wireLimitSequence = []wireRequest{
 	{"simulate", "/v1/simulate", `{"circuit":"multiplier","width":16,"cycles":20000,"seed":3,"workers":1}`},
 	{"rank", "/v1/rank", `{"width":16,"cycles":20000,"seed":2}`},

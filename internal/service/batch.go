@@ -298,8 +298,8 @@ func (l *Local) NewGroupRunner(g BatchGroup) (*GroupRunner, error) {
 			return nil, err
 		}
 	case OpRank:
-		// Rank items share no precompiled artifact: each candidate set is
-		// evaluated through the per-candidate memo keys instead.
+		// Rank items share no precompiled artifact: Rank resolves its
+		// three candidates' artifacts itself.
 	default:
 		return nil, hlerr.Errorf("service.batch", "unknown op %q", g.Op)
 	}

@@ -49,20 +49,6 @@ func (k Keys) Rank(req RankRequest) memo.Key {
 	return e.Key()
 }
 
-// RankCand identifies one candidate's (design, workload) pair, so
-// overlapping candidate sets reuse per-candidate simulations even when
-// the endpoint key misses — and so cluster mode can route each
-// candidate to its key owner.
-func (k Keys) RankCand(name string, req RankRequest) *memo.Key {
-	e := k.enc("rank-cand")
-	e.String(name)
-	e.Int(req.Width)
-	e.Int(req.Cycles)
-	e.Int64(req.Seed)
-	key := e.Key()
-	return &key
-}
-
 // BDD hashes the materialized truth table rather than the function
 // name, so any two requests naming the same boolean function share one
 // entry ("majority" and "and" over one variable, say). AllowDegraded

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,6 +80,40 @@ func TestArtifactSingleflight(t *testing.T) {
 	svc.artMu.RUnlock()
 	if n != 2 {
 		t.Fatalf("cache holds %d entries, want 2 (invalid requests must not insert)", n)
+	}
+}
+
+// TestKernelStatsDuringColdBuild reads KernelStats, as /v1/stats does,
+// while a cold shape's first request builds its artifact: the stats
+// read must synchronize with the build, which the race detector checks.
+// Polling stops only after a poll has begun after the simulate
+// returned, so some read always follows the build.
+func TestKernelStatsDuringColdBuild(t *testing.T) {
+	svc := Local{CodegenAfter: -1}
+	var polls atomic.Int64
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			svc.KernelStats()
+			polls.Add(1)
+		}
+	}()
+	defer func() { close(stop); <-stopped }()
+	waitFor(t, "the first poll", func() bool { return polls.Load() > 0 })
+	req := SimulateRequest{Circuit: "multiplier", Width: 16, Cycles: 20_000, Seed: 1}
+	if _, err := svc.Simulate(ctxBG(), nil, req); err != nil {
+		t.Fatal(err)
+	}
+	after := polls.Load()
+	waitFor(t, "a poll after the build", func() bool { return polls.Load() > after+1 })
+	if st := svc.KernelStats(); st.Artifacts != 1 || st.ArtifactBuilds != 1 {
+		t.Fatalf("after the build: %d artifacts, %d builds, want 1 and 1", st.Artifacts, st.ArtifactBuilds)
 	}
 }
 

@@ -2,10 +2,10 @@
 // the Simulate/Rank/BDD/Predict operations powerd exposes over HTTP,
 // expressed as plain Go methods over internal/core and the engine
 // packages. Extracting it from the HTTP handlers lets any transport —
-// the local HTTP daemon, a cluster peer endpoint, a test harness —
-// invoke the same computations with the same validation, the same
-// typed input errors, and the same content keys, without dragging in
-// admission control, breakers, or JSON plumbing.
+// the local HTTP daemon, a ring peer answering a forwarded request, a
+// test harness — invoke the same computations with the same
+// validation, the same typed input errors, and the same content keys,
+// without dragging in admission control, breakers, or JSON plumbing.
 //
 // The split is deliberate: everything that determines a response's
 // bytes (circuit construction, operand streams, simulation, ranking,
@@ -87,10 +87,7 @@ type RankedEntry struct {
 	Power    float64 `json:"power"`
 	Model    string  `json:"model"`
 	Degraded bool    `json:"degraded"`
-	// Cached marks a candidate whose power figure was reused from a
-	// previous evaluation rather than simulated by this request.
-	Cached bool   `json:"cached,omitempty"`
-	Err    string `json:"error,omitempty"`
+	Err      string  `json:"error,omitempty"`
 }
 
 // RankResponse is the rank wire type.
@@ -98,8 +95,7 @@ type RankResponse struct {
 	Best    string        `json:"best"`
 	Ranking []RankedEntry `json:"ranking"`
 	// Cached reports the whole response was replayed from the estimate
-	// cache; per-entry Cached flags then describe the computation that
-	// originally produced it.
+	// cache.
 	Cached bool `json:"cached"`
 }
 
@@ -154,40 +150,20 @@ type PredictResponse struct {
 	Cached bool `json:"cached"`
 }
 
-// CandEstimate is one rank candidate's evaluated power figure as it
-// travels between cluster nodes: the scalar outcome plus the flags a
-// requester needs to decide cacheability.
-type CandEstimate struct {
-	Power    float64 `json:"power"`
-	Degraded bool    `json:"degraded"`
-	// Cached reports the owner answered from its estimate cache (or an
-	// in-flight identical evaluation) rather than simulating.
-	Cached bool `json:"cached"`
-}
-
 // Local computes every operation in-process over internal/core and the
 // engine packages. The zero value works; the optional hooks let a
-// serving layer observe engine internals and graft in caching and
-// cluster routing without this package knowing about either.
+// serving layer observe engine internals and lend predict its estimate
+// cache.
 type Local struct {
-	// Keys derives the content keys Rank uses for per-candidate
-	// memoization; it must match the serving layer's key schema.
-	Keys Keys
-	// Cache, when set, supplies the estimate cache for per-candidate
-	// rank memoization and predict ground-truth sharing. It is a
-	// function, not a field, because the serving layer disables caching
-	// dynamically (e.g. while a fault plan is armed); nil — or a nil
-	// return — means no caching.
+	// Cache, when set, supplies the estimate cache for predict
+	// ground-truth sharing. It is a function, not a field, because the
+	// serving layer disables caching dynamically (e.g. while a fault
+	// plan is armed); nil — or a nil return — means no caching.
 	Cache func() *memo.Cache
 	// OnBDDStats, when set, observes each BDD manager's unique/ITE
 	// table traffic, including partial builds abandoned by a budget
 	// trip.
 	OnBDDStats func(bdd.Stats)
-	// RemoteCand, when set, may answer one rank candidate's estimate
-	// from elsewhere (another node's cache or compute). Returning
-	// ok=false falls back to local evaluation; errors are the remote
-	// layer's to absorb, never to surface here.
-	RemoteCand func(ctx context.Context, name string, req RankRequest) (CandEstimate, bool)
 	// CodegenAfter is the artifact hotness threshold: after this many
 	// non-degraded serves of one (circuit,width) shape, the service
 	// builds its specialized (codegen) evaluator off the request path
@@ -234,10 +210,11 @@ type artifactKey struct {
 // goroutine to reach the entry builds under once, everyone else blocks
 // on once and reads the settled result. Errors settle too — the
 // circuit/width domain is validated before an entry is created, so a
-// cached error is deterministic, not transient.
+// cached error is deterministic, not transient. art is published
+// atomically because KernelStats reads it without waiting on once.
 type artifactEntry struct {
 	once sync.Once
-	art  *artifact
+	art  atomic.Pointer[artifact]
 	err  error
 }
 
@@ -308,9 +285,9 @@ func (l *Local) artifactFor(circuit string, width int) (*artifact, error) {
 			e.err = err
 			return
 		}
-		e.art = &artifact{mod: mod, comp: comp}
+		e.art.Store(&artifact{mod: mod, comp: comp})
 	})
-	return e.art, e.err
+	return e.art.Load(), e.err
 }
 
 // codegenThreshold resolves the configured promotion threshold; zero
@@ -456,7 +433,7 @@ func (l *Local) KernelStats() KernelStats {
 		st.Tiers[name] = c
 	}
 	for key, e := range l.artifacts {
-		a := e.art
+		a := e.art.Load()
 		if a == nil {
 			continue // still building, or a settled error entry
 		}
@@ -589,36 +566,6 @@ func (l *Local) simulateWith(b *budget.Budget, art *artifact, req SimulateReques
 	return l.runStreams(b, art, as, bs)
 }
 
-// EvalCand evaluates one rank candidate — (design, workload) pair —
-// under b. It is the unit of work cluster mode distributes by key
-// ownership, so it must stay a pure function of its arguments.
-func (l *Local) EvalCand(b *budget.Budget, name string, req RankRequest) (power float64, degraded bool, err error) {
-	if err := CheckCycles(req.Cycles); err != nil {
-		return 0, false, err
-	}
-	as, bs := OperandStreams(req.Cycles, req.Width, req.Seed)
-	return l.evalCandStreams(b, name, req.Width, as, bs)
-}
-
-// evalCandStreams is EvalCand with the operand streams precomputed, so
-// Rank derives them once per request rather than once per candidate.
-// Candidates run over the cached compiled artifact with Workers: 1,
-// which forces the single-shard path — the caller's budget is charged
-// directly, exactly as the former one-shot RunPackedBudget call did —
-// while the fused kernel and pooled scratch keep the evaluation free of
-// per-candidate setup allocations.
-func (l *Local) evalCandStreams(b *budget.Budget, name string, width int, as, bs []uint64) (float64, bool, error) {
-	art, err := l.artifactFor(name, width)
-	if err != nil {
-		return 0, false, err
-	}
-	res, err := l.runStreams(b, art, as, bs)
-	if err != nil {
-		return 0, false, err
-	}
-	return res.Power(), false, nil
-}
-
 // runStreams simulates an operand stream pair on the artifact: lean,
 // fed pre-packed input words, and single-shard, so b is charged
 // directly, exactly as the one-shot RunPackedBudget path charges it,
@@ -635,35 +582,37 @@ func (l *Local) runStreams(b *budget.Budget, art *artifact, as, bs []uint64) (*s
 	})
 }
 
-// Rank runs one improvement-loop turn over the adder alternatives,
-// with per-candidate memoization (when a cache is supplied) and
-// optional remote candidate evaluation (when RemoteCand is set). The
-// top-level Cached flag is left false — it belongs to the serving
-// layer's whole-response cache.
-func (l *Local) Rank(ctx context.Context, b *budget.Budget, req RankRequest) (RankResponse, error) {
+// Rank runs one improvement-loop turn over the adder alternatives:
+// the three candidates evaluate in order on b (core.RankBudget), each
+// over its cached compiled artifact and the request's one pair of
+// operand streams. The Cached flag is left false — it belongs to the
+// serving layer's whole-response cache.
+func (l *Local) Rank(_ context.Context, b *budget.Budget, req RankRequest) (RankResponse, error) {
 	if err := CheckCycles(req.Cycles); err != nil {
 		return RankResponse{}, err
 	}
 	as, bs := OperandStreams(req.Cycles, req.Width, req.Seed)
 	cand := func(name string) core.Candidate {
 		return core.Candidate{
-			Name:    name,
-			MemoKey: l.Keys.RankCand(name, req),
+			Name: name,
 			Estimator: core.FuncB{
 				EstimatorName:  "gate-mc:" + name,
 				EstimatorLevel: core.Gate,
 				Fn: func(cb *budget.Budget) (float64, bool, error) {
-					if l.RemoteCand != nil {
-						if est, ok := l.RemoteCand(ctx, name, req); ok {
-							return est.Power, est.Degraded, nil
-						}
+					art, err := l.artifactFor(name, req.Width)
+					if err != nil {
+						return 0, false, err
 					}
-					return l.evalCandStreams(cb, name, req.Width, as, bs)
+					res, err := l.runStreams(cb, art, as, bs)
+					if err != nil {
+						return 0, false, err
+					}
+					return res.Power(), false, nil
 				},
 			},
 		}
 	}
-	ranking := core.RankParallelMemo(b, 1, l.cache(), []core.Candidate{
+	ranking := core.RankBudget(b, []core.Candidate{
 		cand("adder"), cand("carry-select"), cand("subtractor"),
 	})
 	best, err := ranking.Best()
@@ -680,7 +629,6 @@ func (l *Local) Rank(ctx context.Context, b *budget.Budget, req RankRequest) (Ra
 			Power:    rk.Estimate.Power,
 			Model:    rk.Estimate.Model,
 			Degraded: rk.Estimate.Degraded,
-			Cached:   rk.Cached,
 		}
 		if rk.Err != nil {
 			e.Err = rk.Err.Error()

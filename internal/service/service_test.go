@@ -205,92 +205,6 @@ func TestRankDeterministicAndOrdered(t *testing.T) {
 	}
 }
 
-// With a cache supplied, a second Rank replays every candidate from
-// the per-candidate entries; the figures stay bit-identical.
-func TestRankPerCandidateMemo(t *testing.T) {
-	cache := memo.New(memo.Options{MaxBytes: 1 << 20})
-	svc := Local{Keys: Keys{MaxSteps: 1 << 40}, Cache: func() *memo.Cache { return cache }}
-	req := RankRequest{Width: 4, Cycles: 100, Seed: 9}
-	cold, err := svc.Rank(ctxBG(), nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range cold.Ranking {
-		if e.Cached {
-			t.Fatalf("cold rank entry %s already cached", e.Name)
-		}
-	}
-	warm, err := svc.Rank(ctxBG(), nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range warm.Ranking {
-		if !e.Cached {
-			t.Fatalf("warm rank entry %s not cached", e.Name)
-		}
-		if math.Float64bits(e.Power) != math.Float64bits(cold.Ranking[i].Power) {
-			t.Fatalf("cached figure diverged for %s", e.Name)
-		}
-	}
-}
-
-// The RemoteCand hook substitutes for local evaluation when it answers
-// ok=true, and falls back transparently when it declines — the exact
-// contract the cluster's candidate routing depends on.
-func TestRankRemoteCandHook(t *testing.T) {
-	req := RankRequest{Width: 4, Cycles: 100, Seed: 5}
-	var baseline Local
-	local, err := baseline.Rank(ctxBG(), nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	localPower := map[string]float64{}
-	for _, e := range local.Ranking {
-		localPower[e.Name] = e.Power
-	}
-
-	// Decline every candidate: results must equal pure-local evaluation.
-	declined := 0
-	svc := Local{RemoteCand: func(_ context.Context, name string, r RankRequest) (CandEstimate, bool) {
-		declined++
-		return CandEstimate{}, false
-	}}
-	viaFallback, err := svc.Rank(ctxBG(), nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if declined != 3 {
-		t.Fatalf("hook consulted %d times, want 3", declined)
-	}
-	for _, e := range viaFallback.Ranking {
-		if math.Float64bits(e.Power) != math.Float64bits(localPower[e.Name]) {
-			t.Fatalf("fallback diverged from local for %s", e.Name)
-		}
-	}
-
-	// Answer one candidate remotely with the true local figure (as a
-	// well-behaved peer would): ranking must be unchanged and the hook's
-	// answer used verbatim.
-	svc = Local{RemoteCand: func(_ context.Context, name string, r RankRequest) (CandEstimate, bool) {
-		if name == "subtractor" {
-			return CandEstimate{Power: localPower[name]}, true
-		}
-		return CandEstimate{}, false
-	}}
-	viaRemote, err := svc.Rank(ctxBG(), nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaRemote.Best != local.Best {
-		t.Fatalf("remote answer changed best: %q vs %q", viaRemote.Best, local.Best)
-	}
-	for _, e := range viaRemote.Ranking {
-		if math.Float64bits(e.Power) != math.Float64bits(localPower[e.Name]) {
-			t.Fatalf("remote-answered ranking diverged for %s", e.Name)
-		}
-	}
-}
-
 // BDD returns the exact node count when the budget allows, a sampled
 // degraded estimate when the request permits it, and a budget error
 // otherwise. Degraded outcomes are flagged so callers never cache them.
@@ -373,8 +287,6 @@ func TestKeysSensitivity(t *testing.T) {
 
 	rr := RankRequest{Width: 4, Cycles: 64, Seed: 1}
 	add("rank", k.Rank(rr))
-	add("rank-cand/adder", *k.RankCand("adder", rr))
-	add("rank-cand/subtractor", *k.RankCand("subtractor", rr))
 
 	// Same (tt, vars) → same key regardless of the function name that
 	// produced it; different vars → different key.
