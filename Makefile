@@ -97,7 +97,9 @@ cover:
 # target (the served predict path vs the one-shot, interpreted
 # reference), the HTTP item-pipeline target (raw bodies
 # through a single endpoint and a one-item batch must land in the same
-# outcome class with identical payloads), and the gossip target (raw
+# outcome class with identical payloads), the HTTP memo-equivalence
+# target (a sequence of single requests must answer alike on memo-on
+# and memo-off servers), and the gossip target (raw
 # gossip bodies never change ring membership) a budget of FUZZTIME
 # (override with e.g. `make fuzz FUZZTIME=5s` for CI smoke runs).
 fuzz:
@@ -117,6 +119,7 @@ fuzz:
 	go test -run '^FuzzOutputsEquivalence$$' -fuzz '^FuzzOutputsEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzPredictEquivalence$$' -fuzz '^FuzzPredictEquivalence$$' -fuzztime $(FUZZTIME) ./internal/macromodel/
 	go test -run '^FuzzServeItem$$' -fuzz '^FuzzServeItem$$' -fuzztime $(FUZZTIME) ./internal/powerd/
+	go test -run '^FuzzMemoEquivalence$$' -fuzz '^FuzzMemoEquivalence$$' -fuzztime $(FUZZTIME) ./internal/powerd/
 	go test -run '^FuzzGossipHandler$$' -fuzz '^FuzzGossipHandler$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 
 # soak runs the powerd chaos harness under the race detector: >= 1000

@@ -216,10 +216,10 @@ func NewEstimateCache(o EstimateCacheOptions) *EstimateCache { return memo.New(o
 // without simulating, and concurrent identical calls share one run.
 // Every caller — on a hit, a collapse, or the computing call itself —
 // receives its own deep copy, so mutating a returned result can never
-// poison the cache. Input errors are negative-cached; budget trips and
-// runs under an armed fault-injection plan are never stored (the
-// latter are not even looked up, so chaos always exercises the real
-// path). With a nil cache it is exactly SimulateBudget.
+// poison the cache. Errors are never stored, and runs under an armed
+// fault-injection plan are not even looked up, so chaos always
+// exercises the real path. With a nil cache it is exactly
+// SimulateBudget.
 func SimulateMemo(c *EstimateCache, b *Budget, n *Netlist, inputs func(cycle int) []bool, cycles int, opts SimOptions) (res *SimResult, err error) {
 	defer hlerr.RecoverAll(&err)
 	if c == nil || b.FaultArmed() {

@@ -169,6 +169,15 @@ func (b *Budget) StepsUsed() int64 {
 	return b.steps
 }
 
+// MaxSteps returns the step allowance, 0 when steps are unlimited.
+// nil-safe.
+func (b *Budget) MaxSteps() int64 {
+	if b == nil || b.maxSteps < 0 {
+		return 0
+	}
+	return b.maxSteps
+}
+
 // NodesUsed returns the consumed node count. nil-safe.
 func (b *Budget) NodesUsed() int64 {
 	if b == nil {

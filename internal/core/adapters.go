@@ -7,7 +7,6 @@ import (
 	"hlpower/internal/entropy"
 	"hlpower/internal/logic"
 	"hlpower/internal/macromodel"
-	"hlpower/internal/memo"
 	"hlpower/internal/rtlib"
 	"hlpower/internal/sim"
 	"hlpower/internal/trace"
@@ -20,17 +19,6 @@ type GateLevelEstimator struct {
 	Inputs sim.InputProvider
 	Cycles int
 	Opts   sim.Options
-
-	// Memo, when non-nil, memoizes the simulated power by content key:
-	// repeating the same (netlist, inputs, cycles, options) estimate is
-	// answered in O(hash), and concurrent identical estimates collapse
-	// onto one simulation.
-	Memo *memo.Cache
-	// InputsDigest optionally names the input stream's content (for
-	// example a hash of its generator's seed and width). When nil the
-	// key falls back to hashing every materialized vector, which is
-	// correct but costs O(cycles·inputs) per lookup.
-	InputsDigest *memo.Key
 }
 
 // Name identifies the estimator.
@@ -39,49 +27,15 @@ func (e *GateLevelEstimator) Name() string { return "gate-simulation" }
 // Level reports the abstraction level.
 func (e *GateLevelEstimator) Level() Level { return Gate }
 
-// key derives the content key of this estimate.
-func (e *GateLevelEstimator) key() memo.Key {
-	enc := memo.NewEnc()
-	enc.String("core/gate-sim/v1")
-	memo.HashNetlist(enc, e.Net)
-	memo.HashSimOptions(enc, e.Opts)
-	if e.InputsDigest != nil {
-		enc.Bool(true)
-		enc.Uint64(e.InputsDigest.Hi)
-		enc.Uint64(e.InputsDigest.Lo)
-		enc.Int(e.Cycles)
-	} else {
-		enc.Bool(false)
-		memo.HashInputs(enc, e.Inputs, e.Cycles)
-	}
-	return enc.Key()
-}
-
 // Estimate runs the simulation and returns average power. It uses the
 // one-shot RunPacked, which compiles the netlist and runs it on the
 // fused 64-lane kernel when the workload allows and degrades to the
 // scalar engine for sequential netlists and event-driven runs, with
-// results bit-identical to the serial engine either way. With Memo
-// set, a repeated estimate is replayed from the cache bit-identically
-// instead of re-simulating.
+// results bit-identical to the serial engine either way.
 func (e *GateLevelEstimator) Estimate() (float64, error) {
 	if e.Net == nil || e.Inputs == nil || e.Cycles <= 0 {
 		return 0, errors.New("core: gate estimator needs a netlist, inputs, and cycles")
 	}
-	if e.Memo == nil {
-		return e.simulate()
-	}
-	v, _, err := e.Memo.Do(e.key(), func() (any, int64, bool, error) {
-		p, err := e.simulate()
-		return p, 8, err == nil, err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return v.(float64), nil
-}
-
-func (e *GateLevelEstimator) simulate() (float64, error) {
 	res, err := sim.RunPacked(e.Net, e.Inputs, e.Cycles, e.Opts)
 	if err != nil {
 		return 0, err

@@ -149,53 +149,9 @@ func scoreKey(p Params, d *recipe.Design) memo.Key {
 	return e.Key()
 }
 
-// charged is a cache value: a result plus the budget steps its
-// computation charged.
-type charged[T any] struct {
-	val   T
-	steps int64
-}
-
-// scoreEntryBytes is the resident size of a cached score, a
-// charged[float64].
+// scoreEntryBytes is the resident size of a cached score: the float
+// and the step charge memo.Charged stores beside it.
 const scoreEntryBytes = 16
-
-// memoized returns compute's result through the cache under key, or
-// straight from compute when cache is nil. compute runs on b and
-// returns the result with its resident size; only successes are
-// stored. A hit replays the charge the computation made, so hit and
-// miss runs follow bit-identical budget trajectories (the resume
-// guarantee cannot depend on cache warmth). Two outcomes are computed
-// afresh on b instead: a hit whose replay would take b past limit, so
-// that the trip happens, and reports its Used count, exactly where an
-// uncached run's would; and a failure shared from another caller's
-// computation, which was charged to that caller's budget.
-func memoized[T any](cache *memo.Cache, b *budget.Budget, limit int64, key func() memo.Key, compute func() (T, int64, error)) (val T, hit bool, err error) {
-	if cache == nil {
-		val, _, err = compute()
-		return val, false, err
-	}
-	before := b.StepsUsed()
-	v, shared, err := cache.Do(key(), func() (any, int64, bool, error) {
-		val, size, err := compute()
-		if err != nil {
-			return nil, 0, false, err
-		}
-		return &charged[T]{val: val, steps: b.StepsUsed() - before}, size, true, nil
-	})
-	switch {
-	case !shared && err != nil:
-		return val, false, err
-	case !shared:
-		return v.(*charged[T]).val, false, nil
-	case err == nil:
-		if c := v.(*charged[T]); b.StepsUsed()+c.steps <= limit {
-			return c.val, true, b.Step(c.steps)
-		}
-	}
-	val, _, err = compute()
-	return val, false, err
-}
 
 // evalResult carries one candidate evaluation's outcome.
 type evalResult struct {
@@ -244,7 +200,7 @@ func (m *Manager) evaluate(ctx context.Context, p Params, d *recipe.Design, w *r
 		prefix := names[:i+1]
 		seed := passSeed(p.Seed, prefix)
 		in := cur
-		next, hit, err := memoized(cache, b, p.EvalSteps, func() memo.Key { return prefixKey(p, prefix) },
+		next, hit, err := memo.Charged(cache, b, func() memo.Key { return prefixKey(p, prefix) },
 			func() (*recipe.Design, int64, error) {
 				nd, err := recipe.Apply(b, in, w, names[i], seed)
 				if err != nil {
@@ -260,7 +216,7 @@ func (m *Manager) evaluate(ctx context.Context, p Params, d *recipe.Design, w *r
 		}
 		cur = next
 	}
-	score, _, err := memoized(cache, b, p.EvalSteps, func() memo.Key { return scoreKey(p, cur) },
+	score, _, err := memo.Charged(cache, b, func() memo.Key { return scoreKey(p, cur) },
 		func() (float64, int64, error) {
 			s, err := recipe.Score(b, cur, w)
 			return s, scoreEntryBytes, err

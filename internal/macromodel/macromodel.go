@@ -145,7 +145,9 @@ func GroundTruthMemo(c *memo.Cache, b *budget.Budget, mod *rtlib.Module, as, bs 
 // instance on a compiled serving artifact, whose runs are Float64bits-
 // identical to the one-shot path — and the trace is cut from its
 // result. Cache keys and entries are those of GroundTruthMemo, so both
-// entry points share hits.
+// entry points share hits. The entry is a memo.Charged one: a hit
+// charges b the steps the simulation it replaces charged, so whether a
+// budgeted caller trips its step limit never depends on the cache.
 func GroundTruthMemoRun(c *memo.Cache, b *budget.Budget, mod *rtlib.Module, as, bs []uint64, model sim.DelayModel, run func() (*sim.Result, error)) ([]float64, error) {
 	truth := func() ([]float64, error) {
 		res, err := run()
@@ -157,23 +159,23 @@ func GroundTruthMemoRun(c *memo.Cache, b *budget.Budget, mod *rtlib.Module, as, 
 	if c == nil || b.FaultArmed() {
 		return truth()
 	}
-	enc := memo.NewEnc()
-	enc.String("macromodel/ground-truth/v1")
-	memo.HashNetlist(enc, mod.Net)
-	enc.Int(int(model))
-	enc.Uint64s(as)
-	enc.Uint64s(bs)
-	v, _, err := c.Do(enc.Key(), func() (any, int64, bool, error) {
+	key := func() memo.Key {
+		enc := memo.NewEnc()
+		enc.String("macromodel/ground-truth/v1")
+		memo.HashNetlist(enc, mod.Net)
+		enc.Int(int(model))
+		enc.Uint64s(as)
+		enc.Uint64s(bs)
+		return enc.Key()
+	}
+	t, _, err := memo.Charged(c, b, key, func() ([]float64, int64, error) {
 		t, err := truth()
-		if err != nil {
-			return nil, 0, false, err
-		}
-		return t, int64(len(t))*8 + 24, true, nil
+		return t, int64(len(t))*8 + 24, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return append([]float64(nil), v.([]float64)...), nil
+	return append([]float64(nil), t...), nil
 }
 
 // MeanAbs returns the mean of xs (handy for averaging ground truth).

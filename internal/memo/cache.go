@@ -33,11 +33,9 @@ type Stats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Collapsed int64 `json:"collapsed"`
-	// Stores and NegStores count successful-value and negative
-	// (input-error) insertions; Evictions counts LRU removals forced by
-	// the byte budget.
+	// Stores counts insertions, which are successful values only;
+	// Evictions counts LRU removals forced by the byte budget.
 	Stores    int64 `json:"stores"`
-	NegStores int64 `json:"neg_stores"`
 	Evictions int64 `json:"evictions"`
 	// Entries and Bytes describe current occupancy against MaxBytes.
 	Entries  int64 `json:"entries"`
@@ -57,13 +55,11 @@ func (s Stats) HitRate() float64 {
 	return float64(served) / float64(total)
 }
 
-// entry is one cached result, linked into its shard's LRU list. Either
-// val (a successful, immutable-by-convention result) or err (a
-// negative-cached input error) is set.
+// entry is one cached successful result, immutable by convention,
+// linked into its shard's LRU list.
 type entry struct {
 	key        Key
 	val        any
-	err        error
 	size       int64
 	prev, next *entry
 }
@@ -99,7 +95,6 @@ type Cache struct {
 	misses    atomic.Int64
 	collapsed atomic.Int64
 	stores    atomic.Int64
-	negStores atomic.Int64
 	evictions atomic.Int64
 	entries   atomic.Int64
 	bytes     atomic.Int64
@@ -146,7 +141,6 @@ func (c *Cache) Stats() Stats {
 		Misses:    c.misses.Load(),
 		Collapsed: c.collapsed.Load(),
 		Stores:    c.stores.Load(),
-		NegStores: c.negStores.Load(),
 		Evictions: c.evictions.Load(),
 		Entries:   c.entries.Load(),
 		Bytes:     c.bytes.Load(),
@@ -163,10 +157,10 @@ func (c *Cache) Stats() Stats {
 // the rest block and share the outcome — value and error alike — so N
 // identical requests perform one evaluation. A panicking computation is
 // captured and delivered to every waiter (and the computing caller) as
-// an error; typed hlerr panics keep their identity. Errors matching
-// hlerr.IsInput are negative-cached: the same malformed input fails
-// again in O(hash) without re-entering the engine. Other errors are
-// never stored.
+// an error; typed hlerr panics keep their identity. Only successes are
+// stored: an error, input error or not, is shared with the waiters of
+// its own computation and then forgotten, so the next call computes
+// again. Callers check their inputs before they derive a key.
 //
 // The returned shared flag is true when the value came from the cache
 // or from another caller's in-flight computation rather than from this
@@ -179,7 +173,7 @@ func (c *Cache) Do(k Key, compute func() (val any, size int64, cacheable bool, e
 		sh.moveFront(e)
 		sh.mu.Unlock()
 		c.hits.Add(1)
-		return e.val, true, e.err
+		return e.val, true, nil
 	}
 	if fl, ok := sh.flight[k]; ok {
 		sh.mu.Unlock()
@@ -197,15 +191,8 @@ func (c *Cache) Do(k Key, compute func() (val any, size int64, cacheable bool, e
 
 	sh.mu.Lock()
 	delete(sh.flight, k)
-	switch {
-	case err == nil && cacheable:
-		if sh.store(c, &entry{key: k, val: val, size: size}) {
-			c.stores.Add(1)
-		}
-	case err != nil && hlerr.IsInput(err):
-		if sh.store(c, &entry{key: k, err: err, size: int64(len(err.Error())) + 64}) {
-			c.negStores.Add(1)
-		}
+	if err == nil && cacheable && sh.store(c, &entry{key: k, val: val, size: size}) {
+		c.stores.Add(1)
 	}
 	sh.mu.Unlock()
 	close(fl.done)
@@ -213,17 +200,17 @@ func (c *Cache) Do(k Key, compute func() (val any, size int64, cacheable bool, e
 }
 
 // Get looks k up without computing on miss.
-func (c *Cache) Get(k Key) (val any, ok bool, err error) {
+func (c *Cache) Get(k Key) (val any, ok bool) {
 	sh := c.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.items[k]
 	if !ok {
-		return nil, false, nil
+		return nil, false
 	}
 	sh.moveFront(e)
 	c.hits.Add(1)
-	return e.val, true, e.err
+	return e.val, true
 }
 
 // safeCompute contains panics so a crashing computation resolves the

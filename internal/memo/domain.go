@@ -11,8 +11,8 @@ import (
 // names are deliberately excluded — they label results but never change
 // them — so two structurally identical circuits share a key regardless
 // of naming. A netlist carrying a sticky construction error encodes the
-// error text, keeping malformed circuits distinct from well-formed ones
-// (and from each other) for negative caching.
+// error text, so a malformed circuit never shares a key with a
+// well-formed one.
 func HashNetlist(e *Enc, n *logic.Netlist) {
 	e.String("netlist/v1")
 	if err := n.Err(); err != nil {

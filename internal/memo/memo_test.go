@@ -70,45 +70,31 @@ func TestNonCacheableValueIsReturnedNotStored(t *testing.T) {
 	}
 }
 
-func TestNegativeCachingOfInputErrors(t *testing.T) {
+// TestErrorsAreNeverStored: an input error and a transient one alike
+// are returned to their caller and forgotten, so every call computes.
+func TestErrorsAreNeverStored(t *testing.T) {
 	c := New(Options{})
-	var computes atomic.Int64
-	inputErr := hlerr.Errorf("memo.test", "width 99 out of range")
-	compute := func() (any, int64, bool, error) {
-		computes.Add(1)
-		return nil, 0, false, inputErr
-	}
-	k := keyOf(3)
-	for i := 0; i < 3; i++ {
-		_, shared, err := c.Do(k, compute)
-		if !hlerr.IsInput(err) {
-			t.Fatalf("Do %d: err=%v, want input error", i, err)
+	for i, want := range []error{
+		hlerr.Errorf("memo.test", "width 99 out of range"),
+		errors.New("transient"),
+	} {
+		var computes atomic.Int64
+		k := keyOf(3, uint64(i))
+		for call := 0; call < 3; call++ {
+			_, shared, err := c.Do(k, func() (any, int64, bool, error) {
+				computes.Add(1)
+				return nil, 0, false, want
+			})
+			if err != want || shared {
+				t.Fatalf("%v, call %d: err=%v shared=%v", want, call, err, shared)
+			}
 		}
-		if (i > 0) != shared {
-			t.Fatalf("Do %d: shared=%v", i, shared)
-		}
-	}
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("compute ran %d times, want 1 (negative-cached)", got)
-	}
-	if st := c.Stats(); st.NegStores != 1 {
-		t.Fatalf("stats %+v, want 1 neg store", st)
-	}
-
-	// Non-input errors must not be cached.
-	var transient atomic.Int64
-	kt := keyOf(4)
-	for i := 0; i < 2; i++ {
-		_, _, err := c.Do(kt, func() (any, int64, bool, error) {
-			transient.Add(1)
-			return nil, 0, false, errors.New("transient")
-		})
-		if err == nil {
-			t.Fatal("want error")
+		if got := computes.Load(); got != 3 {
+			t.Fatalf("%v: compute ran %d times, want 3 (errors are never stored)", want, got)
 		}
 	}
-	if got := transient.Load(); got != 2 {
-		t.Fatalf("transient compute ran %d times, want 2", got)
+	if st := c.Stats(); st.Stores != 0 || st.Entries != 0 || st.Bytes != 0 || st.Hits != 0 || st.Misses != 6 {
+		t.Fatalf("stats %+v, want 6 misses and nothing stored", st)
 	}
 }
 
@@ -134,10 +120,10 @@ func TestByteBudgetEviction(t *testing.T) {
 		t.Fatalf("entries %d, want 4", st.Entries)
 	}
 	// The most recent entries survive; the oldest were evicted.
-	if _, ok, _ := c.Get(keyOf(9)); !ok {
+	if _, ok := c.Get(keyOf(9)); !ok {
 		t.Fatal("most recent entry evicted")
 	}
-	if _, ok, _ := c.Get(keyOf(0)); ok {
+	if _, ok := c.Get(keyOf(0)); ok {
 		t.Fatal("oldest entry survived a full wrap")
 	}
 	// An entry larger than the whole budget is never stored.
@@ -147,7 +133,7 @@ func TestByteBudgetEviction(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := c.Get(kBig); ok {
+	if _, ok := c.Get(kBig); ok {
 		t.Fatal("oversized entry was stored")
 	}
 }
@@ -161,14 +147,14 @@ func TestLRUTouchOnHit(t *testing.T) {
 	store(1)
 	store(2)
 	// Touch 0 so 1 becomes the LRU victim.
-	if _, ok, _ := c.Get(keyOf(0)); !ok {
+	if _, ok := c.Get(keyOf(0)); !ok {
 		t.Fatal("entry 0 missing")
 	}
 	store(3) // evicts 1
-	if _, ok, _ := c.Get(keyOf(0)); !ok {
+	if _, ok := c.Get(keyOf(0)); !ok {
 		t.Fatal("touched entry was evicted")
 	}
-	if _, ok, _ := c.Get(keyOf(1)); ok {
+	if _, ok := c.Get(keyOf(1)); ok {
 		t.Fatal("LRU entry survived")
 	}
 }
@@ -286,7 +272,7 @@ func TestSingleflightPanic(t *testing.T) {
 		}
 	}
 	// Nothing stored, flight table drained, and a retry recomputes.
-	if st := c.Stats(); st.Stores != 0 || st.NegStores != 0 {
+	if st := c.Stats(); st.Stores != 0 || st.Entries != 0 {
 		t.Fatalf("panic outcome was cached: %+v", st)
 	}
 	v, shared, err := c.Do(k, func() (any, int64, bool, error) { return "ok", 8, true, nil })
@@ -305,7 +291,8 @@ func TestSingleflightPanic(t *testing.T) {
 
 // TestSingleflightTypedPanic checks that hlerr.Throw panics keep their
 // typed identity through the singleflight capture: a thrown input
-// error is an input error for every waiter (and gets negative-cached).
+// error is an input error for every waiter. Like every error it is not
+// stored, so the next call computes again.
 func TestSingleflightTypedPanic(t *testing.T) {
 	c := New(Options{})
 	k := keyOf(9)
@@ -319,10 +306,11 @@ func TestSingleflightTypedPanic(t *testing.T) {
 	var computes atomic.Int64
 	_, shared, err2 := c.Do(k, func() (any, int64, bool, error) {
 		computes.Add(1)
+		hlerr.Throwf("memo.test", "malformed netlist")
 		return nil, 0, false, nil
 	})
-	if !hlerr.IsInput(err2) || !shared || computes.Load() != 0 {
-		t.Fatalf("typed panic was not negative-cached: err=%v shared=%v computes=%d",
+	if !hlerr.IsInput(err2) || shared || computes.Load() != 1 {
+		t.Fatalf("second call after a typed panic: err=%v shared=%v computes=%d, want a recomputed input error",
 			err2, shared, computes.Load())
 	}
 }

@@ -317,23 +317,17 @@ func TestBatchStepsCeiling(t *testing.T) {
 	}
 }
 
-// TestBatchClusterForward: in a two-node ring, a group whose routing
-// key a peer owns is forwarded there whole — the peer's batch counters
-// move, the front records the forward, and the results are identical to
-// a single-node reference.
-func TestBatchClusterForward(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxSteps = 20_000_000
-
-	ids := []string{"n0", "n1"}
+// startRing starts a converged ring of one server per id, each on its
+// own test listener with cfg, and returns the servers in id order.
+func startRing(t *testing.T, cfg Config, ids []string) []*Server {
+	t.Helper()
 	swaps := make([]*swapHandler, len(ids))
-	tss := make([]*httptest.Server, len(ids))
 	peers := make([]cluster.Peer, len(ids))
 	for i := range ids {
 		swaps[i] = &swapHandler{}
-		tss[i] = httptest.NewServer(swaps[i])
-		t.Cleanup(tss[i].Close)
-		peers[i] = cluster.Peer{ID: ids[i], URL: tss[i].URL}
+		ts := httptest.NewServer(swaps[i])
+		t.Cleanup(ts.Close)
+		peers[i] = cluster.Peer{ID: ids[i], URL: ts.URL}
 	}
 	nodes := make([]*Server, len(ids))
 	for i := range ids {
@@ -349,11 +343,10 @@ func TestBatchClusterForward(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(nodes[i].Cluster().Stop)
 		h := nodes[i].Handler()
 		swaps[i].h.Store(&h)
 	}
-	defer nodes[0].Cluster().Stop()
-	defer nodes[1].Cluster().Stop()
 
 	alive := func(s *Server, id string) bool {
 		for _, p := range s.Cluster().Stats().Peers {
@@ -364,12 +357,28 @@ func TestBatchClusterForward(t *testing.T) {
 		return false
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for !(alive(nodes[0], "n1") && alive(nodes[1], "n0")) {
-		if time.Now().After(deadline) {
-			t.Fatal("ring never converged")
+	for i, s := range nodes {
+		for j, id := range ids {
+			for i != j && !alive(s, id) {
+				if time.Now().After(deadline) {
+					t.Fatal("ring never converged")
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
+	return nodes
+}
+
+// TestBatchClusterForward: in a two-node ring, a group whose routing
+// key a peer owns is forwarded there whole — the peer's batch counters
+// move, the front records the forward, and the results are identical to
+// a single-node reference.
+func TestBatchClusterForward(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxSteps = 20_000_000
+	ids := []string{"n0", "n1"}
+	nodes := startRing(t, cfg, ids)
 
 	// Pick a simulate group the peer owns, using the same ring function
 	// the servers use.

@@ -54,9 +54,12 @@ var breakerFor = map[string]string{
 }
 
 // handleSingle serves one single endpoint as a batch of one: decode the
-// op's request, validate what its key needs, forward the whole request
-// to the key's owner when a live peer owns it (rank included), run it
-// through serveItem, and answer with the payload alone.
+// op's request and validate it with service.Validate, the check batch
+// items get, before it has a key, so an invalid request answers 400
+// without touching the estimate cache or a ring peer. A valid one is
+// forwarded whole to its key's owner when a live peer owns it (rank
+// included), or run through serveItem, and answered with the payload
+// alone.
 func (s *Server) handleSingle(op string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		release, ok := s.admit(w, r)
@@ -65,11 +68,11 @@ func (s *Server) handleSingle(op string) http.HandlerFunc {
 		}
 		defer release()
 		it, req, err := decodeSingle(r, op)
+		if err == nil {
+			err = service.Validate(it)
+		}
 		var tt []bool
 		if err == nil && op == service.OpBDD {
-			// Materializing the table is also the request validation, so
-			// it runs before the cache lookup and bad requests fail
-			// without a key.
 			tt, err = service.TruthTable(it.BDD.Function, it.BDD.Vars)
 		}
 		if err != nil {

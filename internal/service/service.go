@@ -33,6 +33,7 @@ import (
 	"hlpower/internal/memo"
 	"hlpower/internal/rtlib"
 	"hlpower/internal/sim"
+	"hlpower/internal/stats"
 )
 
 // Request limits shared by every transport.
@@ -513,15 +514,24 @@ func OperandStreams(cycles, width int, seed int64) (as, bs []uint64) {
 	return buf[:cycles:cycles], buf[cycles:]
 }
 
+// checkTable validates a (function,vars) pair without materializing
+// its table.
+func checkTable(function string, n int) error {
+	if n < 1 || n > MaxBDDVars {
+		return hlerr.Errorf("service.bdd", "vars %d out of range [1,%d]", n, MaxBDDVars)
+	}
+	if !KnownFunction(function) {
+		return hlerr.Errorf("service.bdd", "unknown function %q", function)
+	}
+	return nil
+}
+
 // TruthTable materializes the named boolean function over n variables:
 // entry i is the function of the assignment whose variable b is bit b
 // of i.
 func TruthTable(function string, n int) ([]bool, error) {
-	if n < 1 || n > MaxBDDVars {
-		return nil, hlerr.Errorf("service.bdd", "vars %d out of range [1,%d]", n, MaxBDDVars)
-	}
-	if !KnownFunction(function) {
-		return nil, hlerr.Errorf("service.bdd", "unknown function %q", function)
+	if err := checkTable(function, n); err != nil {
+		return nil, err
 	}
 	tt := make([]bool, 1<<uint(n))
 	switch function {
@@ -683,22 +693,34 @@ func (l *Local) Predict(_ context.Context, b *budget.Budget, req PredictRequest)
 	return l.predictWith(b, art, req)
 }
 
+// checkPredict validates a predict request's streams and model; its
+// module is checked when the artifact resolves.
+func checkPredict(req PredictRequest) error {
+	if err := CheckCycles(req.Train); err != nil {
+		return err
+	}
+	if err := CheckCycles(req.Eval); err != nil {
+		return err
+	}
+	if !KnownModel(req.Model) {
+		return hlerr.Errorf("service.predict", "unknown model %q", req.Model)
+	}
+	return nil
+}
+
 // predictWith is Predict over an already resolved artifact, shared by
 // single requests and batch predict groups. Every gate-level step runs
 // on the artifact's compiled netlist and is charged to b: the training
 // and evaluation ground-truth traces through runStreams (so fault-armed
 // requests stay off the codegen tier), and the io model's functional
 // outputs on the artifact's packed output evaluator. The training trace
-// is never memoized; the evaluation trace is, as before.
+// is never memoized; the evaluation trace is, and a hit charges b what
+// the run it replaces would have. A fit the training stream cannot
+// determine (a singular design matrix: too few cycles for the model's
+// regressors) is the request's fault, an input error.
 func (l *Local) predictWith(b *budget.Budget, art *artifact, req PredictRequest) (PredictResponse, error) {
-	if err := CheckCycles(req.Train); err != nil {
+	if err := checkPredict(req); err != nil {
 		return PredictResponse{}, err
-	}
-	if err := CheckCycles(req.Eval); err != nil {
-		return PredictResponse{}, err
-	}
-	if !KnownModel(req.Model) {
-		return PredictResponse{}, hlerr.Errorf("service.predict", "unknown model %q", req.Model)
 	}
 	trainA, trainB := OperandStreams(req.Train, req.Width, req.Seed)
 	evalA, evalB := OperandStreams(req.Eval, req.Width, req.Seed+1)
@@ -721,6 +743,9 @@ func (l *Local) predictWith(b *budget.Budget, art *artifact, req PredictRequest)
 		m, err = macromodel.FitBitwiseTrace(train)
 	default: // "io"
 		m, err = macromodel.FitIOTrace(b, art.comp, train)
+	}
+	if errors.Is(err, stats.ErrSingular) {
+		err = &hlerr.InputError{Err: err}
 	}
 	if err != nil {
 		return PredictResponse{}, err
