@@ -611,7 +611,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		next, err := recipe.Apply(nil, d, w, vc.pass, 1)
+		next, err := recipe.Apply(nil, nil, d, w, vc.pass, 1)
 		if err != nil {
 			fatal(err)
 		}

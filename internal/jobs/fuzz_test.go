@@ -92,6 +92,10 @@ func FuzzJobCacheEquivalence(f *testing.F) {
 	// Without the replay trip guard, the last candidate to degrade here
 	// would trip at the end of a replayed score charge.
 	f.Add(uint8(2), uint8(6), uint8(0), uint8(0), int64(53), uint8(29), uint32(800))
+	// An FSM job (5 states, 1 input, 2 outputs) whose controller
+	// syntheses trip the step limit: storing a degraded synthesis in
+	// the controller memo would move the last trip's count.
+	f.Add(uint8(1), uint8(3), uint8(0), uint8(1), int64(-154), uint8(15), uint32(11913))
 
 	f.Fuzz(func(t *testing.T, kind, a, b, c uint8, seed int64, cands uint8, steps uint32) {
 		p := Params{

@@ -30,14 +30,14 @@ var (
 
 func init() {
 	recipe.Register(recipe.Pass{Name: "zz-inject-panic", Kind: recipe.KindCircuit,
-		Apply: func(b *budget.Budget, d *recipe.Design, rng *rand.Rand) (*recipe.Design, error) {
+		Apply: func(b *budget.Budget, _ *memo.Cache, d *recipe.Design, rng *rand.Rand) (*recipe.Design, error) {
 			if !panicArmed.Load() {
 				return nil, recipe.ErrNotApplicable
 			}
 			panic("injected pass fault")
 		}})
 	recipe.Register(recipe.Pass{Name: "zz-inject-stall", Kind: recipe.KindCircuit,
-		Apply: func(b *budget.Budget, d *recipe.Design, rng *rand.Rand) (*recipe.Design, error) {
+		Apply: func(b *budget.Budget, _ *memo.Cache, d *recipe.Design, rng *rand.Rand) (*recipe.Design, error) {
 			if !stallArmed.Load() {
 				return nil, recipe.ErrNotApplicable
 			}

@@ -162,9 +162,9 @@ type evalResult struct {
 }
 
 // evaluate applies the candidate recipe pass by pass and scores the
-// final design, both through the memo cache when one is installed: a
-// recipe prefix is applied, and a distinct design scored, once per
-// cache. The budget is fresh per candidate: EvalSteps governs all pass
+// final design, all through the memo cache when one is installed: a
+// recipe prefix is applied, a distinct controller synthesized (inside
+// recipe.Apply), and a distinct design scored, once per cache. The budget is fresh per candidate: EvalSteps governs all pass
 // application, verification, and scoring, and the context carries
 // cancellation from the job and the watchdog.
 func (m *Manager) evaluate(ctx context.Context, p Params, d *recipe.Design, w *recipe.Workload, names []string, plan *budget.FaultPlan) evalResult {
@@ -190,8 +190,9 @@ func (m *Manager) evaluate(ctx context.Context, p Params, d *recipe.Design, w *r
 	cache := m.cache()
 	if b.FaultArmed() {
 		// An armed plan can degrade any pass; degraded artifacts must
-		// never be shared, so bypass the cache entirely (the same
-		// honesty invariant the estimation endpoints follow).
+		// never be shared, so bypass the cache entirely, the passes'
+		// own entries included (the same honesty invariant the
+		// estimation endpoints follow).
 		cache = nil
 	}
 	var hits int64
@@ -202,7 +203,7 @@ func (m *Manager) evaluate(ctx context.Context, p Params, d *recipe.Design, w *r
 		in := cur
 		next, hit, err := memo.Charged(cache, b, func() memo.Key { return prefixKey(p, prefix) },
 			func() (*recipe.Design, int64, error) {
-				nd, err := recipe.Apply(b, in, w, names[i], seed)
+				nd, err := recipe.Apply(b, cache, in, w, names[i], seed)
 				if err != nil {
 					return nil, 0, err
 				}

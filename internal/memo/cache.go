@@ -199,20 +199,6 @@ func (c *Cache) Do(k Key, compute func() (val any, size int64, cacheable bool, e
 	return val, false, err
 }
 
-// Get looks k up without computing on miss.
-func (c *Cache) Get(k Key) (val any, ok bool) {
-	sh := c.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.items[k]
-	if !ok {
-		return nil, false
-	}
-	sh.moveFront(e)
-	c.hits.Add(1)
-	return e.val, true
-}
-
 // safeCompute contains panics so a crashing computation resolves the
 // singleflight call instead of leaving waiters blocked forever.
 func safeCompute(compute func() (any, int64, bool, error)) (val any, size int64, cacheable bool, err error) {

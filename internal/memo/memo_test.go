@@ -98,6 +98,18 @@ func TestErrorsAreNeverStored(t *testing.T) {
 	}
 }
 
+// stored reports whether k holds an entry, probing through Do with a
+// compute that records that it ran and stores nothing. A hit moves the
+// entry to the front, as every served hit does.
+func stored(c *Cache, k Key) bool {
+	ran := false
+	c.Do(k, func() (any, int64, bool, error) {
+		ran = true
+		return nil, 0, false, nil
+	})
+	return !ran
+}
+
 func TestByteBudgetEviction(t *testing.T) {
 	// One shard, room for ~4 entries of 100 bytes.
 	c := New(Options{MaxBytes: 400, Shards: 1})
@@ -120,10 +132,10 @@ func TestByteBudgetEviction(t *testing.T) {
 		t.Fatalf("entries %d, want 4", st.Entries)
 	}
 	// The most recent entries survive; the oldest were evicted.
-	if _, ok := c.Get(keyOf(9)); !ok {
+	if !stored(c, keyOf(9)) {
 		t.Fatal("most recent entry evicted")
 	}
-	if _, ok := c.Get(keyOf(0)); ok {
+	if stored(c, keyOf(0)) {
 		t.Fatal("oldest entry survived a full wrap")
 	}
 	// An entry larger than the whole budget is never stored.
@@ -133,7 +145,7 @@ func TestByteBudgetEviction(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(kBig); ok {
+	if stored(c, kBig) {
 		t.Fatal("oversized entry was stored")
 	}
 }
@@ -147,14 +159,14 @@ func TestLRUTouchOnHit(t *testing.T) {
 	store(1)
 	store(2)
 	// Touch 0 so 1 becomes the LRU victim.
-	if _, ok := c.Get(keyOf(0)); !ok {
+	if !stored(c, keyOf(0)) {
 		t.Fatal("entry 0 missing")
 	}
 	store(3) // evicts 1
-	if _, ok := c.Get(keyOf(0)); !ok {
+	if !stored(c, keyOf(0)) {
 		t.Fatal("touched entry was evicted")
 	}
-	if _, ok := c.Get(keyOf(1)); ok {
+	if stored(c, keyOf(1)) {
 		t.Fatal("LRU entry survived")
 	}
 }

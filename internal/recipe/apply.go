@@ -8,6 +8,7 @@ import (
 	"hlpower/internal/budget"
 	"hlpower/internal/bus"
 	"hlpower/internal/hlerr"
+	"hlpower/internal/memo"
 	"hlpower/internal/sim"
 )
 
@@ -36,10 +37,12 @@ func (e *VerifyError) Error() string {
 
 // Apply runs one named pass over the design with a seeded RNG and
 // verifies the result is functionally equivalent to its input under
-// the workload's verification stimulus. A panicking pass is contained
-// via hlerr.FromPanic and surfaces as a *PassError like any other
-// failure.
-func Apply(b *budget.Budget, d *Design, w *Workload, name string, seed uint64) (*Design, error) {
+// the workload's verification stimulus. c is the memo cache the pass
+// may keep artifacts in (nil means none): the controller passes
+// synthesize each distinct controller once per cache, and the designs
+// built on it share its netlist. A panicking pass is contained via
+// hlerr.FromPanic and surfaces as a *PassError like any other failure.
+func Apply(b *budget.Budget, c *memo.Cache, d *Design, w *Workload, name string, seed uint64) (*Design, error) {
 	p, ok := Lookup(name)
 	if !ok {
 		return nil, &PassError{Pass: name, Err: hlerr.Errorf("recipe.apply", "unknown pass %q", name)}
@@ -47,7 +50,7 @@ func Apply(b *budget.Budget, d *Design, w *Workload, name string, seed uint64) (
 	if p.Kind != d.Kind {
 		return nil, &PassError{Pass: name, Err: ErrNotApplicable}
 	}
-	out, err := applySafe(p, b, d, seed)
+	out, err := applySafe(p, b, c, d, seed)
 	if err != nil {
 		return nil, &PassError{Pass: name, Err: err}
 	}
@@ -59,13 +62,13 @@ func Apply(b *budget.Budget, d *Design, w *Workload, name string, seed uint64) (
 
 // applySafe contains pass panics: a poisoned pass degrades the
 // candidate with a typed error instead of unwinding the search loop.
-func applySafe(p Pass, b *budget.Budget, d *Design, seed uint64) (out *Design, err error) {
+func applySafe(p Pass, b *budget.Budget, c *memo.Cache, d *Design, seed uint64) (out *Design, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = nil, hlerr.FromPanic(r)
 		}
 	}()
-	return p.Apply(b, d, rand.New(&lazySource{seed: int64(seed)}))
+	return p.Apply(b, c, d, rand.New(&lazySource{seed: int64(seed)}))
 }
 
 // lazySource is a rand.Source64 that seeds math/rand's generator on
@@ -96,7 +99,8 @@ func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 //     (passes only ever add pipeline latency, so Δ ≥ 0); compared on
 //     the region where both streams reflect real inputs.
 //   - fsm: the synthesized controller is checked against the abstract
-//     machine itself — stronger than checking against prev, since
+//     machine itself (its output words on the stimulus, which Build
+//     computes once) — stronger than checking against prev, since
 //     errors cannot accumulate along a recipe.
 //   - bus: exact decode(encode(w)) round-trip over the address trace.
 func Verify(b *budget.Budget, prev, next *Design, w *Workload) error {
@@ -144,7 +148,6 @@ func verifyFSM(b *budget.Budget, next *Design, w *Workload) error {
 	if err := b.Step(int64(len(w.VerifySyms))); err != nil {
 		return err
 	}
-	_, refOut := next.F.Simulate(w.VerifySyms)
 	got, err := sim.Outputs(b, next.Net, sim.VectorInputs(w.VerifyVecs), len(w.VerifyVecs))
 	if err != nil {
 		return err
@@ -154,7 +157,7 @@ func verifyFSM(b *budget.Budget, next *Design, w *Workload) error {
 		return &VerifyError{Detail: fmt.Sprintf("output width %d, want %d", width, nOut)}
 	}
 	mask := uint64(1)<<uint(nOut) - 1
-	for c, want := range refOut {
+	for c, want := range w.VerifyOut {
 		if diff := (got[c] ^ want) & mask; diff != 0 {
 			return &VerifyError{Cycle: c, Detail: fmt.Sprintf("output %d differs from machine", bits.TrailingZeros64(diff))}
 		}

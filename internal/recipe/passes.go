@@ -13,6 +13,7 @@ import (
 	"hlpower/internal/fsm"
 	"hlpower/internal/logic"
 	"hlpower/internal/lopt"
+	"hlpower/internal/memo"
 )
 
 // ErrNotApplicable marks a pass that cannot transform the given design
@@ -21,10 +22,11 @@ import (
 var ErrNotApplicable = errors.New("recipe: pass not applicable to this design")
 
 // ApplyFunc transforms a design. The budget governs the heavy lifting
-// (cover minimization, truth-table extraction); rng feeds the pass's
-// free choices (cut depth, predictor size, seeded encodings) so a
-// recipe's outcome is a pure function of (design, pass name, seed).
-type ApplyFunc func(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error)
+// (cover minimization, truth-table extraction); c, when non-nil, is the
+// memo cache the pass may keep artifacts in; rng feeds the pass's free
+// choices (cut depth, predictor size, seeded encodings) so a recipe's
+// outcome is a pure function of (design, pass name, seed).
+type ApplyFunc func(b *budget.Budget, c *memo.Cache, d *Design, rng *rand.Rand) (*Design, error)
 
 // Pass is one named rewrite in the vocabulary.
 type Pass struct {
@@ -98,8 +100,8 @@ func init() {
 	for _, enc := range []string{"binary", "gray", "one-hot", "random", "low-power"} {
 		enc := enc
 		Register(Pass{Name: "enc-" + enc, Kind: KindFSM,
-			Apply: func(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error) {
-				return passEncode(b, d, enc, rng)
+			Apply: func(b *budget.Budget, c *memo.Cache, d *Design, rng *rand.Rand) (*Design, error) {
+				return passEncode(b, c, d, enc, rng)
 			}})
 	}
 	Register(Pass{Name: "clock-gate", Kind: KindFSM, Apply: passClockGate})
@@ -108,7 +110,7 @@ func init() {
 	for _, c := range bus.CoderNames() {
 		c := c
 		Register(Pass{Name: "bus-" + c, Kind: KindBus,
-			Apply: func(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error) {
+			Apply: func(b *budget.Budget, _ *memo.Cache, d *Design, rng *rand.Rand) (*Design, error) {
 				return passBusCoder(d, c)
 			}})
 	}
@@ -117,7 +119,7 @@ func init() {
 // passGuard inserts transparent-latch guards on exclusive mux cones.
 // A design with no early-select mux has nothing to guard, which the
 // predicate tells without cloning the netlist.
-func passGuard(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error) {
+func passGuard(b *budget.Budget, _ *memo.Cache, d *Design, rng *rand.Rand) (*Design, error) {
 	if err := b.Step(int64(len(d.Net.Gates))); err != nil {
 		return nil, err
 	}
@@ -135,7 +137,7 @@ func passGuard(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error) {
 
 // passRetime pipelines the netlist at an rng-chosen cut depth,
 // trading one cycle of latency for glitch filtering.
-func passRetime(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error) {
+func passRetime(b *budget.Budget, _ *memo.Cache, d *Design, rng *rand.Rand) (*Design, error) {
 	if !lopt.IsCombinational(d.Net) {
 		return nil, ErrNotApplicable
 	}
@@ -159,7 +161,7 @@ func passRetime(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error) {
 
 // passResynth extracts every output's truth table and rebuilds the
 // netlist from freshly minimized covers.
-func passResynth(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error) {
+func passResynth(b *budget.Budget, _ *memo.Cache, d *Design, rng *rand.Rand) (*Design, error) {
 	if !lopt.IsCombinational(d.Net) || len(d.Net.Inputs) > maxResynthInputs {
 		return nil, ErrNotApplicable
 	}
@@ -191,7 +193,7 @@ func passResynth(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error) {
 
 // passPrecompute applies the Fig. 6 precomputation architecture to a
 // single-output function with an rng-chosen predictor subset size.
-func passPrecompute(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error) {
+func passPrecompute(b *budget.Budget, _ *memo.Cache, d *Design, rng *rand.Rand) (*Design, error) {
 	nIn := len(d.Net.Inputs)
 	if !lopt.IsCombinational(d.Net) || len(d.Net.Outputs) != 1 || nIn < 2 || nIn > 8 {
 		return nil, ErrNotApplicable
@@ -216,7 +218,7 @@ func passPrecompute(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error
 }
 
 // passEncode re-encodes the controller's states and re-synthesizes it.
-func passEncode(b *budget.Budget, d *Design, name string, rng *rand.Rand) (*Design, error) {
+func passEncode(b *budget.Budget, c *memo.Cache, d *Design, name string, rng *rand.Rand) (*Design, error) {
 	enc, err := fsm.EncodingByName(d.F, name, d.probs, d.probsErr, rng)
 	if err != nil {
 		return nil, err
@@ -224,7 +226,7 @@ func passEncode(b *budget.Budget, d *Design, name string, rng *rand.Rand) (*Desi
 	if sameEncoding(enc, d.Enc) {
 		return nil, ErrNotApplicable
 	}
-	net, err := synthController(b, d.F, enc, d.Gated)
+	net, err := synthController(b, c, d.F, enc, d.Gated)
 	if err != nil {
 		return nil, err
 	}
@@ -235,14 +237,11 @@ func passEncode(b *budget.Budget, d *Design, name string, rng *rand.Rand) (*Desi
 }
 
 // passClockGate re-synthesizes the controller with a gated clock.
-func passClockGate(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error) {
+func passClockGate(b *budget.Budget, c *memo.Cache, d *Design, rng *rand.Rand) (*Design, error) {
 	if d.Gated {
 		return nil, ErrNotApplicable
 	}
-	if err := b.Step(int64(d.F.NumStates * d.F.NumSymbols())); err != nil {
-		return nil, err
-	}
-	net, err := lopt.GatedController(d.F, d.Enc)
+	net, err := synthController(b, c, d.F, d.Enc, true)
 	if err != nil {
 		return nil, err
 	}
@@ -252,17 +251,63 @@ func passClockGate(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error)
 	return &out, nil
 }
 
-// synthController synthesizes the machine under the current gating
-// mode, so re-encoding a gated controller keeps its gate.
-func synthController(b *budget.Budget, f *fsm.FSM, enc *fsm.Encoding, gated bool) (*logic.Netlist, error) {
+// synthController synthesizes the machine under an encoding and a
+// gating mode (re-encoding a gated controller keeps its gate) through
+// c, under the controller's content (controllerKey): each distinct
+// controller is synthesized once per cache, with memo.Charged's replay
+// rule, and every design built on it shares its netlist. The entry
+// counts the netlist's full size, since it can outlive those designs.
+func synthController(b *budget.Budget, c *memo.Cache, f *fsm.FSM, enc *fsm.Encoding, gated bool) (*logic.Netlist, error) {
+	net, _, err := memo.Charged(c, b, func() memo.Key { return controllerKey(f, enc, gated) },
+		func() (*logic.Netlist, int64, error) {
+			net, err := synthesize(b, f, enc, gated)
+			if err != nil {
+				return nil, 0, err
+			}
+			return net, netBytes(net), nil
+		})
+	return net, err
+}
+
+// synthesize builds a controller netlist on b. A two-level synthesis
+// whose budget trips degrades to larger covers and leaves the budget's
+// sticky error behind; it fails with that error instead, which is what
+// verifying the degraded controller would report, and so is never
+// stored.
+func synthesize(b *budget.Budget, f *fsm.FSM, enc *fsm.Encoding, gated bool) (*logic.Netlist, error) {
 	if gated {
 		if err := b.Step(int64(f.NumStates * f.NumSymbols())); err != nil {
 			return nil, err
 		}
 		return lopt.GatedController(f, enc)
 	}
-	net, _, err := fsm.SynthesizeBudget(b, f, enc)
+	net, degraded, err := fsm.SynthesizeBudget(b, f, enc)
+	if err == nil && degraded {
+		return nil, b.Err()
+	}
 	return net, err
+}
+
+// controllerKey is the memo-cache key of a synthesized controller: the
+// machine's tables, the encoding and the gating mode, everything
+// synthesis reads. It names no recipe and no step limit, so every job
+// and recipe that reaches one controller shares it.
+func controllerKey(f *fsm.FSM, enc *fsm.Encoding, gated bool) memo.Key {
+	e := memo.NewEnc()
+	e.String("recipe/controller/v1")
+	e.Int(f.NumInputs)
+	e.Int(f.NumOutputs)
+	e.Int(f.NumStates)
+	for s := range f.Next {
+		for _, next := range f.Next[s] {
+			e.Int(next)
+		}
+		e.Uint64s(f.Out[s])
+	}
+	e.Int(enc.Width)
+	e.Uint64s(enc.Codes)
+	e.Bool(gated)
+	return e.Key()
 }
 
 func sameEncoding(a, b *fsm.Encoding) bool {

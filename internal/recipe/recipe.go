@@ -145,7 +145,7 @@ type Design struct {
 func (d *Design) SizeBytes() int64 {
 	var sz int64 = 256
 	if d.Net != nil {
-		sz += int64(len(d.Net.Gates)) * 64
+		sz += netBytes(d.Net)
 	}
 	if d.F != nil {
 		sz += int64(d.F.NumStates*d.F.NumSymbols()) * 16
@@ -156,6 +156,9 @@ func (d *Design) SizeBytes() int64 {
 	return sz
 }
 
+// netBytes estimates a netlist's resident size for cache accounting.
+func netBytes(n *logic.Netlist) int64 { return int64(len(n.Gates)) * 64 }
+
 // Workload is the fixed stimulus a job scores and verifies candidates
 // against. It is derived deterministically from (Spec, seed) at build
 // time and shared read-only across every candidate evaluation.
@@ -164,6 +167,7 @@ type Workload struct {
 	EvalVecs   [][]bool // per-cycle primary-input vectors for scoring
 	VerifyVecs [][]bool // independent vectors for equivalence checks
 	VerifySyms []int    // fsm: verification symbol stream (VerifyVecs mirrors it)
+	VerifyOut  []uint64 // fsm: the machine's output word per VerifySyms cycle
 	Stream     []uint64 // bus: address trace (scored and verified)
 }
 
@@ -257,11 +261,15 @@ func Build(spec Spec, seed int64, evalCycles, verifyCycles int) (*Design, *Workl
 		}
 		nsym := f.NumSymbols()
 		verifySyms := symStream(verifySeed, verifyCycles, nsym)
+		// Passes never replace the machine, so its reference outputs
+		// are computed once per job.
+		_, verifyOut := f.Simulate(verifySyms)
 		w := &Workload{
 			Kind:       KindFSM,
 			EvalVecs:   symVecs(symStream(evalSeed, evalCycles, nsym), spec.Inputs),
 			VerifySyms: verifySyms,
 			VerifyVecs: symVecs(verifySyms, spec.Inputs),
+			VerifyOut:  verifyOut,
 		}
 		probs, probsErr := f.TransitionProbabilities(nil)
 		return &Design{Kind: KindFSM, Net: net, F: f, Enc: enc, probs: probs, probsErr: probsErr}, w, nil
@@ -325,8 +333,9 @@ func Score(b *budget.Budget, d *Design, w *Workload) (float64, error) {
 // sim.RunBudget charges it and the totals are Float64bits-identical to
 // it. Circuits run event-driven so glitch filtering (retiming, guards)
 // is visible, which on unit-delay feed-forward netlists is the 64-lane
-// unit-delay path; controllers run zero-delay. Clock tracking makes
-// added registers pay their way.
+// unit-delay path; controllers run zero-delay, which for at most 6
+// state and input bits is the (state, input) table path. Clock
+// tracking makes added registers pay their way.
 func simulate(b *budget.Budget, d *Design, w *Workload) (*sim.Result, error) {
 	opts := sim.Options{TrackClock: true, GateClock: true}
 	if d.Kind == KindCircuit {

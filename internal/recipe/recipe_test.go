@@ -10,6 +10,7 @@ import (
 	"hlpower/internal/budget"
 	"hlpower/internal/hlerr"
 	"hlpower/internal/logic"
+	"hlpower/internal/memo"
 	"hlpower/internal/sim"
 )
 
@@ -80,8 +81,8 @@ func TestBuildDeterministic(t *testing.T) {
 // four optimize-job circuits at width 8, baseline and retimed, on the
 // unit-delay path (a silent fallback to the timing wheel would
 // otherwise show only as a slower benchmark), and an FSM controller
-// lean on the scalar engine. Each scores Float64bits-identically to
-// sim.RunBudget and charges the same steps.
+// (5 state and input bits) on its (state, input) table. Each scores
+// Float64bits-identically to sim.RunBudget and charges the same steps.
 func TestScorePaths(t *testing.T) {
 	check := func(label string, d *Design, w *Workload, kernel string, opts sim.Options) {
 		t.Helper()
@@ -112,7 +113,7 @@ func TestScorePaths(t *testing.T) {
 		}
 		check(circuit, d, w, sim.KernelUnitDelay, ed)
 		for seed := uint64(0); seed < 3; seed++ {
-			rt, err := Apply(testBudget(), d, w, "retime", seed)
+			rt, err := Apply(testBudget(), nil, d, w, "retime", seed)
 			if err != nil {
 				t.Fatalf("%s: retime: %v", circuit, err)
 			}
@@ -123,7 +124,7 @@ func TestScorePaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("fsm", d, w, "", sim.Options{TrackClock: true, GateClock: true})
+	check("fsm", d, w, sim.KernelTable, sim.Options{TrackClock: true, GateClock: true})
 }
 
 // TestApplyAllPassesVerified applies every registered pass of each
@@ -140,7 +141,7 @@ func TestApplyAllPassesVerified(t *testing.T) {
 		applied := 0
 		for _, name := range Vocabulary(s.Kind) {
 			for seed := uint64(0); seed < 3; seed++ {
-				out, err := Apply(testBudget(), d, w, name, seed)
+				out, err := Apply(testBudget(), nil, d, w, name, seed)
 				if err != nil {
 					var pe *PassError
 					if !errors.As(err, &pe) {
@@ -169,14 +170,14 @@ func TestApplySecondLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retimed, err := Apply(testBudget(), d, w, "retime", 5)
+	retimed, err := Apply(testBudget(), nil, d, w, "retime", 5)
 	if err != nil {
 		t.Fatalf("retime: %v", err)
 	}
 	if retimed.Latency != 1 {
 		t.Fatalf("retime latency = %d, want 1", retimed.Latency)
 	}
-	if _, err := Apply(testBudget(), retimed, w, "guard", 6); err != nil {
+	if _, err := Apply(testBudget(), nil, retimed, w, "guard", 6); err != nil {
 		var pe *PassError
 		if !errors.As(err, &pe) || !errors.Is(err, ErrNotApplicable) {
 			t.Fatalf("guard on retimed: %v", err)
@@ -190,10 +191,10 @@ func TestApplyUnknownAndWrongKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Apply(testBudget(), d, w, "no-such-pass", 0); err == nil {
+	if _, err := Apply(testBudget(), nil, d, w, "no-such-pass", 0); err == nil {
 		t.Fatal("unknown pass: want error")
 	}
-	if _, err := Apply(testBudget(), d, w, "retime", 0); !errors.Is(err, ErrNotApplicable) {
+	if _, err := Apply(testBudget(), nil, d, w, "retime", 0); !errors.Is(err, ErrNotApplicable) {
 		t.Fatalf("kind mismatch: got %v, want ErrNotApplicable", err)
 	}
 }
@@ -213,14 +214,14 @@ func registerTestPass(t *testing.T, p Pass) {
 
 func TestApplyPanicContained(t *testing.T) {
 	registerTestPass(t, Pass{Name: "zz-test-panic", Kind: KindBus,
-		Apply: func(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error) {
+		Apply: func(b *budget.Budget, _ *memo.Cache, d *Design, rng *rand.Rand) (*Design, error) {
 			panic("poisoned pass")
 		}})
 	d, w, err := Build(Spec{Kind: KindBus, Width: 8}, 1, 64, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Apply(testBudget(), d, w, "zz-test-panic", 0)
+	_, err = Apply(testBudget(), nil, d, w, "zz-test-panic", 0)
 	var pe *PassError
 	if !errors.As(err, &pe) {
 		t.Fatalf("panic not converted to PassError: %v", err)
@@ -231,7 +232,7 @@ func TestApplyPanicContained(t *testing.T) {
 // an output and checks the built-in equivalence gate rejects it.
 func TestVerifyCatchesBrokenPass(t *testing.T) {
 	registerTestPass(t, Pass{Name: "zz-test-broken", Kind: KindCircuit,
-		Apply: func(b *budget.Budget, d *Design, rng *rand.Rand) (*Design, error) {
+		Apply: func(b *budget.Budget, _ *memo.Cache, d *Design, rng *rand.Rand) (*Design, error) {
 			out := *d
 			net := d.Net.Clone()
 			net.Outputs[0] = net.Add(logic.Not, net.Outputs[0])
@@ -242,7 +243,7 @@ func TestVerifyCatchesBrokenPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Apply(testBudget(), d, w, "zz-test-broken", 0)
+	_, err = Apply(testBudget(), nil, d, w, "zz-test-broken", 0)
 	var ve *VerifyError
 	if !errors.As(err, &ve) {
 		t.Fatalf("broken pass not caught by verification: %v", err)
@@ -255,7 +256,7 @@ func TestBudgetTripDegradesPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := budget.New(budget.WithMaxSteps(10), budget.WithCheckInterval(4))
-	_, err = Apply(b, d, w, "retime", 1)
+	_, err = Apply(b, nil, d, w, "retime", 1)
 	if !errors.Is(err, budget.ErrExceeded) {
 		t.Fatalf("tiny budget: got %v, want budget.ErrExceeded", err)
 	}

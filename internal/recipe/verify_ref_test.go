@@ -183,7 +183,7 @@ func TestVerifyMatchesRunBudgetReference(t *testing.T) {
 				continue // registered by other tests, broken on purpose
 			}
 			p, _ := Lookup(name)
-			next, err := applySafe(p, budget.New(), d, 5)
+			next, err := applySafe(p, budget.New(), nil, d, 5)
 			if err != nil {
 				continue
 			}
@@ -193,7 +193,7 @@ func TestVerifyMatchesRunBudgetReference(t *testing.T) {
 	// A guarded circuit: latches keep it on RunBudget.
 	guarded := &Design{Kind: KindCircuit, Net: earlyMuxNet()}
 	gw := &Workload{Kind: KindCircuit, VerifyVecs: bitVecs(9, 100, len(guarded.Net.Inputs))}
-	next, err := passGuard(budget.New(), guarded, nil)
+	next, err := passGuard(budget.New(), nil, guarded, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

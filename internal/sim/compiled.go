@@ -26,13 +26,16 @@ import (
 // superinstruction program (logic.Fuse of the levelized logic.Program)
 // the 64-lane packed kernel executes; or — for event-driven options
 // over a unit-delay, feed-forward netlist — the unit-delay program lean
-// runs execute 64 cycles at a time. Safe for concurrent use: the tables
-// and programs are read-only after Compile, and the mutable kernel
-// scratch is pooled per run.
+// runs execute 64 cycles at a time; or — for a zero-delay sequential
+// netlist with no Latch and at most 6 flip-flop and input bits — the
+// (state, input) table lean runs read each cycle's values from. Safe
+// for concurrent use: the tables and programs are read-only after
+// Compile, and the mutable kernel scratch is pooled per run.
 type Compiled struct {
 	e     *env
 	fused *logic.FusedProgram // nil: no zero-delay packed kernel (sequential or event-driven)
 	ud    *unitDelay          // non-nil: lean event-driven runs take the unit-delay path
+	tab   *tableRun           // non-nil: lean zero-delay runs take the table path
 
 	// codegen holds the specialized evaluator once BuildCodegen has run.
 	// An atomic pointer so a serving layer can swap it in off the request
@@ -58,6 +61,9 @@ type Compiled struct {
 // Delay 1 and whose flip-flops (DFFs only, no latches) sit in no
 // feedback loop get the unit-delay program, which lean runs execute 64
 // cycles at a time with the timing wheel's exact results and budget
+// charges. Zero-delay sequential netlists with no Latch and at most 6
+// flip-flop and input bits get their (state, input) table, which lean
+// runs read with the interpreted engine's exact results and budget
 // charges. Everything else compiles to a scalar-only artifact (runs
 // degrade exactly like RunParallel, with the reason in
 // Result.Fallback). Netlist construction errors and combinational
@@ -69,7 +75,13 @@ func Compile(n *logic.Netlist, opts Options) (_ *Compiled, err error) {
 		return nil, err
 	}
 	c := &Compiled{e: e, ud: compileUnitDelay(e)}
-	if !e.sequential && opts.Model == ZeroDelay {
+	switch {
+	case opts.Model != ZeroDelay:
+	case e.sequential:
+		if t := tabulate(n); t != nil {
+			c.tab = newTableRun(e, t)
+		}
+	default:
 		if c.fused, err = compileFused(e); err != nil {
 			return nil, err
 		}
@@ -194,14 +206,16 @@ type RunOptions struct {
 	// PerCycleCap, Toggles, Shards/Fallback) is computed in the exact
 	// same canonical order and is bit-identical to a full run, and so
 	// are the budget charges. Lean event-driven runs over a unit-delay
-	// artifact run on KernelUnitDelay instead of the timing wheel.
+	// artifact run on KernelUnitDelay instead of the timing wheel, and
+	// lean zero-delay runs over a tabulated sequential netlist on
+	// KernelTable instead of the interpreted engine.
 	Lean bool
 }
 
 // Run simulates one workload over the compiled netlist. It is
 // bit-identical to RunParallel over the same netlist, options, and
-// workload — including the Shards/Fallback/Kernel metadata — with the
-// per-request setup already paid.
+// workload — including the Shards/Fallback metadata, and the Kernel
+// tag of a full run — with the per-request setup already paid.
 func (c *Compiled) Run(b *budget.Budget, inputs InputProvider, cycles int, opts RunOptions) (res *Result, err error) {
 	defer hlerr.Recover(&err)
 	if err := checkRun(inputs, cycles); err != nil {
@@ -209,18 +223,18 @@ func (c *Compiled) Run(b *budget.Budget, inputs InputProvider, cycles int, opts 
 	}
 	e := c.e
 	fused := c.fused
-	ud := c.ud
+	ud, tab := c.ud, c.tab
 	var cg *codegenProgram
 	if fused != nil && !opts.NoCodegen {
 		cg = c.codegen.Load()
 	}
 	if !opts.Lean {
-		ud = nil
+		ud, tab = nil, nil
 	}
 	// Kernel names the tier that actually executes: the specialized
 	// evaluator when promoted, else the fused interpreter, else the
-	// unit-delay recurrence, else (for scalar runs) the interpreted
-	// engine's empty tag.
+	// unit-delay recurrence, else the state table, else (for scalar
+	// runs) the interpreted engine's empty tag.
 	kernel := ""
 	switch {
 	case cg != nil:
@@ -229,6 +243,8 @@ func (c *Compiled) Run(b *budget.Budget, inputs InputProvider, cycles int, opts 
 		kernel = KernelFused
 	case ud != nil:
 		kernel = KernelUnitDelay
+	case tab != nil:
+		kernel = KernelTable
 	}
 	pooled := fused != nil || ud != nil
 	words := opts.Words
@@ -253,6 +269,9 @@ func (c *Compiled) Run(b *budget.Budget, inputs InputProvider, cycles int, opts 
 		}
 		if ud != nil {
 			return runShardUnitDelay(wb, e, ud, inputs, lo, hi, sc)
+		}
+		if tab != nil { // sequential, so one shard: lo is 0
+			return runShardTable(wb, e, tab, inputs, hi)
 		}
 		return runShard(wb, e, inputs, lo, hi, opts.Lean)
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"hlpower/internal/bitutil"
 	"hlpower/internal/budget"
 	"hlpower/internal/hlerr"
@@ -170,12 +172,17 @@ func (ff *feedForward) outputs(b *budget.Budget, n *logic.Netlist, inputs InputP
 // bits k >> F, for F flip-flops, and F plus the input count is at most
 // 6. The table is exact because a zero-delay cycle's values depend on
 // nothing else: flip-flops hold the previous cycle's D (an EnDFF only
-// when enabled), inputs the current vector.
+// when enabled), inputs the current vector. Outputs reads the out and
+// next tables; a lean compiled run reads next and the gate columns
+// through a tableRun.
 type stateTable struct {
 	ffs   int    // F, the state bits below the input bits in a lane index
 	reset uint64 // the Init state, bit j for flip-flop j
 	next  [64]uint64
 	out   [64]uint64 // bit i for output i
+	// cols holds every gate's settled values: lane k of cols[id] is
+	// gate id's value in lane k.
+	cols []uint64
 }
 
 // tabulate returns the netlist's state table, or nil when it has a
@@ -204,7 +211,7 @@ func tabulate(n *logic.Netlist) *stateTable {
 	}
 	// Variable v is lane bit v: its word has lane k set when bit v of k is.
 	words := make([]uint64, len(n.Gates))
-	t := &stateTable{ffs: len(ffs)}
+	t := &stateTable{ffs: len(ffs), cols: words}
 	for j, id := range ffs {
 		words[id] = lanePattern[j]
 		if n.Gates[id].Init {
@@ -256,13 +263,117 @@ func (t *stateTable) outputs(b *budget.Budget, n *logic.Netlist, inputs InputPro
 		if err != nil {
 			return nil, err
 		}
-		k := s
-		for i, v := range vec {
-			if v {
-				k |= 1 << uint(t.ffs+i)
-			}
-		}
+		k := t.lane(s, vec)
 		out[c], s = t.out[k], t.next[k]
 	}
 	return out, nil
+}
+
+// lane returns the lane index of state s under input vector vec.
+func (t *stateTable) lane(s uint64, vec []bool) uint64 {
+	for i, v := range vec {
+		if v {
+			s |= 1 << uint(t.ffs+i)
+		}
+	}
+	return s
+}
+
+// KernelTable in Result.Kernel marks a lean zero-delay run of a small
+// sequential netlist (no Latch, flip-flops plus inputs at most 6 bits)
+// read off its (state, input) table instead of settled gate by gate.
+const KernelTable = "table"
+
+// tableRun is a state table prepared for lean runs under fixed
+// options: every gate's value per lane, as one row of gate bits per
+// lane, and the clock charge of the edge that ends each lane's cycle.
+type tableRun struct {
+	*stateTable
+	// Lane k's gate values are rows[k*stride : (k+1)*stride], gate id
+	// in bit id mod 64 of word id/64.
+	stride int
+	rows   []uint64
+	// clock[k] is ClockCap added once, from zero, per flip-flop whose
+	// clock charges after lane k: none without TrackClock, every one
+	// without GateClock, else every DFF and every EnDFF enabled in
+	// lane k. The order is runShard's, so the sum is its bits.
+	clock [64]float64
+}
+
+// newTableRun prepares a netlist's state table for lean runs under the
+// environment's options.
+func newTableRun(e *env, t *stateTable) *tableRun {
+	lanes := 1 << uint(t.ffs+len(e.n.Inputs))
+	tr := &tableRun{stateTable: t, stride: (len(t.cols) + 63) / 64}
+	tr.rows = make([]uint64, lanes*tr.stride)
+	var blk [64]uint64
+	for w := 0; w < tr.stride; w++ {
+		// 64 gate columns in, one row of their values per lane out.
+		clear(blk[copy(blk[:], t.cols[w*64:]):])
+		transpose64(&blk)
+		for k := range lanes {
+			tr.rows[k*tr.stride+w] = blk[k]
+		}
+	}
+	if !e.opts.TrackClock {
+		return tr
+	}
+	for _, id := range e.ffs {
+		g := &e.n.Gates[id]
+		on := ^uint64(0)
+		if g.Kind == logic.EnDFF && e.opts.GateClock {
+			on = t.cols[g.Fanin[0]]
+		}
+		for k := range lanes {
+			if on>>uint(k)&1 == 1 {
+				tr.clock[k] += e.n.ClockCap
+			}
+		}
+	}
+	return tr
+}
+
+// runShardTable simulates cycles [0, cycles) of a tabulated netlist,
+// lean: it fills the shard's toggles and per-cycle capacitance only,
+// Float64bits-identical to runShard's. Cycle c settles to the lane of
+// its (state, vector) pair, so a cycle's transitions are the gates
+// whose values differ between its lane and the previous cycle's, and
+// its capacitance is summed in runShard's order: from cycle 1 on the
+// previous lane's clock charge, then the load of each toggled net in
+// ascending id. The budget is charged as runShard charges it: vector 0
+// is fetched before any charge, then each cycle charges one step per
+// gate plus one and fetches its vector, so a wrong-width vector fails
+// at its own cycle.
+func runShardTable(b *budget.Budget, e *env, t *tableRun, inputs InputProvider, cycles int) (sh *shard, err error) {
+	defer hlerr.Recover(&err)
+	n := e.n
+	if _, err := fetchVec(n, inputs, 0); err != nil {
+		return nil, err
+	}
+	sh = &shard{lo: 0, hi: cycles, toggles: make([]int64, len(n.Gates)), capByCyc: make([]float64, cycles)}
+	perCycle := int64(len(e.order)) + 1
+	s, prev := t.reset, uint64(0)
+	for c := range sh.capByCyc {
+		b.Check(perCycle)
+		vec, err := fetchVec(n, inputs, c)
+		if err != nil {
+			return nil, err
+		}
+		k := t.lane(s, vec)
+		if c > 0 {
+			capC := t.clock[prev]
+			was := t.rows[int(prev)*t.stride : int(prev+1)*t.stride]
+			now := t.rows[int(k)*t.stride : int(k+1)*t.stride]
+			for w, x := range now {
+				for d := x ^ was[w]; d != 0; d &= d - 1 {
+					id := w<<6 | bits.TrailingZeros64(d)
+					sh.toggles[id]++
+					capC += e.loads[id]
+				}
+			}
+			sh.capByCyc[c] = capC
+		}
+		s, prev = t.next[k], k
+	}
+	return sh, nil
 }

@@ -3,7 +3,9 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hlpower/internal/bitutil"
@@ -222,6 +224,83 @@ func checkOutputs(t *testing.T, n *logic.Netlist, inputs InputProvider, cycles i
 	return path
 }
 
+// wantLeanKernel classifies a netlist for a lean zero-delay run without
+// Compile's own tabulation: combinational netlists take the fused
+// kernel, and sequential ones with no Latch, no combinational cycle
+// and at most 6 flip-flop and input bits the state table.
+func wantLeanKernel(n *logic.Netlist) string {
+	bits, seq := len(n.Inputs), false
+	for _, g := range n.Gates {
+		switch {
+		case g.Kind == logic.Latch:
+			return ""
+		case g.Kind.IsSequential():
+			seq = true
+			bits++
+		}
+	}
+	switch _, err := n.TopoOrder(); {
+	case !seq:
+		return KernelFused
+	case err == nil && bits <= 6:
+		return KernelTable
+	}
+	return ""
+}
+
+// checkLeanRuns compiles n with a clock tree, gated and not, and
+// compares its lean runs with RunBudget on one workload under
+// sameBudgetOutcomes' three budget regimes: switched and per-cycle
+// capacitance Float64bits-identical, the same toggles, steps and
+// errors, on the kernel the netlist's shape picks. It returns the
+// kernel.
+func checkLeanRuns(t *testing.T, n *logic.Netlist, inputs InputProvider, cycles int, label string) string {
+	t.Helper()
+	kernel := wantLeanKernel(n)
+	for _, gated := range []bool{false, true} {
+		opts := Options{TrackClock: true, GateClock: gated}
+		c, err := Compile(n, opts)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", label, err)
+		}
+		lbl := fmt.Sprintf("%s lean gated=%v", label, gated)
+		lean := func(b *budget.Budget) (*Result, error) {
+			return c.Run(b, inputs, cycles, RunOptions{Workers: 1, Lean: true})
+		}
+		ref := func(b *budget.Budget) (*Result, error) { return RunBudget(b, n, inputs, cycles, opts) }
+		var got, want *Result
+		if kernel == KernelFused {
+			// The fused kernel charges a 64-cycle block at a time, so
+			// only its figures are RunBudget's.
+			got, err = lean(nil)
+			if err != nil {
+				t.Fatalf("%s: %v", lbl, err)
+			}
+			if want, err = ref(nil); err != nil {
+				t.Fatalf("%s: reference: %v", lbl, err)
+			}
+		} else {
+			got, want = sameBudgetOutcomes(t, lbl, lean, ref)
+		}
+		if got.Kernel != kernel {
+			t.Fatalf("%s: kernel %q, want %q", lbl, got.Kernel, kernel)
+		}
+		if !slices.Equal(got.Toggles, want.Toggles) || len(got.PerCycleCap) != len(want.PerCycleCap) {
+			t.Fatalf("%s (%s): toggles %v over %d cycles, RunBudget %v over %d", lbl, kernel,
+				got.Toggles, len(got.PerCycleCap), want.Toggles, len(want.PerCycleCap))
+		}
+		if math.Float64bits(got.SwitchedCap) != math.Float64bits(want.SwitchedCap) {
+			t.Fatalf("%s (%s): switched cap %v, RunBudget %v", lbl, kernel, got.SwitchedCap, want.SwitchedCap)
+		}
+		for i, w := range want.PerCycleCap {
+			if math.Float64bits(got.PerCycleCap[i]) != math.Float64bits(w) {
+				t.Fatalf("%s (%s): cycle %d cap %v, RunBudget %v", lbl, kernel, i, got.PerCycleCap[i], w)
+			}
+		}
+	}
+	return kernel
+}
+
 // outCycles straddle the 64-lane block edges.
 var outCycles = []int{1, 63, 64, 65, 128, 130}
 
@@ -241,13 +320,15 @@ func randOutputsNetlist(rng *rand.Rand, family, nIn, nGates int) *logic.Netlist 
 // random netlists of every shape, small and large, at cycle counts
 // around block edges, the output words are RunBudget's output rows,
 // with its budget charges and exhaustion outcomes, on the path the
-// netlist's shape picks — and every path runs.
+// netlist's shape picks — and every path runs. The same netlists'
+// lean runs under a clock tree are RunBudget's power figures, on every
+// kernel a zero-delay run can take.
 func TestOutputsMatchRunBudget(t *testing.T) {
 	trials := 40
 	if testing.Short() {
 		trials = 10
 	}
-	ran := map[string]int{}
+	ran, kernels := map[string]int{}, map[string]int{}
 	for trial := 0; trial < trials; trial++ {
 		for family := 0; family <= udShapes; family++ {
 			rng := rand.New(rand.NewSource(int64(7000 + trial*(udShapes+1) + family)))
@@ -258,7 +339,9 @@ func TestOutputsMatchRunBudget(t *testing.T) {
 			n := randOutputsNetlist(rng, family, nIn, nGates)
 			cycles := outCycles[rng.Intn(len(outCycles))]
 			label := fmt.Sprintf("trial %d family %d cycles %d", trial, family, cycles)
-			ran[checkOutputs(t, n, randVectors(rng, cycles, len(n.Inputs)), cycles, label)]++
+			inputs := randVectors(rng, cycles, len(n.Inputs))
+			ran[checkOutputs(t, n, inputs, cycles, label)]++
+			kernels[checkLeanRuns(t, n, inputs, cycles, label)]++
 		}
 	}
 	for _, path := range []string{PathFeedForward, PathTable, PathRun} {
@@ -266,10 +349,15 @@ func TestOutputsMatchRunBudget(t *testing.T) {
 			t.Errorf("no netlist took the %s path: %v", path, ran)
 		}
 	}
+	for _, kernel := range []string{KernelFused, KernelTable, ""} {
+		if kernels[kernel] == 0 {
+			t.Errorf("no lean run took the %q kernel: %v", kernel, kernels)
+		}
+	}
 }
 
-// FuzzOutputsEquivalence drives the differential property with fuzzed
-// netlist families, sizes and run lengths.
+// FuzzOutputsEquivalence drives the differential properties of Outputs
+// and of lean runs with fuzzed netlist families, sizes and run lengths.
 func FuzzOutputsEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(3), uint8(20), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(2), uint8(9), uint8(3))
@@ -281,14 +369,16 @@ func FuzzOutputsEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		n := randOutputsNetlist(rng, int(family)%(udShapes+1), 1+int(nIn)%8, 1+int(nGates)%64)
 		cycles := outCycles[int(cyc)%len(outCycles)]
-		checkOutputs(t, n, randVectors(rng, cycles, len(n.Inputs)), cycles, "fuzz")
+		inputs := randVectors(rng, cycles, len(n.Inputs))
+		checkOutputs(t, n, inputs, cycles, "fuzz")
+		checkLeanRuns(t, n, inputs, cycles, "fuzz")
 	})
 }
 
 // TestOutputsBadVector: on every path, a wrong-width vector fails with
 // RunBudget's input error after RunBudget's charges — mid-block, at
 // cycle 0 before any charge — and a step limit that trips first wins,
-// as on RunBudget.
+// as on RunBudget. A lean run on the table kernel fails the same way.
 func TestOutputsBadVector(t *testing.T) {
 	nets := map[string]*logic.Netlist{
 		PathFeedForward: randUnitDelayNetlist(rand.New(rand.NewSource(11)), 4, 30, udPipelined),
@@ -314,6 +404,21 @@ func TestOutputsBadVector(t *testing.T) {
 				if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() || bg.StepsUsed() != bw.StepsUsed() {
 					t.Fatalf("%s, bad vector %d, limit %d: got (%v, %d steps), RunBudget (%v, %d steps)",
 						path, bad, limit, gotErr, bg.StepsUsed(), wantErr, bw.StepsUsed())
+				}
+				if path != PathTable {
+					continue
+				}
+				opts := Options{TrackClock: true, GateClock: true}
+				c, err := Compile(n, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bg, bw = budget.New(budget.WithMaxSteps(limit)), budget.New(budget.WithMaxSteps(limit))
+				res, gotErr := c.Run(bg, VectorInputs(vecs), cycles, RunOptions{Lean: true})
+				_, wantErr = RunBudget(bw, n, VectorInputs(vecs), cycles, opts)
+				if res != nil || gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() || bg.StepsUsed() != bw.StepsUsed() {
+					t.Fatalf("table kernel, bad vector %d, limit %d: got (%v, %d steps), RunBudget (%v, %d steps)",
+						bad, limit, gotErr, bg.StepsUsed(), wantErr, bw.StepsUsed())
 				}
 			}
 		}

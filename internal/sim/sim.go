@@ -72,8 +72,9 @@ type Result struct {
 	// shard, for parallel runs): KernelFused for the fused-
 	// superinstruction 64-lane interpreter, KernelCodegen for the specialized evaluator of a
 	// promoted netlist, KernelUnitDelay for the 64-lane event-driven
-	// recurrence, empty for the interpreted scalar engine (the timing
-	// wheel, for event-driven runs). All tiers are Float64bits-identical;
+	// recurrence, KernelTable for a small sequential netlist's
+	// (state, input) table, empty for the interpreted scalar engine
+	// (the timing wheel, for event-driven runs). All tiers are Float64bits-identical;
 	// the tag reports where the cycles were spent, never a different
 	// answer.
 	Kernel    string
