@@ -5,7 +5,9 @@
 // deterministic: when the two snapshots cover the same workload shape
 // (equal short_workload and gomaxprocs), an allocs_per_op increase
 // beyond the threshold, or any increase from zero, fails the run with
-// exit code 1. A timing regression never does.
+// exit code 1. A timing regression never does. bytes_per_op is printed
+// beside the allocations and never gated: the collector's work follows
+// allocated bytes, which the object count alone does not show.
 //
 // Usage:
 //
@@ -32,7 +34,17 @@ type entry struct {
 	Variant     string  `json:"variant"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	BytesPerOp  *int64  `json:"bytes_per_op"` // nil in snapshots that predate it
 	Speedup     float64 `json:"speedup_vs_serial"`
+}
+
+// bytes renders the entry's bytes_per_op, or a dash when the snapshot
+// did not record it.
+func (e *entry) bytes() string {
+	if e.BytesPerOp == nil {
+		return "—"
+	}
+	return fmt.Sprint(*e.BytesPerOp)
 }
 
 type snapshot struct {
@@ -197,23 +209,24 @@ func (c comparison) report(oldName, newName string, threshold float64) string {
 		fmt.Fprintf(&b, "> ⚠️ snapshots differ in workload/host shape (short %v→%v, gomaxprocs %d→%d); deltas are indicative only and the alloc gate is off\n\n",
 			c.old.Short, c.new.Short, c.old.GOMAXPROCS, c.new.GOMAXPROCS)
 	}
-	b.WriteString("| benchmark | old ns/op | new ns/op | delta | allocs old→new | |\n")
-	b.WriteString("|---|---:|---:|---:|---:|---|\n")
+	b.WriteString("| benchmark | old ns/op | new ns/op | delta | allocs old→new | bytes old→new | |\n")
+	b.WriteString("|---|---:|---:|---:|---:|---:|---|\n")
 	for _, r := range c.rows {
 		switch {
 		case r.old == nil:
-			fmt.Fprintf(&b, "| %s | — | %.0f | new | —→%d | %s |\n", r.name, r.new.NsPerOp, r.new.AllocsPerOp, r.mark)
+			fmt.Fprintf(&b, "| %s | — | %.0f | new | —→%d | —→%s | %s |\n", r.name, r.new.NsPerOp, r.new.AllocsPerOp, r.new.bytes(), r.mark)
 		case r.new == nil:
-			fmt.Fprintf(&b, "| %s | %.0f | — | gone | — | %s |\n", r.name, r.old.NsPerOp, r.mark)
+			fmt.Fprintf(&b, "| %s | %.0f | — | gone | — | — | %s |\n", r.name, r.old.NsPerOp, r.mark)
 		default:
-			fmt.Fprintf(&b, "| %s | %.0f | %.0f | %+.1f%% | %d→%d | %s |\n",
-				r.name, r.old.NsPerOp, r.new.NsPerOp, r.deltaPct, r.old.AllocsPerOp, r.new.AllocsPerOp, r.mark)
+			fmt.Fprintf(&b, "| %s | %.0f | %.0f | %+.1f%% | %d→%d | %s→%s | %s |\n",
+				r.name, r.old.NsPerOp, r.new.NsPerOp, r.deltaPct, r.old.AllocsPerOp, r.new.AllocsPerOp, r.old.bytes(), r.new.bytes(), r.mark)
 		}
 	}
 	// Timing deltas from shared runners jitter run to run; allocation
 	// counts do not. Keep readers from acting on noise.
 	fmt.Fprintf(&b, "\n> Variance note: ns/op deltas within ±%g%% are indistinguishable from run-to-run noise on shared runners "+
-		"(benchstat would call them ~). Treat only larger, repeated timing moves as real; allocs_per_op is deterministic and is what the gate enforces.\n", threshold)
+		"(benchstat would call them ~). Treat only larger, repeated timing moves as real; allocs_per_op is deterministic and is what the gate enforces. "+
+		"bytes_per_op is shown for the collector's share and is not gated.\n", threshold)
 	if c.new.Note != "" {
 		fmt.Fprintf(&b, "\n> %s\n", c.new.Note)
 	}

@@ -9,6 +9,8 @@ func snap(procs int, entries ...entry) *snapshot {
 	return &snapshot{GOMAXPROCS: procs, Results: entries}
 }
 
+func bytesPerOp(n int64) *int64 { return &n }
+
 func TestCompareGate(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -17,6 +19,7 @@ func TestCompareGate(t *testing.T) {
 		allocs   int    // allocRegressions
 		timing   int    // regressions
 		mark     string // substring of the first row's mark
+		report   string // substring of the report, when set
 	}{
 		{
 			name: "same-shape allocs +11% fails",
@@ -60,6 +63,18 @@ func TestCompareGate(t *testing.T) {
 			mark: "multi-core pass absent",
 		},
 		{
+			name:   "bytes are printed old→new and never gated",
+			old:    snap(2, entry{Name: "a", NsPerOp: 100, AllocsPerOp: 5, BytesPerOp: bytesPerOp(1000)}),
+			new:    snap(2, entry{Name: "a", NsPerOp: 100, AllocsPerOp: 5, BytesPerOp: bytesPerOp(50_000)}),
+			report: "| 5→5 | 1000→50000 |",
+		},
+		{
+			name:   "a snapshot without bytes prints a dash",
+			old:    snap(2, entry{Name: "a", NsPerOp: 100, AllocsPerOp: 5}),
+			new:    snap(2, entry{Name: "a", NsPerOp: 100, AllocsPerOp: 5, BytesPerOp: bytesPerOp(800)}),
+			report: "| 5→5 | —→800 |",
+		},
+		{
 			name: "new entry is annotated",
 			old:  snap(2),
 			new:  snap(2, entry{Name: "fresh", NsPerOp: 100, AllocsPerOp: 5}),
@@ -85,6 +100,9 @@ func TestCompareGate(t *testing.T) {
 			}
 			if strings.Contains(out, "failing") != tc.fail {
 				t.Fatalf("report failing verdict != %v:\n%s", tc.fail, out)
+			}
+			if !strings.Contains(out, tc.report) {
+				t.Fatalf("report lacks %q:\n%s", tc.report, out)
 			}
 		})
 	}

@@ -50,7 +50,7 @@ func main() {
 		maxSteps  = flag.Int64("max-steps", 50_000_000, "per-request step allowance")
 		faultProb = flag.Float64("fault-prob", 0, "chaos: per-check fault injection probability")
 		faultSeed = flag.Int64("fault-seed", 1, "chaos: fault plan seed")
-		memoBytes = flag.Int64("memo-bytes", 0, "estimate-cache byte budget (0 = 64 MiB default, negative = disable memoization)")
+		memoBytes = flag.Int64("memo-bytes", 0, "estimate-cache byte budget, also split evenly into the running optimization jobs' own caches (0 = 64 MiB default, negative = disable memoization)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 		nodeSpec  = flag.String("node", "", "cluster mode: this node's id=url (empty = single-node)")
 		peerSpec  = flag.String("peers", "", "cluster mode: comma-separated id=url member list (may include this node)")

@@ -31,26 +31,33 @@ var (
 	ErrDraining = errors.New("jobs: draining")
 )
 
+// DefaultWorkers is Config.Workers' default.
+const DefaultWorkers = 2
+
 // Config tunes a Manager. Zero values take defaults.
 type Config struct {
-	Workers         int           // concurrent jobs (default 2)
+	Workers         int           // concurrent jobs (default DefaultWorkers)
 	QueueDepth      int           // queued-but-unstarted jobs before shedding (default 16)
 	CheckpointEvery int           // candidates between periodic checkpoints (default 8)
 	StallTimeout    time.Duration // watchdog limit per candidate (default 30s)
 
 	Store Store // checkpoint store (default in-memory)
 
-	// Cache, when set, returns the memo cache used for recipe-prefix
-	// sharing (nil disables, mirroring the serving layer's fault-plan
-	// honesty gate). Plan, when set, returns the fault-injection plan
-	// to arm candidate budgets with.
+	// Cache, when set, is called once when a job starts and returns the
+	// memo cache that job's baseline and every candidate share for
+	// prefix designs, controllers and scores (nil disables, mirroring
+	// the serving layer's fault-plan honesty gate). A func that returns
+	// a fresh cache gives each job a cache that lives exactly as long as
+	// the job; one that returns the same cache shares entries across
+	// jobs. Plan, when set, returns the fault-injection plan to arm
+	// candidate budgets with.
 	Cache func() *memo.Cache
 	Plan  func() *budget.FaultPlan
 }
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
-		c.Workers = 2
+		c.Workers = DefaultWorkers
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
@@ -157,6 +164,7 @@ func New(cfg Config) *Manager {
 	return m
 }
 
+// cache returns a job's memo cache; run calls it once per job.
 func (m *Manager) cache() *memo.Cache {
 	if m.cfg.Cache == nil {
 		return nil
@@ -402,6 +410,9 @@ func (m *Manager) Drain(ctx context.Context) error {
 
 func (m *Manager) worker() {
 	defer m.wg.Done()
+	var ev evaluator
+	ev.start()
+	defer ev.stop()
 	for {
 		select {
 		case <-m.drainCh:
@@ -412,7 +423,7 @@ func (m *Manager) worker() {
 		case <-m.drainCh:
 			return
 		case j := <-m.queue:
-			m.run(j)
+			m.run(j, &ev)
 		}
 	}
 }
@@ -489,8 +500,9 @@ func (m *Manager) finalize(j *job, phase, errMsg string) {
 	close(j.done)
 }
 
-// run executes one job's search loop from wherever its state points.
-func (m *Manager) run(j *job) {
+// run executes one job's search loop from wherever its state points,
+// evaluating its candidates on the worker's evaluator.
+func (m *Manager) run(j *job, ev *evaluator) {
 	m.queued.Add(-1)
 	j.mu.Lock()
 	if j.st.Phase != PhaseRunning {
@@ -520,13 +532,17 @@ func (m *Manager) run(j *job) {
 		return
 	}
 
+	// The job's memo cache: the baseline and every candidate share it,
+	// and it is dropped with the job.
+	cache := m.cache()
+
 	// Baseline: the empty recipe's deterministic score seeds the
 	// best-so-far memory. A baseline that cannot be scored fails the
 	// job — there is nothing meaningful to search.
 	j.mu.Lock()
 	if !j.st.BaselineDone {
 		j.mu.Unlock()
-		r := m.evaluate(j.ctx, p, design, workload, nil, nil)
+		r := evaluate(j.ctx, p, design, workload, nil, nil, cache)
 		if r.err != nil {
 			m.finalize(j, PhaseFailed, "baseline: "+r.err.Error())
 			return
@@ -582,7 +598,7 @@ func (m *Manager) run(j *job) {
 			}
 			plan = &cp
 		}
-		r := m.evalCandidate(j, p, design, workload, names, plan)
+		r := m.evalCandidate(ev, j, p, design, workload, names, plan, cache)
 		if errors.Is(r.err, ErrStalled) {
 			m.stalls.Add(1)
 		}

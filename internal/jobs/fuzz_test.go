@@ -80,10 +80,10 @@ func FuzzRecipeWire(f *testing.F) {
 }
 
 // FuzzJobCacheEquivalence runs each job three ways: without a cache,
-// over a cold cache, and on a second manager over the now-warm cache.
-// The memo cache must be invisible in the job's status: every field
-// but the id and the prefix-hit count agrees, including the last error
-// a step-limit trip reports.
+// over a cold cache, and on a second manager whose Cache func hands the
+// job that same cache, now warm. The memo cache must be invisible in
+// the job's status: every field but the id and the prefix-hit count
+// agrees, including the last error a step-limit trip reports.
 func FuzzJobCacheEquivalence(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(0), uint8(1), int64(52), uint8(31), uint32(12000))
 	f.Add(uint8(1), uint8(2), uint8(0), uint8(1), int64(31), uint8(31), uint32(8000))
@@ -108,18 +108,17 @@ func FuzzJobCacheEquivalence(f *testing.F) {
 			EvalSteps:     max(1, int64(steps)),
 			CheckInterval: 1024,
 		}
-		cache := memo.New(memo.Options{MaxBytes: 8 << 20})
-		withCache := func() *memo.Cache { return cache }
 		ref := runStatus(t, Config{Workers: 1}, p)
-		for i, cfg := range []Config{{Workers: 1, Cache: withCache}, {Workers: 1, Cache: withCache}} {
-			got := runStatus(t, cfg, p)
+		cache := memo.New(memo.Options{MaxBytes: 8 << 20})
+		for _, warmth := range []string{"cold", "warm"} {
+			got := runStatus(t, Config{Workers: 1, Cache: func() *memo.Cache { return cache }}, p)
 			if math.Float64bits(got.BestScore) != math.Float64bits(ref.BestScore) ||
 				math.Float64bits(got.BaseScore) != math.Float64bits(ref.BaseScore) {
-				t.Fatalf("run %d: scores %v/%v, uncached %v/%v", i, got.BestScore, got.BaseScore, ref.BestScore, ref.BaseScore)
+				t.Fatalf("%s cache: scores %v/%v, uncached %v/%v", warmth, got.BestScore, got.BaseScore, ref.BestScore, ref.BaseScore)
 			}
 			got.ID, got.CacheHits = ref.ID, ref.CacheHits
 			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("run %d over the cache:\n got %+v\nwant %+v", i, got, ref)
+				t.Fatalf("over the %s cache:\n got %+v\nwant %+v", warmth, got, ref)
 			}
 		}
 	})

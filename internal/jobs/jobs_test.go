@@ -26,6 +26,9 @@ import (
 var (
 	stallArmed atomic.Bool
 	panicArmed atomic.Bool
+	// stallHang, when set, makes the armed stall pass ignore its budget
+	// until the channel closes.
+	stallHang atomic.Pointer[chan struct{}]
 )
 
 func init() {
@@ -39,6 +42,10 @@ func init() {
 	recipe.Register(recipe.Pass{Name: "zz-inject-stall", Kind: recipe.KindCircuit,
 		Apply: func(b *budget.Budget, _ *memo.Cache, d *recipe.Design, rng *rand.Rand) (*recipe.Design, error) {
 			if !stallArmed.Load() {
+				return nil, recipe.ErrNotApplicable
+			}
+			if hang := stallHang.Load(); hang != nil {
+				<-*hang
 				return nil, recipe.ErrNotApplicable
 			}
 			for b.Err() == nil {
@@ -480,8 +487,11 @@ func TestWatchdogFailsStalledPass(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	j := &job{id: "stall-test", ctx: ctx, cancel: cancel}
+	var ev evaluator
+	ev.start()
+	defer ev.stop()
 	start := time.Now()
-	r := m.evalCandidate(j, p, d, w, []string{"zz-inject-stall"}, nil)
+	r := m.evalCandidate(&ev, j, p, d, w, []string{"zz-inject-stall"}, nil, nil)
 	if !errors.Is(r.err, ErrStalled) {
 		t.Fatalf("got %v, want ErrStalled", r.err)
 	}
@@ -491,6 +501,52 @@ func TestWatchdogFailsStalledPass(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("watchdog took %v", elapsed)
+	}
+}
+
+// TestWatchdogAbandonsHungPass drives evalCandidate against a pass
+// that ignores its budget: the watchdog abandons it after the grace
+// period with a typed *StallError and gives the evaluator a new
+// goroutine, which runs the next candidate while the hung pass is still
+// blocked. The abandoned goroutine delivers its result once the pass
+// returns.
+func TestWatchdogAbandonsHungPass(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	stallArmed.Store(true)
+	defer stallArmed.Store(false)
+	stallHang.Store(&release)
+	defer stallHang.Store(nil)
+	m := New(Config{Workers: 1, StallTimeout: 20 * time.Millisecond})
+	defer drainManager(t, m)
+	p := testParams(41, 1)
+	d, w, err := recipe.Build(p.Spec, p.Seed, p.EvalCycles, p.VerifyCycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	j := &job{id: "hang-test", ctx: ctx, cancel: cancel}
+	var ev evaluator
+	ev.start()
+	defer ev.stop()
+	hungOut := ev.out
+	r := m.evalCandidate(&ev, j, p, d, w, []string{"zz-inject-stall"}, nil, nil)
+	var se *StallError
+	if !errors.As(r.err, &se) || r.used != 0 {
+		t.Fatalf("got %+v, want an abandoned *StallError", r)
+	}
+	if ev.out == hungOut {
+		t.Fatal("the evaluator still waits on the abandoned goroutine")
+	}
+	if r := m.evalCandidate(&ev, j, p, d, w, []string{"retime"}, nil, nil); r.err != nil || r.score <= 0 {
+		t.Fatalf("next candidate after the abandon: %+v", r)
+	}
+	release <- struct{}{}
+	select {
+	case <-hungOut:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the abandoned evaluation never finished")
 	}
 }
 
@@ -552,6 +608,77 @@ func TestCacheNeutrality(t *testing.T) {
 	}
 	if got.CacheHits == 0 {
 		t.Fatal("cached run recorded no prefix hits")
+	}
+}
+
+// jobCaches is a Config.Cache func that returns a fresh cache on every
+// call, as powerd wires it, and records what it returned.
+type jobCaches struct {
+	mu     sync.Mutex
+	caches []*memo.Cache
+}
+
+func (jc *jobCaches) next() *memo.Cache {
+	c := memo.New(memo.Options{MaxBytes: 8 << 20, Shards: 1})
+	jc.mu.Lock()
+	jc.caches = append(jc.caches, c)
+	jc.mu.Unlock()
+	return c
+}
+
+// TestJobCacheServesWholeJob: a job calls Config.Cache once, when it
+// starts, and its baseline and every candidate go through the cache
+// that call returned.
+func TestJobCacheServesWholeJob(t *testing.T) {
+	var jc jobCaches
+	m := New(Config{Workers: 1, Cache: jc.next})
+	defer drainManager(t, m)
+	for i, p := range []Params{testParams(9, 24), testParams(10, 24)} {
+		st, err := m.Submit(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fin := waitDone(t, m, st.ID)
+		if len(jc.caches) != i+1 {
+			t.Fatalf("job %d: Config.Cache called %d times over %d jobs", i, len(jc.caches), i+1)
+		}
+		c := jc.caches[i]
+		// Every candidate looks up at least its first prefix, and the
+		// baseline its score.
+		s := c.Stats()
+		if lookups := s.Hits + s.Misses + s.Collapsed; lookups < fin.Evaluated+1 || s.Hits < fin.CacheHits {
+			t.Fatalf("job %d: %+v over %d candidates with %d prefix hits", i, s, fin.Evaluated, fin.CacheHits)
+		}
+		d, _, err := recipe.Build(p.Spec, p.Seed, p.EvalCycles, p.VerifyCycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stored, _ := c.Do(scoreKey(p, d), func() (any, int64, bool, error) {
+			return nil, 0, false, errors.New("absent")
+		})
+		if !stored {
+			t.Fatalf("job %d: the baseline's score is not in the job's cache", i)
+		}
+	}
+}
+
+// TestJobCacheHitsAreJobScoped: two jobs that differ only in token
+// share no cache, so each records the prefix hits of its own search.
+// Over one shared cache the second would hit the first's entries too.
+func TestJobCacheHitsAreJobScoped(t *testing.T) {
+	var jc jobCaches
+	m := New(Config{Workers: 1, Cache: jc.next})
+	defer drainManager(t, m)
+	p := pinnedJob{spec: recipe.Spec{Kind: recipe.KindFSM, States: 4, Inputs: 1, Outputs: 2}, seed: 52}.params()
+	for _, token := range []string{"first", "second"} {
+		p.Token = token
+		st, err := m.Submit(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin := waitDone(t, m, st.ID); fin.Phase != PhaseDone || fin.CacheHits != 22 {
+			t.Fatalf("token %s: phase %s, %d cache hits, want 22", token, fin.Phase, fin.CacheHits)
+		}
 	}
 }
 

@@ -127,14 +127,14 @@ func encodeParams(e *memo.Enc, p Params) {
 // prefixKey is the memo-cache key of the design produced by applying a
 // recipe prefix to the job's baseline.
 func prefixKey(p Params, prefix []string) memo.Key {
-	e := memo.NewEnc()
-	e.String("jobs/prefix/v1")
-	encodeParams(e, p)
-	e.Int(len(prefix))
-	for _, name := range prefix {
-		e.String(name)
-	}
-	return e.Key()
+	return memo.KeyOf(func(e *memo.Enc) {
+		e.String("jobs/prefix/v1")
+		encodeParams(e, p)
+		e.Int(len(prefix))
+		for _, name := range prefix {
+			e.String(name)
+		}
+	})
 }
 
 // scoreKey is the memo-cache key of a design's score. It names the
@@ -142,11 +142,11 @@ func prefixKey(p Params, prefix []string) memo.Key {
 // (a pass that undoes another, two encodings that synthesize one
 // controller), and each distinct design is scored once per job.
 func scoreKey(p Params, d *recipe.Design) memo.Key {
-	e := memo.NewEnc()
-	e.String("jobs/score/v1")
-	encodeParams(e, p)
-	d.EncodeScoreKey(e)
-	return e.Key()
+	return memo.KeyOf(func(e *memo.Enc) {
+		e.String("jobs/score/v1")
+		encodeParams(e, p)
+		d.EncodeScoreKey(e)
+	})
 }
 
 // scoreEntryBytes is the resident size of a cached score: the float
@@ -162,12 +162,13 @@ type evalResult struct {
 }
 
 // evaluate applies the candidate recipe pass by pass and scores the
-// final design, all through the memo cache when one is installed: a
+// final design, all through the job's memo cache when it has one: a
 // recipe prefix is applied, a distinct controller synthesized (inside
-// recipe.Apply), and a distinct design scored, once per cache. The budget is fresh per candidate: EvalSteps governs all pass
+// recipe.Apply), and a distinct design scored, once per cache. The
+// budget is fresh per candidate: EvalSteps governs all pass
 // application, verification, and scoring, and the context carries
 // cancellation from the job and the watchdog.
-func (m *Manager) evaluate(ctx context.Context, p Params, d *recipe.Design, w *recipe.Workload, names []string, plan *budget.FaultPlan) evalResult {
+func evaluate(ctx context.Context, p Params, d *recipe.Design, w *recipe.Workload, names []string, plan *budget.FaultPlan, cache *memo.Cache) evalResult {
 	opts := []budget.Option{
 		budget.WithMaxSteps(p.EvalSteps),
 		budget.WithCheckInterval(p.CheckInterval),
@@ -187,7 +188,6 @@ func (m *Manager) evaluate(ctx context.Context, p Params, d *recipe.Design, w *r
 		return b.StepsUsed()
 	}
 
-	cache := m.cache()
 	if b.FaultArmed() {
 		// An armed plan can degrade any pass; degraded artifacts must
 		// never be shared, so bypass the cache entirely, the passes'
@@ -228,25 +228,71 @@ func (m *Manager) evaluate(ctx context.Context, p Params, d *recipe.Design, w *r
 	return evalResult{score: score, used: b.StepsUsed(), hits: hits}
 }
 
-// evalCandidate wraps evaluate with the per-job watchdog: a candidate
-// that makes no progress within StallTimeout is cancelled through its
-// budget context and failed with a typed *StallError. The watchdog
-// waits for the evaluation goroutine to unwind (budget-governed passes
-// notice cancellation at their next check point) so stalled candidates
-// do not leak goroutines; a pass that ignores its budget entirely is
-// abandoned after a second grace period.
-func (m *Manager) evalCandidate(j *job, p Params, d *recipe.Design, w *recipe.Workload, names []string, plan *budget.FaultPlan) evalResult {
+// evalReq is one candidate evaluation handed to an evaluator: the
+// arguments of evaluate.
+type evalReq struct {
+	ctx   context.Context
+	p     Params
+	d     *recipe.Design
+	w     *recipe.Workload
+	names []string
+	plan  *budget.FaultPlan
+	cache *memo.Cache
+}
+
+// evaluator is the goroutine a job worker runs candidate evaluations
+// on, one at a time, so that the watchdog can give up on one. It lives
+// as long as the worker, so the search loop neither starts a goroutine
+// per candidate nor grows a fresh stack for each; the watchdog replaces
+// it only when it abandons a stalled candidate.
+type evaluator struct {
+	in   chan evalReq
+	out  chan evalResult
+	done chan struct{} // closed when the goroutine exits
+}
+
+// start runs a new evaluation goroutine behind ev's channels.
+func (ev *evaluator) start() {
+	in, out, done := make(chan evalReq), make(chan evalResult, 1), make(chan struct{})
+	ev.in, ev.out, ev.done = in, out, done
+	go func() {
+		defer close(done)
+		for r := range in {
+			out <- evaluate(r.ctx, r.p, r.d, r.w, r.names, r.plan, r.cache)
+		}
+	}()
+}
+
+// abandon leaves the goroutine to exit once its current evaluation
+// returns and starts a new one in its place.
+func (ev *evaluator) abandon() {
+	close(ev.in)
+	ev.start()
+}
+
+// stop ends the idle goroutine and waits for it to exit.
+func (ev *evaluator) stop() {
+	close(ev.in)
+	<-ev.done
+}
+
+// evalCandidate runs evaluate on ev under the per-job watchdog: a
+// candidate that makes no progress within StallTimeout is cancelled
+// through its budget context and failed with a typed *StallError. The
+// watchdog waits for the evaluation to unwind (budget-governed passes
+// notice cancellation at their next check point), so the evaluator is
+// free for the next candidate; a pass that ignores its budget entirely
+// is abandoned after a second grace period, and ev gets a new goroutine
+// while the old one finishes the pass and exits.
+func (m *Manager) evalCandidate(ev *evaluator, j *job, p Params, d *recipe.Design, w *recipe.Workload, names []string, plan *budget.FaultPlan, cache *memo.Cache) evalResult {
 	ctx, cancel := context.WithCancel(j.ctx)
 	defer cancel()
-	ch := make(chan evalResult, 1)
-	go func() {
-		ch <- m.evaluate(ctx, p, d, w, names, plan)
-	}()
+	ev.in <- evalReq{ctx: ctx, p: p, d: d, w: w, names: names, plan: plan, cache: cache}
 	stall := m.cfg.StallTimeout
 	timer := time.NewTimer(stall)
 	defer timer.Stop()
 	select {
-	case r := <-ch:
+	case r := <-ev.out:
 		return r
 	case <-timer.C:
 	}
@@ -254,11 +300,12 @@ func (m *Manager) evalCandidate(j *job, p Params, d *recipe.Design, w *recipe.Wo
 	grace := time.NewTimer(stall)
 	defer grace.Stop()
 	select {
-	case r := <-ch:
+	case r := <-ev.out:
 		return evalResult{used: r.used, err: &StallError{Recipe: names, Timeout: stall}}
 	case <-grace.C:
-		// The pass is ignoring its budget; abandon the goroutine rather
-		// than hang the whole job.
+		// The pass is ignoring its budget; abandon it rather than hang
+		// the whole job.
+		ev.abandon()
 		return evalResult{err: &StallError{Recipe: names, Timeout: stall}}
 	}
 }

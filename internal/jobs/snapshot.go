@@ -82,10 +82,10 @@ func (p *Params) decodeFrom(d *memo.Dec) {
 // resubmission idempotent by construction, and is what cluster mode
 // hashes onto the ring to pick the job's owner.
 func (p Params) Key() memo.Key {
-	e := memo.NewEnc()
-	e.String("powerd/optimize/v1")
-	p.encodeTo(e)
-	return e.Key()
+	return memo.KeyOf(func(e *memo.Enc) {
+		e.String("powerd/optimize/v1")
+		p.encodeTo(e)
+	})
 }
 
 // State is the complete checkpointed search state. Together with the

@@ -8,16 +8,16 @@ import (
 
 // FuzzCanonicalKey drives arbitrary field sequences through the
 // canonical encoder and checks the format invariants: encoding is
-// deterministic, decoding round-trips every value and consumes the
-// buffer exactly, and any single-byte corruption of the encoding either
-// changes the key or fails to decode as the same field sequence.
+// deterministic, KeyOf's pooled encoder derives the same key, decoding
+// round-trips every value and consumes the buffer exactly, and any
+// single-byte corruption of the encoding either changes the key or
+// fails to decode as the same field sequence.
 func FuzzCanonicalKey(f *testing.F) {
 	f.Add(uint64(1), int64(-1), true, 3.5, "adder", []byte{1, 2})
 	f.Add(uint64(0), int64(0), false, 0.0, "", []byte{})
 	f.Add(^uint64(0), int64(1)<<62, true, -0.0, "netlist/v1", []byte{0xff})
 	f.Fuzz(func(t *testing.T, u uint64, i int64, b bool, fl float64, s string, bs []byte) {
-		encode := func() *Enc {
-			e := NewEnc()
+		write := func(e *Enc) {
 			e.Uint64(u)
 			e.Int64(i)
 			e.Bool(b)
@@ -26,11 +26,18 @@ func FuzzCanonicalKey(f *testing.F) {
 			e.Bytes(bs)
 			e.Uint64s([]uint64{u, ^u})
 			e.Bools([]bool{b, !b, b})
+		}
+		encode := func() *Enc {
+			e := NewEnc()
+			write(e)
 			return e
 		}
 		e1, e2 := encode(), encode()
 		if e1.Key() != e2.Key() {
 			t.Fatal("identical inputs produced different keys")
+		}
+		if KeyOf(write) != e1.Key() {
+			t.Fatal("the pooled encoder's key differs from the buffered one")
 		}
 		if !bytes.Equal(e1.buf, e2.buf) {
 			t.Fatal("identical inputs produced different encodings")

@@ -28,6 +28,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Key is a 128-bit content hash of a canonical input encoding. Two
@@ -187,6 +188,23 @@ func (e *Enc) Key() Key {
 		Hi: binary.BigEndian.Uint64(sum[0:8]),
 		Lo: binary.BigEndian.Uint64(sum[8:16]),
 	}
+}
+
+// encPool recycles the encoders KeyOf derives keys on.
+var encPool = sync.Pool{New: func() any { return NewEnc() }}
+
+// KeyOf returns the key of the encoding write appends to an empty
+// encoder: the key NewEnc, write and Key give. The encoder comes from a
+// pool and goes back to it, so once the pooled buffers have grown to
+// the size of the keys derived, a key allocates no buffer of its own.
+// write must not keep e.
+func KeyOf(write func(e *Enc)) Key {
+	e := encPool.Get().(*Enc)
+	e.buf = e.buf[:0]
+	write(e)
+	k := e.Key()
+	encPool.Put(e)
+	return k
 }
 
 // Dec reads a canonical encoding back, for round-trip verification of

@@ -1,7 +1,10 @@
 package memo
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"hlpower/internal/logic"
@@ -122,6 +125,43 @@ func TestKeyDeterministic(t *testing.T) {
 	}
 	if mk() != mk() {
 		t.Fatal("identical scalar encodings hash differently")
+	}
+}
+
+// TestKeyOfMatchesBufferedEncoding: a key derived on a pooled encoder
+// is the SHA-256 of the canonical encoding a fresh buffered encoder
+// holds, whatever the pooled buffer held before it: keys of decreasing
+// and increasing length, several rounds over.
+func TestKeyOfMatchesBufferedEncoding(t *testing.T) {
+	writes := []func(e *Enc){
+		func(e *Enc) {
+			e.String(strings.Repeat("long/", 200))
+			for i := 0; i < 64; i++ {
+				HashNetlist(e, smallNetlist())
+			}
+		},
+		func(e *Enc) {
+			e.String("jobs/prefix/v1")
+			e.Int64(-3)
+			e.Bools([]bool{true, false, true})
+		},
+		func(e *Enc) {},
+		func(e *Enc) {
+			e.Uint64s([]uint64{1, 2, 3})
+			e.Float64(math.Copysign(0, -1))
+			e.Bytes([]byte("xyz"))
+		},
+	}
+	for round := 0; round < 3; round++ {
+		for i, write := range writes {
+			e := NewEnc()
+			write(e)
+			sum := sha256.Sum256(e.buf)
+			want := Key{Hi: binary.BigEndian.Uint64(sum[0:8]), Lo: binary.BigEndian.Uint64(sum[8:16])}
+			if got := KeyOf(write); got != want || e.Key() != want {
+				t.Fatalf("round %d write %d: KeyOf %v, Key %v, sha256 %v", round, i, got, e.Key(), want)
+			}
+		}
 	}
 }
 

@@ -76,8 +76,7 @@ func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, path string,
 	case status == http.StatusOK, status == http.StatusAccepted:
 		// The owner's answer is bit-identical to what local compute would
 		// produce (same engines, same keys), so relay it verbatim. 202 is
-		// an accepted job submission: the owner now runs the job and its
-		// memo cache collects the recipe prefixes.
+		// an accepted job submission: the owner now runs the job.
 		s.forwarded.Add(1)
 		s.served.Add(1)
 		relay(w, status, respBody, respHdr, owner.ID)

@@ -14,8 +14,7 @@ import (
 // re-attach to) a recipe-search job. The response is 202 with the job's
 // status; clients poll GET /v1/jobs/{id}. In cluster mode the request
 // routes to the ring owner of the job's content key, so the same job
-// submitted anywhere lands on one node (and its memo cache accumulates
-// that job's recipe prefixes).
+// submitted anywhere lands on one node and runs there once.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.rejectDraining(w)

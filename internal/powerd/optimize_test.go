@@ -1,12 +1,14 @@
 package powerd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -361,5 +363,85 @@ func TestOptimizeClusterRouting(t *testing.T) {
 	}
 	if resp.Header.Get(ServedByHeader) != ids[ownerIdx] {
 		t.Fatalf("served-by %q, want %s", resp.Header.Get(ServedByHeader), ids[ownerIdx])
+	}
+}
+
+// TestJobsLeaveEstimateCacheAlone: each optimization job keeps its
+// prefix designs, controllers and scores in a memo cache of its own, so
+// a fleet of jobs neither evicts nor touches the estimates the server's
+// cache holds. 500 simulates fill a 4 MiB memo; 300 jobs of the
+// benchmark's optimize-jobs mix (its seven specs, 32 candidates each,
+// two at a time) leave its Stats unchanged, and all 500 simulates still
+// replay from it.
+func TestJobsLeaveEstimateCacheAlone(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MemoMaxBytes = 4 << 20
+	s := NewServer(cfg)
+	defer drainServer(t, s)
+	serve := func(path string, body any) (int, []byte) {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			panic(err) // the request types always marshal
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(buf)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	simulateAll := func() {
+		for seed := 0; seed < 500; seed++ {
+			req := map[string]any{"circuit": "adder", "width": 8, "cycles": 256, "seed": seed}
+			if code, body := serve("/v1/simulate", req); code != http.StatusOK {
+				t.Fatalf("simulate seed %d: %d %s", seed, code, body)
+			}
+		}
+	}
+	simulateAll()
+	filled := s.memo.Stats()
+
+	specs := []service.OptimizeRequest{
+		{Kind: "circuit", Circuit: "adder", Width: 8},
+		{Kind: "circuit", Circuit: "carry-select", Width: 8},
+		{Kind: "circuit", Circuit: "subtractor", Width: 8},
+		{Kind: "circuit", Circuit: "comparator", Width: 8},
+		{Kind: "fsm", States: 4, Inputs: 1, Outputs: 2},
+		{Kind: "bus", Width: 8},
+		{Kind: "bus", Width: 16},
+	}
+	const fleet = 300
+	var wg sync.WaitGroup
+	for client := 0; client < 2; client++ {
+		wg.Add(1)
+		go func(client int) {
+			defer wg.Done()
+			for i := client; i < fleet; i += 2 {
+				req := specs[i%len(specs)]
+				req.Seed, req.Candidates = int64(7000+i), 32
+				code, body := serve("/v1/optimize", req)
+				var st jobs.Status
+				if code != http.StatusAccepted || json.Unmarshal(body, &st) != nil {
+					t.Errorf("job %d: %d %s", i, code, body)
+					return
+				}
+				done, _ := s.jobsMgr.Done(st.ID)
+				<-done
+				if fin, _ := s.jobsMgr.Get(st.ID); fin.Phase != jobs.PhaseDone {
+					t.Errorf("job %d: %+v", i, fin)
+					return
+				}
+			}
+		}(client)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if got := s.memo.Stats(); got != filled {
+		t.Fatalf("%d jobs moved the estimate cache:\n got %+v\nwant %+v", fleet, got, filled)
+	}
+
+	simulateAll()
+	replayed := s.memo.Stats()
+	if hits := replayed.Hits - filled.Hits; hits != 500 || replayed.Evictions != 0 {
+		t.Fatalf("replay: %d of 500 simulates hit, %d evictions", hits, replayed.Evictions)
 	}
 }

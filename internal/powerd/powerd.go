@@ -63,7 +63,9 @@ type Config struct {
 	HalfOpenProbes   int
 	// MemoMaxBytes sizes the content-addressed estimate cache: 0 means
 	// the memo package default (64 MiB), negative disables memoization
-	// entirely.
+	// entirely. It also sizes the optimization jobs' memo caches (see
+	// JobMemo): each job gets a cache of its own that lives exactly as
+	// long as the job, so the estimate cache holds estimates only.
 	MemoMaxBytes int64
 	// DrainTimeout bounds graceful shutdown: how long Drain waits for
 	// in-flight requests, and the Retry-After hint handed to requests
@@ -80,8 +82,9 @@ type Config struct {
 	// unlimited).
 	BatchSteps int64
 	// JobWorkers is the number of optimization jobs run concurrently
-	// (default 2); JobQueueDepth bounds queued-but-unstarted jobs before
-	// /v1/optimize sheds with 429 (default 16).
+	// (default jobs.DefaultWorkers); JobQueueDepth bounds
+	// queued-but-unstarted jobs before /v1/optimize sheds with 429
+	// (default 16).
 	JobWorkers    int
 	JobQueueDepth int
 	// JobCheckpointEvery is how many candidate evaluations may elapse
@@ -171,7 +174,22 @@ func (c Config) withDefaults() Config {
 	if c.JobEvalSteps == 0 {
 		c.JobEvalSteps = c.MaxSteps
 	}
+	if c.MemoMaxBytes == 0 {
+		c.MemoMaxBytes = memo.DefaultMaxBytes
+	}
+	if c.JobWorkers <= 0 {
+		c.JobWorkers = jobs.DefaultWorkers
+	}
 	return c
+}
+
+// JobMemo sizes the memo cache each optimization job gets while
+// memoization is on: MemoMaxBytes split evenly over JobWorkers, so the
+// running jobs' caches together stay within one MemoMaxBytes, on one
+// shard, since a job evaluates one candidate at a time.
+func (c Config) JobMemo() memo.Options {
+	c = c.withDefaults()
+	return memo.Options{MaxBytes: c.MemoMaxBytes / int64(c.JobWorkers), Shards: 1}
 }
 
 // Transition is one recorded breaker state change, for observability.
@@ -258,7 +276,7 @@ func NewServer(cfg Config) *Server {
 		CheckpointEvery: cfg.JobCheckpointEvery,
 		StallTimeout:    cfg.JobStallTimeout,
 		Store:           cfg.JobStore,
-		Cache:           s.estimateCache,
+		Cache:           s.jobCache,
 		Plan:            s.plan.Load,
 	})
 	// Pick up whatever non-terminal checkpoints the store already holds
@@ -348,6 +366,19 @@ func (s *Server) estimateCache() *memo.Cache {
 		return nil
 	}
 	return s.memo
+}
+
+// jobCache returns a fresh memo cache for one optimization job, or nil
+// under the same gate as estimateCache. The job shares it between its
+// baseline and every candidate, and it becomes garbage when the job
+// ends: a job's prefix and score keys carry its seed and limits, and
+// its controllers are those of the machine its seed draws, so other
+// jobs almost never hit them.
+func (s *Server) jobCache() *memo.Cache {
+	if s.estimateCache() == nil {
+		return nil
+	}
+	return memo.New(s.cfg.JobMemo())
 }
 
 // memoDo runs compute through the estimate cache under key k, or

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"sync"
 
 	"hlpower/internal/budget"
 	"hlpower/internal/bus"
@@ -68,13 +69,21 @@ func applySafe(p Pass, b *budget.Budget, c *memo.Cache, d *Design, seed uint64) 
 			out, err = nil, hlerr.FromPanic(r)
 		}
 	}()
-	return p.Apply(b, c, d, rand.New(&lazySource{seed: int64(seed)}))
+	src := &lazySource{seed: int64(seed)}
+	defer src.release()
+	return p.Apply(b, c, d, rand.New(src))
 }
 
+// sources recycles the generators lazySource seeds. Seed resets a
+// generator's whole state, so a recycled one yields exactly the stream
+// a fresh rand.NewSource would.
+var sources sync.Pool
+
 // lazySource is a rand.Source64 that seeds math/rand's generator on
-// the first draw. Seeding costs a 4.9 KB table filled in about 600
-// rounds, and most passes never draw; those that do see exactly the
-// stream rand.NewSource(seed) produces, through the same methods.
+// the first draw. Seeding costs about 600 rounds over a 4.9 KB table,
+// and most passes never draw; those that do see exactly the stream
+// rand.NewSource(seed) produces, through the same methods, on a
+// generator recycled from earlier passes when one is free.
 type lazySource struct {
 	seed int64
 	src  rand.Source64
@@ -82,14 +91,28 @@ type lazySource struct {
 
 func (s *lazySource) get() rand.Source64 {
 	if s.src == nil {
-		s.src = rand.NewSource(s.seed).(rand.Source64)
+		if src, ok := sources.Get().(rand.Source64); ok {
+			src.Seed(s.seed)
+			s.src = src
+		} else {
+			s.src = rand.NewSource(s.seed).(rand.Source64)
+		}
 	}
 	return s.src
 }
 
+// release hands the generator, if a draw seeded one, back for reuse.
+// Nothing may draw from s afterwards.
+func (s *lazySource) release() {
+	if s.src != nil {
+		sources.Put(s.src)
+		s.src = nil
+	}
+}
+
 func (s *lazySource) Int63() int64    { return s.get().Int63() }
 func (s *lazySource) Uint64() uint64  { return s.get().Uint64() }
-func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
+func (s *lazySource) Seed(seed int64) { s.release(); s.seed = seed }
 
 // Verify checks that next preserves prev's observable behaviour on the
 // workload's verification stimulus.

@@ -290,24 +290,24 @@ func synthesize(b *budget.Budget, f *fsm.FSM, enc *fsm.Encoding, gated bool) (*l
 
 // controllerKey is the memo-cache key of a synthesized controller: the
 // machine's tables, the encoding and the gating mode, everything
-// synthesis reads. It names no recipe and no step limit, so every job
-// and recipe that reaches one controller shares it.
+// synthesis reads. It names no recipe and no step limit, so every
+// recipe that reaches one controller on one cache shares it.
 func controllerKey(f *fsm.FSM, enc *fsm.Encoding, gated bool) memo.Key {
-	e := memo.NewEnc()
-	e.String("recipe/controller/v1")
-	e.Int(f.NumInputs)
-	e.Int(f.NumOutputs)
-	e.Int(f.NumStates)
-	for s := range f.Next {
-		for _, next := range f.Next[s] {
-			e.Int(next)
+	return memo.KeyOf(func(e *memo.Enc) {
+		e.String("recipe/controller/v1")
+		e.Int(f.NumInputs)
+		e.Int(f.NumOutputs)
+		e.Int(f.NumStates)
+		for s := range f.Next {
+			for _, next := range f.Next[s] {
+				e.Int(next)
+			}
+			e.Uint64s(f.Out[s])
 		}
-		e.Uint64s(f.Out[s])
-	}
-	e.Int(enc.Width)
-	e.Uint64s(enc.Codes)
-	e.Bool(gated)
-	return e.Key()
+		e.Int(enc.Width)
+		e.Uint64s(enc.Codes)
+		e.Bool(gated)
+	})
 }
 
 func sameEncoding(a, b *fsm.Encoding) bool {

@@ -264,11 +264,13 @@ func TestBudgetTripDegradesPass(t *testing.T) {
 
 // TestLazySourceMatchesEager: a pass sees the same random stream from
 // the lazily seeded source as from rand.NewSource, across the Rand
-// methods that go through Int63, Uint64 and both, and after a reseed;
-// a pass that never draws never seeds.
+// methods that go through Int63, Uint64 and both, after a reseed, and
+// on a generator recycled from an earlier source that drew; a pass that
+// never draws never seeds.
 func TestLazySourceMatchesEager(t *testing.T) {
 	for _, seed := range []int64{0, 1, -7, 1 << 40} {
-		lazy := rand.New(&lazySource{seed: seed})
+		src := &lazySource{seed: seed}
+		lazy := rand.New(src)
 		eager := rand.New(rand.NewSource(seed))
 		for round := 0; round < 2; round++ {
 			for i := 0; i < 50; i++ {
@@ -288,6 +290,7 @@ func TestLazySourceMatchesEager(t *testing.T) {
 			lazy.Seed(seed + 1)
 			eager.Seed(seed + 1)
 		}
+		src.release()
 	}
 	src := &lazySource{seed: 3}
 	_ = rand.New(src)
