@@ -124,8 +124,9 @@ fuzz:
 
 # soak runs the powerd chaos harness under the race detector: >= 1000
 # requests with fault injection in the sim/rank/bdd paths, asserting
-# breaker lifecycles, 429 shedding, and leak-free drain. SOAKCOUNT
-# repeats it (override with e.g. `make soak SOAKCOUNT=10`).
+# typed 503s under the plan and 200s once it clears, 429 shedding, and
+# leak-free drain. SOAKCOUNT repeats it (override with e.g.
+# `make soak SOAKCOUNT=10`).
 SOAKCOUNT ?= 1
 soak:
 	go test -race -run TestChaosSoak -count=$(SOAKCOUNT) -v ./internal/powerd/

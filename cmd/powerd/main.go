@@ -1,14 +1,16 @@
-// Command powerd serves the hlpower estimation engines over HTTP with
-// the full resilience stack: per-request budgets, retry with jittered
-// backoff, per-subsystem circuit breakers, bounded admission with load
-// shedding, and graceful drain on SIGTERM.
+// Command powerd serves the hlpower estimation engines over HTTP:
+// bounded admission with load shedding, one flight per distinct
+// request, run once on a budget of its own (-timeout, -max-steps) and
+// answered with a typed error when it fails, and graceful drain on
+// SIGTERM.
 //
 // Usage:
 //
 //	powerd -addr :8433 -workers 4 -queue 64 -timeout 5s
 //
 // Chaos testing: -fault-prob injects random budget trips into every
-// request's estimation path, exercising the breakers end to end.
+// request's estimation path, so clients see each trip as its typed
+// 503 error while the cache is bypassed.
 //
 // Cluster mode: give every node an identity and the full member list
 // (its own entry included — all nodes can share one list):
@@ -46,8 +48,8 @@ func main() {
 		addr      = flag.String("addr", ":8433", "listen address")
 		workers   = flag.Int("workers", 0, "concurrent estimation slots (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 64, "max queued requests before shedding with 429")
-		timeout   = flag.Duration("timeout", 5*time.Second, "per-request budget deadline")
-		maxSteps  = flag.Int64("max-steps", 50_000_000, "per-request step allowance")
+		timeout   = flag.Duration("timeout", 5*time.Second, "per-flight budget deadline")
+		maxSteps  = flag.Int64("max-steps", 50_000_000, "per-flight step allowance")
 		faultProb = flag.Float64("fault-prob", 0, "chaos: per-check fault injection probability")
 		faultSeed = flag.Int64("fault-seed", 1, "chaos: fault plan seed")
 		memoBytes = flag.Int64("memo-bytes", 0, "estimate-cache byte budget, also split evenly into the running optimization jobs' own caches (0 = 64 MiB default, negative = disable memoization)")

@@ -13,7 +13,6 @@ import (
 	"hlpower/internal/memo"
 	"hlpower/internal/par"
 	"hlpower/internal/powerd"
-	"hlpower/internal/resilience"
 	"hlpower/internal/rtlib"
 	"hlpower/internal/sim"
 )
@@ -295,37 +294,15 @@ func SimulatePMBudget(b *Budget, dev PMDevice, pol PMPolicy, workload []dpm.Peri
 	return dpm.SimulateBudget(b, dev, pol, workload)
 }
 
-// Resilience primitives. The powerd service composes these around the
-// estimation engines; they are exported here for callers embedding the
-// engines in their own long-running systems.
+// The estimation service: the engines behind powerd's HTTP/JSON
+// endpoints, with admission control, one budgeted flight per distinct
+// request, and graceful drain.
 type (
-	// RetryPolicy re-executes failed operations with jittered
-	// exponential backoff.
-	RetryPolicy = resilience.RetryPolicy
-	// Breaker is a circuit breaker guarding one failure-prone
-	// subsystem.
-	Breaker = resilience.Breaker
-	// BreakerConfig parameterizes a Breaker.
-	BreakerConfig = resilience.BreakerConfig
 	// EstimationServer is the resilient HTTP estimation service.
 	EstimationServer = powerd.Server
 	// EstimationServerConfig tunes the service.
 	EstimationServerConfig = powerd.Config
 )
-
-// ErrBreakerOpen is matched (errors.Is) when a circuit breaker rejects
-// work while open.
-var ErrBreakerOpen = resilience.ErrBreakerOpen
-
-// DefaultRetry returns the standard three-attempt backoff policy.
-func DefaultRetry() RetryPolicy { return resilience.DefaultRetry() }
-
-// NewBreaker builds a circuit breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker { return resilience.NewBreaker(cfg) }
-
-// PermanentError marks err non-retryable: retry loops stop on it and
-// breakers do not count it as a subsystem failure.
-func PermanentError(err error) error { return resilience.Permanent(err) }
 
 // NewEstimationServer builds the resilient estimation service; serve
 // its Handler() and stop it with Drain.

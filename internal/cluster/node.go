@@ -173,10 +173,12 @@ func (n *Node) Owner(k memo.Key) (Peer, bool) {
 
 // Forward POSTs a JSON body to path on the peer through its circuit
 // breaker and the retry policy. Transport errors (dial, reset,
-// deadline) are retried and trip the breaker; an HTTP response of any
-// status is a transport success returned to the caller, who decides
-// what the status means. The response body is fully read so the
-// connection is reusable.
+// deadline) are retried and trip the breaker, unless the caller's own
+// context has ended: a caller that hung up or ran out of time stops
+// the retries and counts nothing against the peer. An HTTP response of
+// any status is a transport success returned to the caller, who
+// decides what the status means. The response body is fully read so
+// the connection is reusable.
 func (n *Node) Forward(ctx context.Context, peer Peer, path string, body []byte, hdr map[string]string) (int, []byte, http.Header, error) {
 	return n.ForwardMethod(ctx, peer, http.MethodPost, path, body, hdr)
 }
@@ -199,6 +201,11 @@ func (n *Node) ForwardMethod(ctx context.Context, peer Peer, method, path string
 			return resilience.Permanent(err) // open breaker: fail fast, no retry
 		}
 		s, b, h, err := n.do(ctx, peer, method, path, body, hdr)
+		if err != nil && ctx.Err() != nil {
+			// The caller hung up or ran out of time: that says nothing
+			// about the peer, and no retry brings the context back.
+			err = resilience.Permanent(err)
+		}
 		br.Record(err)
 		if err != nil {
 			n.forwardErr.Add(1)

@@ -184,6 +184,49 @@ func TestNodeForwardBreakerOpensAndFailsFast(t *testing.T) {
 	}
 }
 
+// TestNodeForwardHangUpsSparePeerBreaker: forwards that fail because
+// their callers gave up are the callers' outcome, not the peer's.
+// Three callers cancel their forwards to a slow but healthy peer after
+// 20 ms; at FailureThreshold 3 the peer's breaker stays closed with no
+// failure, and the next forward reaches the peer.
+func TestNodeForwardHangUpsSparePeerBreaker(t *testing.T) {
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/slow" {
+			select {
+			case <-r.Context().Done():
+			case <-time.After(5 * time.Second):
+			}
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer slow.Close()
+	peer := Peer{ID: "p", URL: slow.URL}
+	n, err := New(Config{
+		Self:             Peer{ID: "self"},
+		Peers:            []Peer{peer},
+		Retry:            fastRetry(),
+		FailureThreshold: 3,
+		OpenTimeout:      time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, _, _, err := n.Forward(ctx, peer, "/slow", nil, nil)
+		cancel()
+		if err == nil {
+			t.Fatalf("forward %d outlived its caller", i)
+		}
+	}
+	if b := n.Stats().Peers[0].Breaker; b.State != "closed" || b.Failures != 0 {
+		t.Fatalf("peer breaker after 3 callers hung up: %+v, want closed with no failure", b)
+	}
+	if status, _, _, err := n.Forward(context.Background(), peer, "/fast", nil, nil); err != nil || status != http.StatusOK {
+		t.Fatalf("forward after the hang-ups: %d %v, want 200", status, err)
+	}
+}
+
 // One synchronous gossip round end to end: node A pushes its view to
 // node B's handler; B learns A's sequence and marks A alive.
 func TestNodeGossipRoundTrip(t *testing.T) {

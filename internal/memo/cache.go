@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -64,12 +65,15 @@ type entry struct {
 	prev, next *entry
 }
 
-// call is one in-flight computation that concurrent identical requests
-// attach to.
+// call is one flight: an in-flight computation that concurrent
+// identical requests join. It runs on a context of its own, which the
+// last participant to leave cancels (see DoContext).
 type call struct {
-	done chan struct{}
-	val  any
-	err  error
+	done   chan struct{}
+	cancel context.CancelFunc
+	n      int // participants that have not left, under the shard lock
+	val    any
+	err    error
 }
 
 // shard is one independently locked cache segment: a map plus an LRU
@@ -166,7 +170,33 @@ func (c *Cache) Stats() Stats {
 // or from another caller's in-flight computation rather than from this
 // call's own compute. Shared values are the stored originals: treat
 // them as immutable, or clone before mutating.
+//
+// Do is DoContext under a context that never ends.
 func (c *Cache) Do(k Key, compute func() (val any, size int64, cacheable bool, err error)) (val any, shared bool, err error) {
+	return c.DoContext(context.Background(), k, func(context.Context) (any, int64, bool, error) { return compute() })
+}
+
+// DoContext is Do for callers that may leave. The computation belongs
+// to its flight, not to the caller that started it: compute runs on
+// the flight's own context, which carries the starting caller's values
+// but not its cancellation or deadline, and each participant, the
+// computing caller included, takes part only until its ctx ends. A
+// waiter whose ctx ends returns at once with ctx.Err() while the
+// others keep waiting. The computing caller runs compute on its own
+// goroutine, so it returns with the flight's outcome once compute
+// does. When the last participant leaves, the flight's context is
+// canceled, so a compute that checks it stops early, and the flight
+// leaves the table, so the next caller starts a fresh flight instead
+// of joining the canceled one. Whoever remains, the outcome is stored
+// under Do's rules.
+//
+// A nil Cache stores and shares nothing: each call is a flight of its
+// own, run on ctx with the same panic capture.
+func (c *Cache) DoContext(ctx context.Context, k Key, compute func(ctx context.Context) (val any, size int64, cacheable bool, err error)) (val any, shared bool, err error) {
+	if c == nil {
+		val, _, _, err = safeCompute(ctx, compute)
+		return val, false, err
+	}
 	sh := c.shard(k)
 	sh.mu.Lock()
 	if e, ok := sh.items[k]; ok {
@@ -176,39 +206,73 @@ func (c *Cache) Do(k Key, compute func() (val any, size int64, cacheable bool, e
 		return e.val, true, nil
 	}
 	if fl, ok := sh.flight[k]; ok {
+		fl.n++
 		sh.mu.Unlock()
 		c.collapsed.Add(1)
-		<-fl.done
-		return fl.val, true, fl.err
+		select {
+		case <-fl.done:
+			return fl.val, true, fl.err
+		case <-ctx.Done():
+			sh.leave(k, fl)
+			return nil, true, ctx.Err()
+		}
 	}
-	fl := &call{done: make(chan struct{})}
+	// A caller whose context never ends never leaves, so its flight is
+	// never canceled and runs on that context as it is.
+	fl := &call{done: make(chan struct{}), cancel: func() {}, n: 1}
+	fctx, leaves := ctx, ctx.Done() != nil
+	if leaves {
+		fctx, fl.cancel = context.WithCancel(context.WithoutCancel(ctx))
+	}
 	sh.flight[k] = fl
 	sh.mu.Unlock()
 	c.misses.Add(1)
 
-	val, size, cacheable, err := safeCompute(compute)
+	if leaves {
+		defer context.AfterFunc(ctx, func() { sh.leave(k, fl) })()
+	}
+	val, size, cacheable, err := safeCompute(fctx, compute)
 	fl.val, fl.err = val, err
 
 	sh.mu.Lock()
-	delete(sh.flight, k)
+	if sh.flight[k] == fl {
+		delete(sh.flight, k)
+	}
 	if err == nil && cacheable && sh.store(c, &entry{key: k, val: val, size: size}) {
 		c.stores.Add(1)
 	}
 	sh.mu.Unlock()
 	close(fl.done)
+	fl.cancel()
 	return val, false, err
 }
 
+// leave takes one participant out of fl. The last one out cancels the
+// flight's context and, unless the flight already finished, removes it
+// from the table.
+func (sh *shard) leave(k Key, fl *call) {
+	sh.mu.Lock()
+	fl.n--
+	last := fl.n == 0
+	if last && sh.flight[k] == fl {
+		delete(sh.flight, k)
+	}
+	sh.mu.Unlock()
+	if last {
+		fl.cancel()
+	}
+}
+
 // safeCompute contains panics so a crashing computation resolves the
-// singleflight call instead of leaving waiters blocked forever.
-func safeCompute(compute func() (any, int64, bool, error)) (val any, size int64, cacheable bool, err error) {
+// flight instead of leaving waiters blocked forever.
+func safeCompute(ctx context.Context, compute func(context.Context) (any, int64, bool, error)) (val any, size int64, cacheable bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			val, size, cacheable = nil, 0, false
 			err = hlerr.FromPanic(r)
 		}
 	}()
-	return compute()
+	return compute(ctx)
 }
 
 // store inserts e as most recently used and evicts from the cold end

@@ -3,12 +3,9 @@ package powerd
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 
-	"hlpower/internal/budget"
 	"hlpower/internal/hlerr"
-	"hlpower/internal/resilience"
 	"hlpower/internal/service"
 )
 
@@ -17,11 +14,11 @@ import (
 // buffered response; POST /v1/batch/stream answers the same request as
 // NDJSON, flushing each partition group's results as it completes. Both
 // run the transport-agnostic service.Batch pipeline with this server's
-// policy grafted in through hooks: fresh per-item budgets, every item
-// through serveItem — the pipeline the single endpoints run, so a batch
-// item and a single request share keys, cache entries, singleflight and
-// breakers — and, in cluster mode, whole-group forwarding to each
-// group's ring owner with the established shed-to-local fallback. A
+// policy grafted in through hooks: every item through serveItem — the
+// pipeline the single endpoints run, so a batch item and a single
+// request share keys, cache entries and flights, each flight on a
+// budget of its own — and, in cluster mode, whole-group forwarding to
+// each group's ring owner with the established shed-to-local fallback. A
 // batch is admitted as one request (one worker slot) and its items run
 // on one shard each: its parallelism comes from group fan-out across
 // the ring, not from occupying the admission queue.
@@ -41,7 +38,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.BatchTimeout)
 	defer cancel()
-	resp := s.svc.Batch(ctx, req, s.batchHooks(ctx, r, nil, nil))
+	resp := s.svc.Batch(ctx, req, s.batchHooks(r, nil, nil))
 	s.batches.Add(1)
 	s.batchItems.Add(int64(len(req.Items)))
 	s.served.Add(1)
@@ -87,7 +84,7 @@ func (s *Server) handleBatchStream(w http.ResponseWriter, r *http.Request) {
 	}
 	emit := func(res service.BatchItemResult) { _ = enc.Encode(res) }
 	groupDone := func(service.BatchGroup) { flush() }
-	resp := s.svc.Batch(ctx, req, s.batchHooks(ctx, r, emit, groupDone))
+	resp := s.svc.Batch(ctx, req, s.batchHooks(r, emit, groupDone))
 	_ = enc.Encode(batchStreamSummary{
 		Done: true, Groups: resp.Groups, Failed: resp.Failed,
 		Cached: resp.Cached, StepsUsed: resp.StepsUsed,
@@ -119,9 +116,8 @@ func (s *Server) decodeBatchRequest(w http.ResponseWriter, r *http.Request) (ser
 }
 
 // batchHooks assembles this server's policy hooks for one batch run.
-func (s *Server) batchHooks(ctx context.Context, r *http.Request, emit func(service.BatchItemResult), groupDone func(service.BatchGroup)) service.BatchHooks {
+func (s *Server) batchHooks(r *http.Request, emit func(service.BatchItemResult), groupDone func(service.BatchGroup)) service.BatchHooks {
 	h := service.BatchHooks{
-		Budget:    func() *budget.Budget { return s.newBudget(ctx) },
 		Steps:     s.cfg.BatchSteps,
 		Item:      s.runBatchItem,
 		Emit:      emit,
@@ -137,20 +133,9 @@ func (s *Server) batchHooks(ctx context.Context, r *http.Request, emit func(serv
 }
 
 // runBatchItem is the batch pipeline's Item hook: the item runs through
-// serveItem once, on the budget the pipeline hands it, over its group's
-// runner.
-func (s *Server) runBatchItem(ctx context.Context, runner *service.GroupRunner, b *budget.Budget, _ int, it service.BatchItem) (service.BatchItemResult, error) {
-	res, err := s.serveItem(ctx, policy{budget: b}, it, s.itemKey(it, runner.TruthTable()), runner, nil)
-	if err != nil {
-		// Breaker-open is this serving layer's condition, not the
-		// engine's; classify it here and let the pipeline map the rest.
-		var open *resilience.OpenError
-		if errors.As(err, &open) {
-			res.Error = &service.BatchError{Kind: service.BatchErrUnavailable, Message: err.Error()}
-			return res, nil
-		}
-	}
-	return res, err
+// serveItem over its group's runner.
+func (s *Server) runBatchItem(ctx context.Context, runner *service.GroupRunner, it service.BatchItem) (service.BatchItemResult, int64, error) {
+	return s.serveItem(ctx, it, s.itemKey(it, runner.TruthTable()), runner, nil)
 }
 
 // batchForward is the batch pipeline's Group hook: when a live peer

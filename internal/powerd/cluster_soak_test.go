@@ -148,14 +148,10 @@ func TestClusterChaosSoak(t *testing.T) {
 
 	ids := []string{"n0", "n1", "n2", "n3"}
 	cfg := Config{
-		Workers:          4,
-		QueueDepth:       32,
-		RequestTimeout:   2 * time.Second,
-		MaxSteps:         20_000_000,
-		Retry:            resilience.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, Multiplier: 2},
-		FailureThreshold: 3,
-		OpenTimeout:      100 * time.Millisecond,
-		HalfOpenProbes:   1,
+		Workers:        4,
+		QueueDepth:     32,
+		RequestTimeout: 2 * time.Second,
+		MaxSteps:       20_000_000,
 		// Codegen promotion is warmth-dependent per node; this soak
 		// asserts forwarded responses match the reference server's
 		// Kernel metadata exactly, so it pins every node to the fused

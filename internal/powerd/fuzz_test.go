@@ -24,10 +24,9 @@ var fuzzOps = []string{service.OpSimulate, service.OpRank, service.OpBDD, servic
 // may answer 500 or a body that does not decode, and both must land in
 // the same outcome class: 200 with no item error and identical
 // payloads, 400 with an input item carrying the same message, 503
-// budget-exceeded with a budget item, 503 breaker-open with an
-// unavailable item. The server keeps no
-// memo and a small step allowance, so large inputs trip on steps, never
-// on the deadline, and every call computes.
+// budget-exceeded with a budget item. The server keeps no memo and a
+// small step allowance, so large inputs trip on steps, never on the
+// deadline, and every call computes.
 func FuzzServeItem(f *testing.F) {
 	seed := func(reqs []wireRequest) {
 		for _, rq := range reqs {
@@ -134,8 +133,6 @@ func singleClass(t *testing.T, code int, body []byte) string {
 		return service.BatchErrInput
 	case code == http.StatusServiceUnavailable && e.Kind == "budget-exceeded":
 		return service.BatchErrBudget
-	case code == http.StatusServiceUnavailable && e.Kind == "breaker-open":
-		return service.BatchErrUnavailable
 	}
 	t.Fatalf("unexpected single answer %d %s", code, body)
 	return ""

@@ -7,7 +7,6 @@ import (
 
 	"hlpower/internal/budget"
 	"hlpower/internal/memo"
-	"hlpower/internal/resilience"
 	"hlpower/internal/service"
 )
 
@@ -28,30 +27,10 @@ type (
 // The item pipeline. Every estimation a client asks for, whether as a
 // single request (POST /v1/simulate, /v1/rank, /v1/bdd, /v1/predict) or
 // as one item of a batch, runs through serveItem: the memo lookup under
-// the item's content key, and on a miss the computation behind the op's
-// breaker through service.GroupRunner.RunItem. A single request is a
-// batch of one, so an entry stored by either path replays on the other
-// by construction. The paths differ only in the policy they pass.
-
-// policy is how an item's computation executes. A single request gets
-// a fresh budget per attempt and the configured retry loop. A batch
-// item instead runs once on the budget the batch pipeline hands it; a
-// failed item is reported and the caller resubmits just that one.
-type policy struct {
-	// budget is every attempt's budget; nil builds a fresh one per
-	// attempt (budgets are sticky, so a tripped one is never reused).
-	budget *budget.Budget
-	// retry re-runs failed attempts; its zero value runs one.
-	retry resilience.RetryPolicy
-}
-
-// breakerFor maps an op onto its subsystem breaker.
-var breakerFor = map[string]string{
-	service.OpSimulate: "sim",
-	service.OpRank:     "rank",
-	service.OpBDD:      "bdd",
-	service.OpPredict:  "predict",
-}
+// the item's content key, and on a miss one flight that computes the
+// item once through service.GroupRunner.RunItem. A single request is a
+// batch of one, so an entry stored by either path replays on the other,
+// and a request on either path can join the other's flight.
 
 // handleSingle serves one single endpoint as a batch of one: decode the
 // op's request and validate it with service.Validate, the check batch
@@ -83,7 +62,7 @@ func (s *Server) handleSingle(op string) http.HandlerFunc {
 		if s.tryForward(w, r, "/v1/"+op, k, req) {
 			return
 		}
-		res, err := s.serveItem(r.Context(), policy{retry: s.cfg.Retry}, it, k, nil, tt)
+		res, _, err := s.serveItem(r.Context(), it, k, nil, tt)
 		if err != nil {
 			s.fail(w, err)
 			return
@@ -145,14 +124,23 @@ func (s *Server) itemKey(it service.BatchItem, tt []bool) memo.Key {
 	}
 }
 
-// serveItem runs one item, keyed k, through the pipeline. runner is the
-// item's group runner; a single request passes nil, and a miss builds a
-// group of one (over tt, its already materialized bdd table), so a memo
-// hit resolves no artifact. A miss runs the item on the caller's
-// goroutine behind the op's breaker, once per attempt. The result
-// carries the payload with this caller's Cached flag.
-func (s *Server) serveItem(ctx context.Context, pol policy, it service.BatchItem, k memo.Key, runner *service.GroupRunner, tt []bool) (service.BatchItemResult, error) {
-	v, cached, err := s.memoDo(k, func() (any, int64, bool, error) {
+// serveItem runs one item, keyed k, through the pipeline and returns
+// its result, carrying this caller's Cached flag, with the steps this
+// caller's flight charged (zero for a replay or a joined flight).
+// runner is the item's group runner; a single request passes nil, and
+// a miss builds a group of one (over tt, its already materialized bdd
+// table), so a memo hit resolves no artifact.
+//
+// A miss runs the item once, as a flight the server owns: on the
+// flight's context, which outlives any one client, with a budget of
+// its own, on the goroutine of the caller that started it. ctx is only
+// this caller's stay in the flight (see memo.Cache.DoContext). The
+// estimators are deterministic, so a failed flight answers with its
+// typed error; nothing retries it. With memoization off, or a fault
+// plan armed, every call is a flight of its own on ctx.
+func (s *Server) serveItem(ctx context.Context, it service.BatchItem, k memo.Key, runner *service.GroupRunner, tt []bool) (service.BatchItemResult, int64, error) {
+	var steps int64
+	v, cached, err := s.estimateCache().DoContext(ctx, k, func(ctx context.Context) (any, int64, bool, error) {
 		r := runner
 		if r == nil {
 			var err error
@@ -160,20 +148,20 @@ func (s *Server) serveItem(ctx context.Context, pol policy, it service.BatchItem
 				return nil, 0, false, err
 			}
 		}
-		v, err := s.execute(ctx, pol, breakerFor[it.Op], func(b *budget.Budget) (any, error) {
-			res, err := r.RunItem(ctx, b, it)
-			return payload(res), err
-		})
+		b := s.newBudget(ctx)
+		res, err := r.RunItem(ctx, b, it)
+		steps = b.StepsUsed()
 		if err != nil {
 			return nil, 0, false, err
 		}
-		val, size, cacheable := stored(v)
+		val, size, cacheable := stored(payload(res))
 		return val, size, cacheable, nil
 	})
 	if err != nil {
-		return service.BatchItemResult{}, err
+		return service.BatchItemResult{}, steps, err
 	}
-	return replay(it, v, cached)
+	res, err := replay(it, v, cached)
+	return res, steps, err
 }
 
 // stored turns a computed payload into its memo entry, with the entry's

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"hlpower/internal/budget"
-	"hlpower/internal/resilience"
 )
 
 // memoOff is cfg with the estimate cache disabled.
@@ -325,8 +324,6 @@ func TestMemoFaultPlanRegression(t *testing.T) {
 	s, ts := newMemoTestServer(t, Config{
 		Workers: 2, QueueDepth: 8, RequestTimeout: 5 * time.Second,
 		MaxSteps: 20_000_000, CheckInterval: 32,
-		Retry:            resilience.RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Multiplier: 1},
-		FailureThreshold: 1000, // keep the breaker out of this test
 	})
 	req := simulateRequest{Circuit: "adder", Width: 6, Cycles: 200, Seed: 5}
 

@@ -1,14 +1,16 @@
 // Package powerd is the resilient estimation service: it exposes the
 // repo's estimation engines (gate-level simulation, candidate ranking,
 // BDD sizing, macro-model prediction) over HTTP/JSON and keeps them
-// available under partial failure. Every request runs under a fresh
-// resource budget (deadline + step allowance), behind a per-subsystem
-// circuit breaker, inside a retry loop with jittered exponential
-// backoff. Admission control bounds the number of queued requests and
-// sheds the excess with 429 + Retry-After instead of letting latency
-// grow without bound. A runtime-settable fault plan injects budget
-// trips into the live serving path, which is how the chaos soak test
-// exercises the whole failure lattice.
+// available under partial failure. Identical concurrent requests share
+// one flight: a computation the server owns, run once on a resource
+// budget of its own (deadline + step allowance) and canceled only when
+// every client waiting on it has gone. The estimators are pure, so a
+// failed flight is answered with its typed error rather than retried.
+// Admission control bounds the number of queued requests and sheds the
+// excess with 429 + Retry-After instead of letting latency grow without
+// bound. A runtime-settable fault plan injects budget trips into the
+// live serving path, which is how the chaos soak test exercises every
+// failure path.
 package powerd
 
 import (
@@ -34,11 +36,6 @@ import (
 	"hlpower/internal/service"
 )
 
-// Subsystems is the set of breaker-guarded estimation engines, one per
-// endpoint. Each has an independent breaker so a faulting simulator
-// does not take down ranking or BDD sizing.
-var Subsystems = []string{"sim", "rank", "bdd", "predict"}
-
 // Config tunes the service. The zero value is usable: DefaultConfig
 // fills every field NewServer would otherwise default.
 type Config struct {
@@ -47,20 +44,13 @@ type Config struct {
 	// QueueDepth bounds how many admitted requests may wait for a
 	// worker slot before the server starts shedding with 429.
 	QueueDepth int
-	// RequestTimeout is the per-request budget deadline.
+	// RequestTimeout is each flight's budget deadline.
 	RequestTimeout time.Duration
-	// MaxSteps is the per-request step allowance (0 = unlimited).
+	// MaxSteps is each flight's step allowance (0 = unlimited).
 	MaxSteps int64
 	// CheckInterval is the budget check spacing; small values make
 	// injected faults fire early, large values amortize check cost.
 	CheckInterval int64
-	// Retry governs re-execution of failed estimation attempts.
-	Retry resilience.RetryPolicy
-	// FailureThreshold, OpenTimeout, HalfOpenProbes parameterize every
-	// subsystem breaker.
-	FailureThreshold int
-	OpenTimeout      time.Duration
-	HalfOpenProbes   int
 	// MemoMaxBytes sizes the content-addressed estimate cache: 0 means
 	// the memo package default (64 MiB), negative disables memoization
 	// entirely. It also sizes the optimization jobs' memo caches (see
@@ -72,7 +62,7 @@ type Config struct {
 	// arriving mid-drain (0 = DefaultConfig's 30s).
 	DrainTimeout time.Duration
 	// BatchTimeout bounds one whole /v1/batch request, buffered or
-	// streamed; each item inside it still runs under a fresh
+	// streamed; each item inside it still runs as a flight with a
 	// RequestTimeout/MaxSteps budget of its own (0 = DefaultConfig's 2m).
 	BatchTimeout time.Duration
 	// BatchSteps is the aggregate step ceiling across one batch's
@@ -106,27 +96,24 @@ type Config struct {
 	// (codegen) kernel tier, built off the request path. Zero means
 	// service.DefaultCodegenAfter; negative disables promotion.
 	CodegenAfter int
-	// Clock drives retry backoff and breaker timeouts; tests swap in
-	// resilience.Fake for deterministic schedules.
+	// Clock times the drain window and, in cluster mode, the ring's
+	// gossip and per-peer breakers; tests swap in resilience.Fake for
+	// deterministic schedules.
 	Clock resilience.Clock
 }
 
 // DefaultConfig returns production-shaped settings.
 func DefaultConfig() Config {
 	return Config{
-		Workers:          runtime.GOMAXPROCS(0),
-		QueueDepth:       64,
-		RequestTimeout:   5 * time.Second,
-		MaxSteps:         50_000_000,
-		CheckInterval:    budget.DefaultCheckInterval,
-		Retry:            resilience.DefaultRetry(),
-		FailureThreshold: 5,
-		OpenTimeout:      time.Second,
-		HalfOpenProbes:   1,
-		DrainTimeout:     30 * time.Second,
-		BatchTimeout:     2 * time.Minute,
-		BatchSteps:       64 * 50_000_000,
-		Clock:            resilience.Wall{},
+		Workers:        runtime.GOMAXPROCS(0),
+		QueueDepth:     64,
+		RequestTimeout: 5 * time.Second,
+		MaxSteps:       50_000_000,
+		CheckInterval:  budget.DefaultCheckInterval,
+		DrainTimeout:   30 * time.Second,
+		BatchTimeout:   2 * time.Minute,
+		BatchSteps:     64 * 50_000_000,
+		Clock:          resilience.Wall{},
 	}
 }
 
@@ -146,18 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckInterval <= 0 {
 		c.CheckInterval = d.CheckInterval
-	}
-	if c.Retry.MaxAttempts <= 0 {
-		c.Retry = d.Retry
-	}
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = d.FailureThreshold
-	}
-	if c.OpenTimeout <= 0 {
-		c.OpenTimeout = d.OpenTimeout
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = d.HalfOpenProbes
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = d.DrainTimeout
@@ -192,14 +167,6 @@ func (c Config) JobMemo() memo.Options {
 	return memo.Options{MaxBytes: c.MemoMaxBytes / int64(c.JobWorkers), Shards: 1}
 }
 
-// Transition is one recorded breaker state change, for observability.
-type Transition struct {
-	Breaker string    `json:"breaker"`
-	From    string    `json:"from"`
-	To      string    `json:"to"`
-	At      time.Time `json:"at"`
-}
-
 // Server is the estimation service. Create with NewServer; serve its
 // Handler; stop with Drain.
 type Server struct {
@@ -209,7 +176,6 @@ type Server struct {
 	waiting  atomic.Int64
 	draining atomic.Bool
 	inflight sync.WaitGroup
-	breakers map[string]*resilience.Breaker
 	plan     atomic.Pointer[budget.FaultPlan]
 	reqSeq   atomic.Int64
 	memo     *memo.Cache // nil when Config.MemoMaxBytes < 0
@@ -235,9 +201,8 @@ type Server struct {
 	batches    atomic.Int64 // batch requests served (buffered + streamed)
 	batchItems atomic.Int64 // items carried by those batches
 
-	mu          sync.Mutex
-	transitions []Transition
-	bddTables   bdd.Stats // cumulative manager table traffic (under mu)
+	mu        sync.Mutex
+	bddTables bdd.Stats // cumulative manager table traffic (under mu)
 
 	mux *http.ServeMux
 }
@@ -246,23 +211,12 @@ type Server struct {
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		clock:    cfg.Clock,
-		slots:    make(chan struct{}, cfg.Workers),
-		breakers: make(map[string]*resilience.Breaker, len(Subsystems)),
+		cfg:   cfg,
+		clock: cfg.Clock,
+		slots: make(chan struct{}, cfg.Workers),
 	}
 	if cfg.MemoMaxBytes >= 0 {
 		s.memo = memo.New(memo.Options{MaxBytes: cfg.MemoMaxBytes})
-	}
-	for _, name := range Subsystems {
-		s.breakers[name] = resilience.NewBreaker(resilience.BreakerConfig{
-			Name:             name,
-			FailureThreshold: cfg.FailureThreshold,
-			OpenTimeout:      cfg.OpenTimeout,
-			HalfOpenProbes:   cfg.HalfOpenProbes,
-			Clock:            cfg.Clock,
-			OnTransition:     s.recordTransition,
-		})
 	}
 	s.keys = service.Keys{MaxSteps: cfg.MaxSteps}
 	s.svc = &service.Local{
@@ -351,10 +305,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Breaker exposes a subsystem's breaker (nil for unknown names) so
-// tests and operators can inspect state and counters.
-func (s *Server) Breaker(name string) *resilience.Breaker { return s.breakers[name] }
-
 // estimateCache returns the content-addressed estimate cache, or nil
 // when memoization is disabled — including the whole time a fault plan
 // is armed. Bypassing (not just skipping stores) while chaos is active
@@ -381,28 +331,13 @@ func (s *Server) jobCache() *memo.Cache {
 	return memo.New(s.cfg.JobMemo())
 }
 
-// memoDo runs compute through the estimate cache under key k, or
-// directly when memoization is off. The returned flag reports whether
-// the value was replayed from the cache (or shared with a concurrent
-// identical computation) rather than computed by this call.
-func (s *Server) memoDo(k memo.Key, compute func() (val any, size int64, cacheable bool, err error)) (any, bool, error) {
-	c := s.estimateCache()
-	if c == nil {
-		v, _, _, err := compute()
-		return v, false, err
-	}
-	return c.Do(k, compute)
-}
-
 // Stats is the service-level counter snapshot served at /v1/stats.
 type Stats struct {
-	Served      int64                              `json:"served"`
-	Rejected    int64                              `json:"rejected"`
-	Shed        int64                              `json:"shed"`
-	Waiting     int64                              `json:"waiting"`
-	Draining    bool                               `json:"draining"`
-	Breakers    map[string]resilience.BreakerStats `json:"breakers"`
-	Transitions []Transition                       `json:"transitions"`
+	Served   int64 `json:"served"`
+	Rejected int64 `json:"rejected"`
+	Shed     int64 `json:"shed"`
+	Waiting  int64 `json:"waiting"`
+	Draining bool  `json:"draining"`
 	// BDDTables aggregates unique-table and ITE computed-table traffic
 	// (lookups, hits, misses) across every BDD request the server has
 	// run, so operators can watch hash-consing effectiveness live.
@@ -444,10 +379,6 @@ func (s *Server) Snapshot() Stats {
 		Shed:     s.shed.Load(),
 		Waiting:  s.waiting.Load(),
 		Draining: s.draining.Load(),
-		Breakers: make(map[string]resilience.BreakerStats, len(s.breakers)),
-	}
-	for name, b := range s.breakers {
-		st.Breakers[name] = b.Stats()
 	}
 	if s.memo != nil {
 		st.MemoEnabled = true
@@ -465,7 +396,6 @@ func (s *Server) Snapshot() Stats {
 		st.Fallbacks = s.fallbacks.Load()
 	}
 	s.mu.Lock()
-	st.Transitions = append(st.Transitions, s.transitions...)
 	st.BDDTables = s.bddTables
 	s.mu.Unlock()
 	return st
@@ -486,14 +416,6 @@ func (s *Server) recordBDDStats(st bdd.Stats) {
 	acc.ITE.Hits += st.ITE.Hits
 	acc.ITE.Misses += st.ITE.Misses
 	acc.ITE.Entries, acc.ITE.Cap = st.ITE.Entries, st.ITE.Cap
-	s.mu.Unlock()
-}
-
-func (s *Server) recordTransition(name string, from, to resilience.BreakerState, at time.Time) {
-	s.mu.Lock()
-	s.transitions = append(s.transitions, Transition{
-		Breaker: name, From: from.String(), To: to.String(), At: at,
-	})
 	s.mu.Unlock()
 }
 
@@ -572,11 +494,11 @@ func (s *Server) retryAfterHint() time.Duration {
 }
 
 // ---------------------------------------------------------------------
-// Resilient execution.
+// Flights.
 
-// newBudget builds the per-attempt budget: request deadline, step
-// allowance, and — when chaos is armed — a per-request fault plan with
-// a derived seed.
+// newBudget builds a flight's budget on the flight's context: the
+// request deadline, the step allowance, and — when chaos is armed — a
+// fault plan with a derived seed.
 func (s *Server) newBudget(ctx context.Context) *budget.Budget {
 	opts := []budget.Option{
 		budget.WithContext(ctx),
@@ -596,59 +518,12 @@ func (s *Server) newBudget(ctx context.Context) *budget.Budget {
 	return budget.New(opts...)
 }
 
-// execute runs one estimation op behind the named subsystem's breaker,
-// inside pol's retry loop, each attempt on pol's budget or a fresh one.
-// It is the only breaker wrapper. An open breaker is Permanent, so
-// callers fail fast to 503, and so is every error a retry cannot change
-// (see permanent), which the breaker then records as a success: a
-// client's mistake never opens it.
-func (s *Server) execute(ctx context.Context, pol policy, name string, op func(b *budget.Budget) (any, error)) (any, error) {
-	br := s.breakers[name]
-	var result any
-	err := pol.retry.Do(ctx, s.clock, func(attempt int) error {
-		if err := br.Allow(); err != nil {
-			return resilience.Permanent(err)
-		}
-		b := pol.budget
-		if b == nil {
-			b = s.newBudget(ctx)
-		}
-		v, err := resilience.SafeValue(func() (any, error) { return op(b) })
-		if permanent(err) {
-			err = resilience.Permanent(err)
-		}
-		br.Record(err)
-		if err == nil {
-			result = v
-		}
-		return err
-	})
-	return result, err
-}
-
-// permanent reports whether retrying err cannot change the outcome:
-// input errors; step or node allowances the work exceeds, as
-// deterministic for a request under the configured MaxSteps as its
-// memo key, which folds MaxSteps in; and a canceled trip, since no
-// retry brings back a context that has ended (a client that hung up, a
-// batch whose deadline passed). Deadline and injected-fault trips stay
-// retryable, and count against the breaker.
-func permanent(err error) bool {
-	if err == nil {
-		return false
-	}
-	var ex *budget.Exceeded
-	return hlerr.IsInput(err) || errors.As(err, &ex) && (ex.Resource == "steps" || ex.Resource == "nodes" || ex.Resource == "canceled")
-}
-
 // ---------------------------------------------------------------------
 // HTTP plumbing.
 
 type errorBody struct {
-	Error     string `json:"error"`
-	Kind      string `json:"kind"`
-	Breaker   string `json:"breaker,omitempty"`
-	Attempted string `json:"attempted,omitempty"`
+	Error string `json:"error"`
+	Kind  string `json:"kind"`
 }
 
 // reject writes a JSON error with an optional Retry-After hint.
@@ -678,22 +553,12 @@ func kindForCode(code int) string {
 }
 
 // fail maps an estimation error onto an HTTP status: input errors are
-// the client's fault (400), an open breaker or exhausted budget is a
-// temporary capacity condition (503 + Retry-After), anything else is a
-// 500.
+// the client's fault (400), an exhausted budget is a temporary capacity
+// condition (503 + Retry-After), a client that left a flight before it
+// finished is answered like one gone while queued (503), and anything
+// else is a 500.
 func (s *Server) fail(w http.ResponseWriter, err error) {
-	var open *resilience.OpenError
 	switch {
-	case errors.As(err, &open):
-		s.rejected.Add(1)
-		ra := open.RetryAfter
-		if ra < time.Second {
-			ra = time.Second
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(int(ra/time.Second)))
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{
-			Error: err.Error(), Kind: "breaker-open", Breaker: open.Name,
-		})
 	case hlerr.IsInput(err):
 		s.reject(w, http.StatusBadRequest, err.Error(), 0)
 	case errors.Is(err, budget.ErrExceeded):
@@ -702,6 +567,8 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{
 			Error: err.Error(), Kind: "budget-exceeded",
 		})
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		s.reject(w, http.StatusServiceUnavailable, "client gone while computing: "+err.Error(), 0)
 	default:
 		s.reject(w, http.StatusInternalServerError, err.Error(), 0)
 	}
@@ -740,20 +607,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleReady reports ready only when the server is accepting work:
-// not draining, and at least one breaker is not open.
+// handleReady reports ready whenever the server is accepting work,
+// that is, until it starts draining.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	for _, b := range s.breakers {
-		if b.State() != resilience.Open {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-			return
-		}
-	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "all breakers open"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {

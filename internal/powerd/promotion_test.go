@@ -213,16 +213,14 @@ func TestPromotionChaosSoak(t *testing.T) {
 
 	// --- Phase 3: real probabilistic chaos. Some requests degrade to
 	// errors — allowed — but every answer that does come back is still
-	// bit-identical to the reference, whatever mix of retries, open
-	// breakers, and tier gating produced it.
+	// bit-identical to the reference, whatever injected trips and tier
+	// gating produced it.
 	s.SetFaultPlan(budget.FaultPlan{Prob: 0.0002, Seed: 99})
 	okCount := 0
 	for i := 0; i < 20; i++ {
 		spec := specs[i%len(specs)]
 		resp, out := post(t, ts, "/v1/simulate", spec)
 		if resp.StatusCode != http.StatusOK {
-			// Give an open breaker room to half-open so later requests flow.
-			time.Sleep(5 * time.Millisecond)
 			continue
 		}
 		okCount++
@@ -237,16 +235,9 @@ func TestPromotionChaosSoak(t *testing.T) {
 
 	// --- Phase 4: chaos disarmed; the promoted tier resumes serving.
 	s.SetFaultPlan(budget.FaultPlan{})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, out = post(t, ts, "/v1/simulate", specs[0])
-		if resp.StatusCode == http.StatusOK {
-			break // a breaker opened by phase 3 may still be half-open
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("phase 4: breaker never recovered: %d %v", resp.StatusCode, out)
-		}
-		time.Sleep(5 * time.Millisecond)
+	resp, out = post(t, ts, "/v1/simulate", specs[0])
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("phase 4: %d %v, want 200", resp.StatusCode, out)
 	}
 	if out["kernel"] != "codegen" {
 		t.Fatalf("phase 4: kernel = %v, want codegen restored", out["kernel"])

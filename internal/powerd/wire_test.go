@@ -10,11 +10,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"hlpower/internal/budget"
 	"hlpower/internal/memo"
-	"hlpower/internal/resilience"
 	"hlpower/internal/service"
 )
 
@@ -23,15 +21,14 @@ import (
 // Retry-After and the body bytes, and compared byte for byte with
 // testdata/wire/<name>.golden. The files pin what a client sees: the
 // payloads and their cached replays, every validation message, the
-// budget and breaker rejections, and the memo counters the sequence
-// leaves behind. They were recorded once and are never regenerated to
-// make a change pass; a diff here is a wire-format change.
+// budget rejections, and the memo counters the sequence leaves behind.
+// They were recorded once and are never regenerated to make a change
+// pass; a diff here is a wire-format change.
 //
 // The bytes are host-independent: every simulate runs on one shard
 // whatever GOMAXPROCS is (the recorded requests still name workers,
-// which pins that the field is accepted and ignored), codegen promotion
-// is off, and the clock is a fake, so retry backoff and breaker
-// Retry-After hints are exact.
+// which pins that the field is accepted and ignored), and codegen
+// promotion is off.
 
 // wireRequest is one transcript step: a POST of a raw JSON body.
 type wireRequest struct {
@@ -45,7 +42,6 @@ func wireConfig() Config {
 	cfg := testConfig()
 	cfg.MaxSteps = 60_000
 	cfg.CodegenAfter = -1
-	cfg.Clock = resilience.NewFake(time.Unix(1_700_000_000, 0).UTC())
 	return cfg
 }
 
@@ -147,10 +143,9 @@ func wireBatchSequence(t *testing.T) []wireRequest {
 	}
 }
 
-// wireFaultSequence arms a fault plan on a fresh server and drives the
-// sim breaker open: the first request's two attempts and the second's
-// first fail on injected trips, its retry is refused by the open
-// breaker, and so are later singles and the batch's simulate items.
+// wireFaultSequence arms a fault plan on a fresh server: every request
+// runs once and fails on its injected trip, however many failed before
+// it, and so does each of the batch's simulate items.
 func wireFaultSequence(t *testing.T) []wireRequest {
 	body, err := json.Marshal(service.BatchRequest{Items: wireBatchItems()[:3]})
 	if err != nil {
@@ -159,9 +154,9 @@ func wireFaultSequence(t *testing.T) []wireRequest {
 	sim := `{"circuit":"adder","width":4,"cycles":100,"seed":1,"workers":1}`
 	return []wireRequest{
 		{"injected fault", "/v1/simulate", sim},
-		{"injected fault opens breaker", "/v1/simulate", sim},
-		{"breaker open", "/v1/simulate", sim},
-		{"batch behind open breaker", "/v1/batch", string(body)},
+		{"injected fault, second request", "/v1/simulate", sim},
+		{"injected fault, third request", "/v1/simulate", sim},
+		{"batch under the fault plan", "/v1/batch", string(body)},
 	}
 }
 
@@ -185,8 +180,7 @@ func runWire(s *Server, reqs []wireRequest) []byte {
 }
 
 // wireStats renders the /v1/stats counters the sequence pins: requests
-// served and rejected, and the memo's traffic and occupancy. Breaker
-// counters are left out; they record retries, not wire bytes.
+// served and rejected, and the memo's traffic and occupancy.
 func wireStats(t *testing.T, s *Server) []byte {
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))

@@ -1,10 +1,11 @@
 // Package resilience provides the fault-tolerance primitives of the
-// estimation service: retry with exponential backoff and full jitter,
-// per-subsystem circuit breakers, and panic-safe work units. Everything
-// time-dependent is driven through a Clock so tests replace the wall
-// clock with a fake and assert transition sequences deterministically —
-// the same design discipline budget.FaultPlan applies to failure
-// injection.
+// powerd ring's peer calls: retry with exponential backoff and full
+// jitter, and circuit breakers. A forward to another node can fail
+// transiently, which is what both are for; the estimators themselves
+// are pure computations and run once. Everything time-dependent is
+// driven through a Clock so tests replace the wall clock with a fake
+// and assert transition sequences deterministically — the same design
+// discipline budget.FaultPlan applies to failure injection.
 package resilience
 
 import (

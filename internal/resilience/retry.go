@@ -23,12 +23,6 @@ type RetryPolicy struct {
 	Seed        uint64        // jitter stream seed
 }
 
-// DefaultRetry is a conservative service-side policy: three attempts
-// with ceilings 10ms, 20ms.
-func DefaultRetry() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond, Multiplier: 2}
-}
-
 // permanentError marks an error that must not be retried (malformed
 // input, an open circuit breaker). It unwraps to the cause so typed
 // matching still works through it.

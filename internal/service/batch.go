@@ -19,8 +19,8 @@ import (
 // never poisons its group, and a failed computation (budget trip,
 // injected fault) fails only its own item. The serving layer
 // grafts policy in through BatchHooks: per-item budgets, memoization
-// and singleflight, breaker accounting, cluster routing of whole
-// groups, and streaming emission.
+// and singleflight, cluster routing of whole groups, and streaming
+// emission.
 
 // Batch ops, also the wire values of BatchItem.Op.
 const (
@@ -37,11 +37,10 @@ const MaxBatchItems = 10_000
 // Batch error kinds, mirroring the HTTP error taxonomy of the serving
 // layer so a per-item error and a whole-request error classify alike.
 const (
-	BatchErrInput       = "input"       // malformed item (never retryable)
-	BatchErrBudget      = "budget"      // item or batch budget exhausted
-	BatchErrUnavailable = "unavailable" // subsystem breaker open
-	BatchErrCanceled    = "canceled"    // caller gone before the item ran
-	BatchErrInternal    = "internal"
+	BatchErrInput    = "input"    // malformed item (never retryable)
+	BatchErrBudget   = "budget"   // item or batch budget exhausted
+	BatchErrCanceled = "canceled" // caller gone before the item ran
+	BatchErrInternal = "internal"
 )
 
 // BatchItem is one estimation request inside a batch: an op tag plus
@@ -353,8 +352,9 @@ func (r *GroupRunner) RunItem(ctx context.Context, b *budget.Budget, it BatchIte
 // pipeline. Every hook is optional; the zero value computes everything
 // locally with nil (unlimited) budgets.
 type BatchHooks struct {
-	// Budget returns a fresh per-item budget. Budgets are sticky — a
-	// tripped one poisons later checks — so each item gets its own,
+	// Budget returns a fresh budget for each item the default
+	// computation runs; an Item hook builds its own. Budgets are sticky
+	// — a tripped one poisons later checks — so each item gets its own,
 	// exactly as each single request does; that is also what isolates a
 	// failing item from the rest of its group.
 	Budget func() *budget.Budget
@@ -367,11 +367,13 @@ type BatchHooks struct {
 	// The returned results are positional (result j answers items[j]);
 	// ok=false, or a result count mismatch, computes the group locally.
 	Group func(ctx context.Context, g BatchGroup, items []BatchItem) ([]BatchItemResult, bool)
-	// Item, when set, wraps one item's computation — the serving layer's
-	// seam for memoization, singleflight, and breaker accounting. The
-	// default is runner.RunItem; the pipeline sets the result's Index,
-	// ID and Op.
-	Item func(ctx context.Context, runner *GroupRunner, b *budget.Budget, idx int, it BatchItem) (BatchItemResult, error)
+	// Item, when set, runs one item's computation on a budget of its
+	// own — the serving layer's seam for memoization and singleflight —
+	// and returns the steps the item charged, which count toward Steps
+	// (zero for an item it did not compute). The default is
+	// runner.RunItem on a Budget budget; the pipeline sets the result's
+	// Index, ID and Op.
+	Item func(ctx context.Context, runner *GroupRunner, it BatchItem) (res BatchItemResult, steps int64, err error)
 	// Emit, when set, receives every result as it is produced: rejected
 	// items first, then each group's items in submission order. The
 	// streaming transport writes NDJSON lines here.
@@ -415,16 +417,15 @@ func (l *Local) Batch(ctx context.Context, req BatchRequest, h BatchHooks) Batch
 		emit(bad)
 	}
 
-	newBudget := func() *budget.Budget {
-		if h.Budget == nil {
-			return nil
-		}
-		return h.Budget()
-	}
 	runItem := h.Item
 	if runItem == nil {
-		runItem = func(ctx context.Context, r *GroupRunner, b *budget.Budget, idx int, it BatchItem) (BatchItemResult, error) {
-			return r.RunItem(ctx, b, it)
+		runItem = func(ctx context.Context, r *GroupRunner, it BatchItem) (BatchItemResult, int64, error) {
+			var b *budget.Budget
+			if h.Budget != nil {
+				b = h.Budget()
+			}
+			res, err := r.RunItem(ctx, b, it)
+			return res, b.StepsUsed(), err
 		}
 	}
 
@@ -459,15 +460,14 @@ func (l *Local) Batch(ctx context.Context, req BatchRequest, h BatchHooks) Batch
 			case rerr != nil:
 				out.Error = batchErrorFor(rerr)
 			default:
-				b := newBudget()
-				r, err := runItem(ctx, runner, b, idx, it)
+				r, steps, err := runItem(ctx, runner, it)
 				if err != nil {
 					out.Error = batchErrorFor(err)
 				} else {
 					out = r
 					out.Index, out.ID, out.Op = idx, it.ID, it.Op
 				}
-				stepsUsed += b.StepsUsed()
+				stepsUsed += steps
 				if h.Steps > 0 && stepsUsed >= h.Steps {
 					exhausted = true
 				}

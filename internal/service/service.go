@@ -5,12 +5,12 @@
 // the local HTTP daemon, a ring peer answering a forwarded request, a
 // test harness — invoke the same computations with the same
 // validation, the same typed input errors, and the same content keys,
-// without dragging in admission control, breakers, or JSON plumbing.
+// without dragging in admission control, flights, or JSON plumbing.
 //
 // The split is deliberate: everything that determines a response's
 // bytes (circuit construction, operand streams, simulation, ranking,
 // model fitting) lives here; everything that determines whether and
-// how a request runs (budgets, retries, breakers, caching policy,
+// how a request runs (budgets, request collapsing, caching policy,
 // cluster routing) stays with the caller. That is what makes cluster
 // mode safe — a request forwarded to a peer and a request computed
 // locally run the exact same code and produce bit-identical figures.
@@ -106,7 +106,7 @@ type BDDRequest struct {
 	Vars     int    `json:"vars"`
 	// AllowDegraded accepts a sampled size estimate when the budget
 	// cuts off the exact BDD build; without it, a budget trip is an
-	// error (and counts against the bdd breaker).
+	// error.
 	AllowDegraded bool `json:"allow_degraded"`
 }
 
@@ -628,8 +628,8 @@ func (l *Local) Rank(_ context.Context, b *budget.Budget, req RankRequest) (Rank
 	best, err := ranking.Best()
 	if err != nil {
 		// Every candidate failed; surface the first failure so the
-		// caller's breaker and retry loop see the real cause (e.g. an
-		// injected budget fault), not a generic message.
+		// caller sees the real cause (e.g. an injected budget fault),
+		// not a generic message.
 		return RankResponse{}, ranking[0].Err
 	}
 	resp := RankResponse{Best: best.Candidate.Name}
