@@ -27,8 +27,12 @@ fmt-check:
 build:
 	go build ./...
 
+# vet also checks the arm64 build, which takes the portable Go lane
+# kernel instead of the amd64 assembly, so that path cannot rot; on
+# amd64, vet's asmdecl pass checks the assembly's frames.
 vet:
 	go vet ./...
+	GOARCH=arm64 go vet ./...
 
 # lint runs staticcheck at a pinned release so local runs and the
 # blocking CI lint job agree on the rule set (config in
@@ -93,7 +97,8 @@ cover:
 # event-driven timing wheel vs its map-scheduled reference, lean
 # unit-delay runs vs the timing wheel, and sim.Outputs' words vs
 # RunBudget's output rows, bit-identity including budget
-# exhaustion), the predict equivalence
+# exhaustion), the lane-kernel target (every addLanes implementation
+# the host runs vs the kernel's definition), the predict equivalence
 # target (the served predict path vs the one-shot, interpreted
 # reference), the HTTP item-pipeline target (raw bodies
 # through a single endpoint and a one-item batch must land in the same
@@ -117,6 +122,7 @@ fuzz:
 	go test -run '^FuzzEventDrivenEquivalence$$' -fuzz '^FuzzEventDrivenEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzUnitDelayEquivalence$$' -fuzz '^FuzzUnitDelayEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzOutputsEquivalence$$' -fuzz '^FuzzOutputsEquivalence$$' -fuzztime $(FUZZTIME) ./internal/sim/
+	go test -run '^FuzzAddLanes$$' -fuzz '^FuzzAddLanes$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	go test -run '^FuzzPredictEquivalence$$' -fuzz '^FuzzPredictEquivalence$$' -fuzztime $(FUZZTIME) ./internal/macromodel/
 	go test -run '^FuzzServeItem$$' -fuzz '^FuzzServeItem$$' -fuzztime $(FUZZTIME) ./internal/powerd/
 	go test -run '^FuzzMemoEquivalence$$' -fuzz '^FuzzMemoEquivalence$$' -fuzztime $(FUZZTIME) ./internal/powerd/

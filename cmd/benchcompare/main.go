@@ -5,9 +5,12 @@
 // deterministic: when the two snapshots cover the same workload shape
 // (equal short_workload and gomaxprocs), an allocs_per_op increase
 // beyond the threshold, or any increase from zero, fails the run with
-// exit code 1. A timing regression never does. bytes_per_op is printed
-// beside the allocations and never gated: the collector's work follows
-// allocated bytes, which the object count alone does not show.
+// exit code 1. A timing regression never does. Nor does a difference in
+// lane_kernel, the capacitance-extraction kernel each snapshot's host
+// ran: it is reported as a warning, since the kernel timings then
+// measure different code. bytes_per_op is printed beside the
+// allocations and never gated: the collector's work follows allocated
+// bytes, which the object count alone does not show.
 //
 // Usage:
 //
@@ -50,6 +53,7 @@ func (e *entry) bytes() string {
 type snapshot struct {
 	Date       string  `json:"date"`
 	GOMAXPROCS int     `json:"gomaxprocs"`
+	LaneKernel string  `json:"lane_kernel"` // empty in snapshots that predate it
 	Short      bool    `json:"short_workload"`
 	Note       string  `json:"note"`
 	Results    []entry `json:"results"`
@@ -209,6 +213,9 @@ func (c comparison) report(oldName, newName string, threshold float64) string {
 		fmt.Fprintf(&b, "> ⚠️ snapshots differ in workload/host shape (short %v→%v, gomaxprocs %d→%d); deltas are indicative only and the alloc gate is off\n\n",
 			c.old.Short, c.new.Short, c.old.GOMAXPROCS, c.new.GOMAXPROCS)
 	}
+	if w := laneKernelWarning(c.old, c.new); w != "" {
+		fmt.Fprintf(&b, "> ⚠️ %s\n\n", w)
+	}
 	b.WriteString("| benchmark | old ns/op | new ns/op | delta | allocs old→new | bytes old→new | |\n")
 	b.WriteString("|---|---:|---:|---:|---:|---:|---|\n")
 	for _, r := range c.rows {
@@ -241,6 +248,28 @@ func (c comparison) report(oldName, newName string, threshold float64) string {
 		}
 	}
 	return b.String()
+}
+
+// laneKernelWarning explains why the two snapshots' kernel timings may
+// not compare: their hosts ran different capacitance-extraction
+// kernels, or the old snapshot does not say which it ran. Empty when
+// both name the same kernel.
+func laneKernelWarning(oldSnap, newSnap *snapshot) string {
+	name := func(k string) string {
+		if k == "" {
+			return "unnamed"
+		}
+		return k
+	}
+	switch {
+	case oldSnap.LaneKernel == "":
+		return fmt.Sprintf("the old snapshot does not name its lane kernel (new: %s); sim/* and batch/* deltas may compare different extraction code",
+			name(newSnap.LaneKernel))
+	case oldSnap.LaneKernel != newSnap.LaneKernel:
+		return fmt.Sprintf("lane kernels differ (%s→%s); sim/* and batch/* deltas compare different extraction code",
+			oldSnap.LaneKernel, name(newSnap.LaneKernel))
+	}
+	return ""
 }
 
 func load(path string) (*snapshot, error) {

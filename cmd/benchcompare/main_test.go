@@ -122,3 +122,37 @@ func TestCompareShortWorkloadMismatch(t *testing.T) {
 		t.Fatalf("report does not call the gate advisory:\n%s", out)
 	}
 }
+
+// TestCompareLaneKernel: snapshots whose hosts ran different lane
+// kernels, or an old snapshot that does not name its kernel, draw a
+// warning in the report and never fail the gate.
+func TestCompareLaneKernel(t *testing.T) {
+	cases := []struct {
+		name     string
+		old, new string
+		warning  string // substring of the report; empty means no warning
+	}{
+		{name: "same kernel", old: "avx512", new: "avx512"},
+		{name: "kernels differ", old: "avx512", new: "go", warning: "lane kernels differ (avx512→go)"},
+		{name: "old snapshot predates the field", old: "", new: "avx512", warning: "old snapshot does not name its lane kernel (new: avx512)"},
+		{name: "new snapshot lacks the field", old: "go", new: "", warning: "lane kernels differ (go→unnamed)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			old := snap(2, entry{Name: "sim/fused", NsPerOp: 100, AllocsPerOp: 7})
+			cur := snap(2, entry{Name: "sim/fused", NsPerOp: 40, AllocsPerOp: 7})
+			old.LaneKernel, cur.LaneKernel = tc.old, tc.new
+			c := compare(old, cur, 10)
+			if c.fail {
+				t.Fatal("a lane-kernel difference failed the gate")
+			}
+			out := c.report("old.json", "new.json", 10)
+			if got := strings.Contains(out, "lane kernel"); got != (tc.warning != "") {
+				t.Fatalf("report warns about lane kernels: %v, want %v:\n%s", got, tc.warning != "", out)
+			}
+			if !strings.Contains(out, tc.warning) {
+				t.Fatalf("report lacks %q:\n%s", tc.warning, out)
+			}
+		})
+	}
+}

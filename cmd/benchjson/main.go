@@ -81,6 +81,11 @@ type Snapshot struct {
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
+	// LaneKernel names the capacitance-extraction kernel the host ran
+	// (sim.LaneKernel: "avx512" or "go"); the sim/* and batch/*
+	// timings of snapshots with different kernels measure different
+	// code.
+	LaneKernel string `json:"lane_kernel"`
 	Short      bool   `json:"short_workload"`
 	// Note flags readings that need interpretation — e.g. on a
 	// GOMAXPROCS=1 host the parallel variants necessarily read ≈1.0×,
@@ -104,6 +109,7 @@ func main() {
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
+		LaneKernel: sim.LaneKernel(),
 		Short:      *short,
 	}
 	// Parallel variants are measured pinned to gomaxprocs=1 and, when

@@ -175,10 +175,10 @@ func (n *Node) Owner(k memo.Key) (Peer, bool) {
 // breaker and the retry policy. Transport errors (dial, reset,
 // deadline) are retried and trip the breaker, unless the caller's own
 // context has ended: a caller that hung up or ran out of time stops
-// the retries and counts nothing against the peer. An HTTP response of
-// any status is a transport success returned to the caller, who
-// decides what the status means. The response body is fully read so
-// the connection is reusable.
+// the retries, and its attempt counts neither for nor against the
+// peer. An HTTP response of any status is a transport success returned
+// to the caller, who decides what the status means. The response body
+// is fully read so the connection is reusable.
 func (n *Node) Forward(ctx context.Context, peer Peer, path string, body []byte, hdr map[string]string) (int, []byte, http.Header, error) {
 	return n.ForwardMethod(ctx, peer, http.MethodPost, path, body, hdr)
 }
@@ -203,10 +203,14 @@ func (n *Node) ForwardMethod(ctx context.Context, peer Peer, method, path string
 		s, b, h, err := n.do(ctx, peer, method, path, body, hdr)
 		if err != nil && ctx.Err() != nil {
 			// The caller hung up or ran out of time: that says nothing
-			// about the peer, and no retry brings the context back.
+			// about the peer, so the attempt is neither a success nor a
+			// failure (a half-open probe's slot goes to the next
+			// caller), and no retry brings the context back.
+			br.Abandon()
 			err = resilience.Permanent(err)
+		} else {
+			br.Record(err)
 		}
-		br.Record(err)
 		if err != nil {
 			n.forwardErr.Add(1)
 			return err

@@ -227,6 +227,71 @@ func TestNodeForwardHangUpsSparePeerBreaker(t *testing.T) {
 	}
 }
 
+// TestNodeForwardHangUpIsNoPeerOutcome: a forward whose caller hangs up
+// is no evidence about the peer, for or against. Between two transport
+// failures it does not reset the count, so FailureThreshold 2 opens the
+// breaker; as the half-open probe it neither closes nor reopens the
+// breaker, and the next forward probes the peer and closes it.
+func TestNodeForwardHangUpIsNoPeerOutcome(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/fail": // a genuine transport error
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err == nil {
+				conn.Close()
+			}
+			return
+		case "/slow":
+			<-r.Context().Done()
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer srv.Close()
+	clk := resilience.NewFake(time.Unix(0, 0))
+	peer := Peer{ID: "p", URL: srv.URL}
+	n, err := New(Config{
+		Self:             Peer{ID: "self"},
+		Peers:            []Peer{peer},
+		Retry:            resilience.RetryPolicy{MaxAttempts: 1},
+		FailureThreshold: 2,
+		OpenTimeout:      time.Second,
+		Clock:            clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hangUp := func() {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		if _, _, _, err := n.Forward(ctx, peer, "/slow", nil, nil); err == nil {
+			t.Fatal("forward outlived its caller")
+		}
+	}
+	breaker := func() resilience.BreakerStats { return n.Stats().Peers[0].Breaker }
+	if _, _, _, err := n.Forward(context.Background(), peer, "/fail", nil, nil); err == nil {
+		t.Fatal("forward over a slammed connection succeeded")
+	}
+	hangUp()
+	if _, _, _, err := n.Forward(context.Background(), peer, "/fail", nil, nil); err == nil {
+		t.Fatal("forward over a slammed connection succeeded")
+	}
+	if b := breaker(); b.State != "open" {
+		t.Fatalf("breaker after failure, hang-up, failure: %+v, want open", b)
+	}
+	clk.Advance(time.Second)
+	hangUp() // the half-open probe
+	if b := breaker(); b.State != "half-open" || b.ClosedFromHalfOpen != 0 || b.Opened != 1 {
+		t.Fatalf("breaker after its probe's caller hung up: %+v, want still half-open", b)
+	}
+	if status, _, _, err := n.Forward(context.Background(), peer, "/fast", nil, nil); err != nil || status != http.StatusOK {
+		t.Fatalf("probe after the hang-up: %d %v, want 200", status, err)
+	}
+	if b := breaker(); b.State != "closed" || b.ClosedFromHalfOpen != 1 {
+		t.Fatalf("breaker after a successful probe: %+v, want closed", b)
+	}
+}
+
 // One synchronous gossip round end to end: node A pushes its view to
 // node B's handler; B learns A's sequence and marks A alive.
 func TestNodeGossipRoundTrip(t *testing.T) {

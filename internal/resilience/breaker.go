@@ -141,8 +141,8 @@ func (b *Breaker) transition(to BreakerState, at time.Time) func() {
 }
 
 // Allow reports whether a call may proceed now. nil means yes — the
-// caller must pair it with exactly one Record. A non-nil return is an
-// *OpenError carrying the remaining fast-fail window.
+// caller must pair it with exactly one Record or Abandon. A non-nil
+// return is an *OpenError carrying the remaining fast-fail window.
 func (b *Breaker) Allow() error {
 	now := b.clock.Now()
 	b.mu.Lock()
@@ -216,6 +216,20 @@ func (b *Breaker) Record(err error) {
 	case Open:
 		// A call admitted before the trip finished late; its outcome is
 		// already accounted in the totals and changes nothing else.
+	}
+}
+
+// Abandon ends a call previously admitted by Allow without an outcome:
+// the caller gave up (its context ended), which says nothing about the
+// subsystem. It counts as neither success nor failure, so a closed
+// breaker keeps its consecutive-failure count, and it frees a half-open
+// probe slot without closing or reopening the breaker, so the next
+// caller probes instead.
+func (b *Breaker) Abandon() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == HalfOpen {
+		b.probeBusy = false
 	}
 }
 

@@ -209,3 +209,38 @@ func TestBreakerTransitionCountersMonotonic(t *testing.T) {
 		t.Fatalf("load never cycled the breaker: %+v", st)
 	}
 }
+
+// An abandoned call is no evidence either way: a half-open probe whose
+// caller gave up leaves the breaker half-open with its probe slot free
+// (the next caller probes), and in the closed state it neither resets
+// nor extends the consecutive-failure count.
+func TestBreakerAbandonIsNoOutcome(t *testing.T) {
+	b, _ := openBreaker(t, 1)
+	if err := b.Allow(); err != nil {
+		t.Fatalf("first probe rejected: %v", err)
+	}
+	b.Abandon()
+	st := b.Stats()
+	if b.State() != HalfOpen || st.ClosedFromHalfOpen != 0 || st.Successes != 0 || st.Failures != 1 {
+		t.Fatalf("after an abandoned probe: %s, %+v; want half-open with no new outcome", b.State(), st)
+	}
+	if err := b.Allow(); err != nil {
+		t.Fatalf("abandoned probe kept its slot: %v", err)
+	}
+	b.Record(nil)
+	if b.State() != Closed {
+		t.Fatalf("a probe success after the abandoned one left the breaker %s", b.State())
+	}
+
+	closed := NewBreaker(BreakerConfig{Name: "c", FailureThreshold: 2, Clock: NewFake(time.Unix(0, 0))})
+	for i, step := range []func(){
+		func() { _ = closed.Do(func() error { return errBoom }) },
+		func() { _ = closed.Allow(); closed.Abandon() },
+		func() { _ = closed.Do(func() error { return errBoom }) },
+	} {
+		step()
+		if want := i == 2; (closed.State() == Open) != want {
+			t.Fatalf("closed breaker after step %d: %s (consecutive failures %d)", i, closed.State(), closed.Stats().ConsecutiveFailures)
+		}
+	}
+}

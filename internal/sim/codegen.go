@@ -6,10 +6,10 @@
 // and each run becomes one specialized flat loop over contiguous
 // operand slabs — the opcode dispatch is resolved at build time, the
 // arities are constant-folded into the loop strides (logic.FusedOp.
-// Shape), and the toggle/capacitance extraction is baked against the
-// concrete net layout with interleaved scan chains. The evaluator runs
-// through the same packedScratch pool as the other tiers, so steady-
-// state execution allocates nothing.
+// Shape). A lean run's extraction is the fused tier's (extractLean,
+// over the lane kernel addLanes). The evaluator runs through the same
+// packedScratch pool as the other tiers, so steady-state execution
+// allocates nothing.
 //
 // Bit-identity: re-sorting groups by level is sound because the fused
 // stream is write-once dataflow within a settle and every externally
@@ -516,9 +516,8 @@ func (cg *codegenProgram) extractFull(words, cb []uint64, tog []int64, capBuf *[
 // runShardCodegen simulates cycles [lo, hi) on the specialized
 // evaluator. The shard protocol — baseline settle, carry seeding, the
 // per-64-cycle block loop, budget charging (source-program gates per
-// cycle), input gather, lane masking — mirrors runShardPacked line
-// for line; only the settle and the extraction are the generated,
-// layout-baked forms.
+// cycle), input gather, lane masking, the lean extraction — mirrors
+// runShardPacked line for line; only the settle is the generated form.
 func runShardCodegen(b *budget.Budget, e *env, cg *codegenProgram, inputs InputProvider, words64 WordInputs, lean bool, lo, hi int, sc *packedScratch) (sh *shard, err error) {
 	defer hlerr.Recover(&err)
 	n := e.n
@@ -573,7 +572,7 @@ func runShardCodegen(b *budget.Budget, e *env, cg *codegenProgram, inputs InputP
 	}
 
 	perCycle := int64(len(e.order)) + 1
-	var capBuf [64]float64
+	capBuf := &sc.bins
 	for w0 := 0; w0 < cycles; w0 += 64 {
 		lanes := cycles - w0
 		if lanes > 64 {
@@ -627,43 +626,11 @@ func runShardCodegen(b *budget.Budget, e *env, cg *codegenProgram, inputs InputP
 		if lanes < 64 {
 			mask = uint64(1)<<uint(lanes) - 1
 		}
-		capBuf = [64]float64{}
+		*capBuf = [64]float64{}
 		if lean {
-			// Lean toggle/capacitance extraction, inlined in the block
-			// loop (sharing the compiler's bounds proofs with the code
-			// around it) and scanning two bits per trip. The per-bin
-			// accumulation order is exactly the interpreter's — nets
-			// ascending by id, and the two bins touched in one trip are
-			// always distinct — which is what pins Float64bits identity.
-			loads := cg.loads[:len(words)]
-			cb := carry[:len(words)]
-			tog := sh.toggles[:len(words)]
-			for id := range words {
-				cur := words[id]
-				t := (cur ^ (cur<<1 | cb[id])) & mask
-				cb[id] = cur >> 63
-				if t == 0 {
-					continue
-				}
-				pc := bits.OnesCount64(t)
-				tog[id] += int64(pc)
-				load := loads[id]
-				if load == 0 {
-					continue
-				}
-				if pc&1 != 0 {
-					capBuf[bits.TrailingZeros64(t)&63] += load
-					t &= t - 1
-				}
-				for t != 0 {
-					capBuf[bits.TrailingZeros64(t)&63] += load
-					t &= t - 1
-					capBuf[bits.TrailingZeros64(t)&63] += load
-					t &= t - 1
-				}
-			}
+			sc.extractLean(words, carry, sh.toggles, cg.loads, mask)
 		} else {
-			cg.extractFull(words, carry, sh.toggles, &capBuf, grpFlat, w0, mask)
+			cg.extractFull(words, carry, sh.toggles, capBuf, grpFlat, w0, mask)
 		}
 		copy(sh.capByCyc[w0:], capBuf[:lanes])
 

@@ -191,40 +191,57 @@ func FuzzCodegenEquivalence(f *testing.F) {
 	f.Add(int64(3), uint8(8), uint8(60), uint16(257), uint32(0))
 	f.Add(int64(42), uint8(4), uint8(30), uint16(128), uint32(500))
 	f.Fuzz(func(t *testing.T, seed int64, nIn, nGates uint8, cyc uint16, maxSteps uint32) {
-		nInputs := 1 + int(nIn)%8
-		gates := 1 + int(nGates)%48
-		cycles := 1 + int(cyc)%300
-		rng := rand.New(rand.NewSource(seed))
-		n := randComb(rng, nInputs, gates)
-		inputs := randVectors(rng, cycles, nInputs)
-		c, err := Compile(n, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.BuildCodegen(); err != nil {
-			t.Fatal(err)
-		}
-		var bs, bf, bg *budget.Budget
-		if maxSteps > 0 {
-			bs = budget.New(budget.WithMaxSteps(int64(maxSteps)), budget.WithCheckInterval(1))
-			bf = budget.New(budget.WithMaxSteps(int64(maxSteps)), budget.WithCheckInterval(1))
-			bg = budget.New(budget.WithMaxSteps(int64(maxSteps)), budget.WithCheckInterval(1))
-		}
-		serial, errS := RunBudget(bs, n, inputs, cycles, Options{})
-		fused, errF := c.Run(bf, inputs, cycles, RunOptions{Workers: 1, NoCodegen: true})
-		gen, errG := c.Run(bg, inputs, cycles, RunOptions{Workers: 1})
-		if (errS == nil) != (errG == nil) || (errF == nil) != (errG == nil) {
-			t.Fatalf("error divergence: serial=%v fused=%v codegen=%v", errS, errF, errG)
-		}
-		if errG != nil {
-			if !errors.Is(errG, budget.ErrExceeded) || !errors.Is(errF, budget.ErrExceeded) {
-				t.Fatalf("unexpected errors: %v / %v", errF, errG)
-			}
-			return
-		}
-		sameResult(t, serial, gen, "fuzz-codegen-serial")
-		sameResult(t, fused, gen, "fuzz-codegen-fused")
+		forEachLaneKernel(t, func(kernel string) {
+			fuzzCodegen(t, kernel, seed, nIn, nGates, cyc, maxSteps)
+		})
 	})
+}
+
+// fuzzCodegen is FuzzCodegenEquivalence's body on one lane kernel: the
+// codegen tier's full run against the serial engine and the fused
+// tier, and its lean run against its full run.
+func fuzzCodegen(t *testing.T, kernel string, seed int64, nIn, nGates uint8, cyc uint16, maxSteps uint32) {
+	nInputs := 1 + int(nIn)%8
+	gates := 1 + int(nGates)%48
+	cycles := 1 + int(cyc)%300
+	rng := rand.New(rand.NewSource(seed))
+	n := randComb(rng, nInputs, gates)
+	inputs := randVectors(rng, cycles, nInputs)
+	c, err := Compile(n, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BuildCodegen(); err != nil {
+		t.Fatal(err)
+	}
+	var bs, bf, bg *budget.Budget
+	if maxSteps > 0 {
+		bs = budget.New(budget.WithMaxSteps(int64(maxSteps)), budget.WithCheckInterval(1))
+		bf = budget.New(budget.WithMaxSteps(int64(maxSteps)), budget.WithCheckInterval(1))
+		bg = budget.New(budget.WithMaxSteps(int64(maxSteps)), budget.WithCheckInterval(1))
+	}
+	serial, errS := RunBudget(bs, n, inputs, cycles, Options{})
+	fused, errF := c.Run(bf, inputs, cycles, RunOptions{Workers: 1, NoCodegen: true})
+	gen, errG := c.Run(bg, inputs, cycles, RunOptions{Workers: 1})
+	if (errS == nil) != (errG == nil) || (errF == nil) != (errG == nil) {
+		t.Fatalf("error divergence: serial=%v fused=%v codegen=%v", errS, errF, errG)
+	}
+	if errG != nil {
+		if !errors.Is(errG, budget.ErrExceeded) || !errors.Is(errF, budget.ErrExceeded) {
+			t.Fatalf("unexpected errors: %v / %v", errF, errG)
+		}
+		return
+	}
+	sameResult(t, serial, gen, kernel+" lanes: fuzz-codegen-serial")
+	sameResult(t, fused, gen, kernel+" lanes: fuzz-codegen-fused")
+	lean, err := c.Run(nil, inputs, cycles, RunOptions{Workers: 1, Lean: true})
+	if err != nil {
+		t.Fatalf("%s lanes: lean codegen run: %v", kernel, err)
+	}
+	if lean.Kernel != KernelCodegen {
+		t.Fatalf("%s lanes: lean run on %q, want codegen", kernel, lean.Kernel)
+	}
+	sameLean(t, gen, lean, kernel+" lanes: fuzz-codegen-lean")
 }
 
 // BenchmarkCodegenKernelWorkload is BenchmarkPackedKernelWorkload on

@@ -325,19 +325,23 @@ func (c *Compiled) Run(b *budget.Budget, inputs InputProvider, cycles int, opts 
 
 // packedScratch is the packed kernel's per-shard mutable state: the
 // 64-lane word and carry planes, the one-block cycle-word buffer for
-// the WordInputs gather, and the shard's numeric accumulators (toggle
-// counts, per-cycle capacitance, flat group rows). Planes are fully
-// rewritten before they are read; accumulators are zeroed on
-// acquisition — so recycled scratch cannot leak state between runs.
-// Buffers grow to the largest request seen and are resliced per run:
-// the word plane in particular must be exactly nGates long, because the
-// toggle-extraction loop ranges over it.
+// the WordInputs gather, one block's lane bins and the (word, load)
+// lists a lean extraction hands addLanes, and the shard's numeric
+// accumulators (toggle counts, per-cycle capacitance, flat group
+// rows). Planes are fully rewritten before they are read; accumulators
+// are zeroed on acquisition — so recycled scratch cannot leak state
+// between runs. Buffers grow to the largest request seen and are
+// resliced per run: the word plane in particular must be exactly
+// nGates long, because the toggle-extraction loop ranges over it.
 type packedScratch struct {
 	words    []uint64
 	carry    []uint64
 	state    []uint64   // unit-delay path: the recurrence's current step
 	commits  []udCommit // unit-delay path: one step's changed gates
 	cyc      [64]uint64
+	bins     [64]float64 // one block's per-cycle capacitance
+	tw       []uint64    // lean extraction: one block's toggle words...
+	lw       []float64   // ...and the loads they add, in charge order
 	toggles  []int64
 	capByCyc []float64
 	grpFlat  []float64
@@ -372,6 +376,16 @@ func (sc *packedScratch) unitDelayState(nGates int) (state []uint64, commits []u
 		sc.commits = make([]udCommit, 0, nGates)
 	}
 	return sc.state[:nGates], sc.commits[:0]
+}
+
+// laneLists returns the empty (word, load) lists of one block's lean
+// extraction, with room for n pairs so that appends never allocate.
+func (sc *packedScratch) laneLists(n int) (tw []uint64, lw []float64) {
+	if cap(sc.tw) < n {
+		sc.tw = make([]uint64, 0, n)
+		sc.lw = make([]float64, 0, n)
+	}
+	return sc.tw[:0], sc.lw[:0]
 }
 
 // togglesFor returns the zeroed per-net toggle accumulator.

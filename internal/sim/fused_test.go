@@ -230,14 +230,24 @@ func FuzzFusedEquivalence(f *testing.F) {
 	f.Add(int64(3), uint8(8), uint8(60), uint16(257), uint32(0))
 	f.Add(int64(42), uint8(4), uint8(30), uint16(128), uint32(500))
 	f.Fuzz(func(t *testing.T, seed int64, nIn, nGates uint8, cyc uint16, maxSteps uint32) {
-		fuzzAgainstSerial(t, seed, nIn, nGates, cyc, maxSteps,
-			func(b *budget.Budget, n *logic.Netlist, inputs InputProvider, cycles int) (*Result, error) {
-				c, err := Compile(n, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return c.Run(b, inputs, cycles, RunOptions{Workers: 1})
-			})
+		forEachLaneKernel(t, func(kernel string) {
+			fuzzAgainstSerial(t, seed, nIn, nGates, cyc, maxSteps,
+				func(b *budget.Budget, n *logic.Netlist, inputs InputProvider, cycles int) (*Result, error) {
+					c, err := Compile(n, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					full, err := c.Run(b, inputs, cycles, RunOptions{Workers: 1})
+					if err == nil {
+						lean, err := c.Run(nil, inputs, cycles, RunOptions{Workers: 1, Lean: true})
+						if err != nil {
+							t.Fatalf("%s lanes: lean run: %v", kernel, err)
+						}
+						sameLean(t, full, lean, kernel+" lanes: fuzz-lean")
+					}
+					return full, err
+				})
+		})
 	})
 }
 

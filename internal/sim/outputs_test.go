@@ -322,8 +322,15 @@ func randOutputsNetlist(rng *rand.Rand, family, nIn, nGates int) *logic.Netlist 
 // with its budget charges and exhaustion outcomes, on the path the
 // netlist's shape picks — and every path runs. The same netlists'
 // lean runs under a clock tree are RunBudget's power figures, on every
-// kernel a zero-delay run can take.
+// kernel a zero-delay run can take. It runs once per lane kernel the
+// host has.
 func TestOutputsMatchRunBudget(t *testing.T) {
+	forEachLaneKernel(t, func(kernel string) {
+		t.Run(kernel, outputsMatchRunBudget)
+	})
+}
+
+func outputsMatchRunBudget(t *testing.T) {
 	trials := 40
 	if testing.Short() {
 		trials = 10

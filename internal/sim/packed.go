@@ -222,7 +222,7 @@ func runShardPacked(b *budget.Budget, e *env, fused *logic.FusedProgram, inputs 
 	}
 
 	perCycle := int64(len(e.order)) + 1
-	var capBuf [64]float64
+	capBuf := &sc.bins
 	for w0 := 0; w0 < cycles; w0 += 64 {
 		lanes := cycles - w0
 		if lanes > 64 {
@@ -294,14 +294,19 @@ func runShardPacked(b *budget.Budget, e *env, fused *logic.FusedProgram, inputs 
 		// makes the packed sums bit-identical, not just close.
 		//
 		// A cycle's accumulator is only ever touched by its own word
-		// block, so the scatter lands in a block-local [64]float64 —
-		// masked array indexing the compiler need not bounds-check, the
-		// hottest loop in the kernel — and is copied (not added) into
-		// the shard slice afterwards: same adds, same order, same bits.
-		// The toggle/carry/load lookups are resliced to the word-plane
-		// length up front so the id-indexed accesses drop their bounds
-		// checks too.
-		capBuf = [64]float64{}
+		// block, so the adds land in a block-local [64]float64 of lane
+		// bins, copied (not added) into the shard slice afterwards:
+		// same adds, same order, same bits. A lean run adds across
+		// lanes (extractLean); a full run also attributes every add to
+		// the net's group, one lane at a time. The toggle/carry/load
+		// lookups are resliced to the word-plane length up front so the
+		// id-indexed accesses drop their bounds checks too.
+		*capBuf = [64]float64{}
+		if lean {
+			sc.extractLean(words, carry, sh.toggles, e.loads, mask)
+			copy(sh.capByCyc[w0:], capBuf[:lanes])
+			continue
+		}
 		tog := sh.toggles[:len(words)]
 		cb := carry[:len(words)]
 		loads := e.loads[:len(words)]
@@ -317,12 +322,6 @@ func runShardPacked(b *budget.Budget, e *env, fused *logic.FusedProgram, inputs 
 			if load == 0 {
 				continue // adding ±0.0 never changes a nonnegative sum's bits
 			}
-			if lean {
-				for ; t != 0; t &= t - 1 {
-					capBuf[bits.TrailingZeros64(t)&63] += load
-				}
-				continue
-			}
 			gi := e.groupOf[id]
 			for ; t != 0; t &= t - 1 {
 				j := bits.TrailingZeros64(t) & 63
@@ -332,9 +331,6 @@ func runShardPacked(b *budget.Budget, e *env, fused *logic.FusedProgram, inputs 
 		}
 		copy(sh.capByCyc[w0:], capBuf[:lanes])
 
-		if lean {
-			continue
-		}
 		// Per-cycle primary outputs, rows sliced from one flat buffer.
 		for j := 0; j < lanes; j++ {
 			row := outFlat[(w0+j)*nOut : (w0+j+1)*nOut : (w0+j+1)*nOut]

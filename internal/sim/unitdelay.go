@@ -9,8 +9,8 @@
 // each one's start and source values are known, so the recurrence runs
 // on machine words, one cycle per bit — the lanes GATSPI-style glitch
 // simulators parallelize over. The result, the budget charges and the
-// failure points are the wheel's, bit for bit: changes scatter into
-// per-lane accumulators in the wheel's commit order, and the wheel's
+// failure points are the wheel's, bit for bit: changes are added to
+// per-lane bins (addLanes) in the wheel's commit order, and the wheel's
 // Step sequence is replayed lane by lane.
 package sim
 
@@ -157,7 +157,7 @@ func runShardUnitDelay(b *budget.Budget, e *env, u *unitDelay, inputs InputProvi
 	perCycle := int64(len(e.order)) + 1
 	tog := sh.toggles[:nGates]
 	loads := e.loads[:nGates]
-	var capBuf [64]float64
+	capBuf := &sc.bins
 	var rounds [64]int
 	for w0 := 0; w0 < cycles; w0 += 64 {
 		// The lanes before a wrong-width vector run and charge, then its
@@ -169,17 +169,18 @@ func runShardUnitDelay(b *budget.Budget, e *env, u *unitDelay, inputs InputProvi
 
 			// The wheel's commit order, lane by lane: the clock charge
 			// (cycles ≥ 1), the sources in ascending id, then each step
-			// in ascending id.
-			capBuf = [64]float64{}
+			// in ascending id. record lists the changes in that order,
+			// and one addLanes call adds them to the lane bins.
+			*capBuf = [64]float64{}
 			for j := max(0, 1-(lo+w0)); j < lanes; j++ {
 				capBuf[j] = u.clockCap
 			}
+			tw, lw := sc.laneLists(len(e.sources) + len(u.stepGates))
 			record := func(id int32, t uint64) {
 				tog[id] += int64(bits.OnesCount64(t))
 				if load := loads[id]; load != 0 {
-					for ; t != 0; t &= t - 1 {
-						capBuf[bits.TrailingZeros64(t)&63] += load
-					}
+					tw = append(tw, t)
+					lw = append(lw, load)
 				}
 			}
 			// Step 0: the previous cycle's settled values (the settled
@@ -235,6 +236,7 @@ func runShardUnitDelay(b *budget.Budget, e *env, u *unitDelay, inputs InputProvi
 					hlerr.Throwf("sim.unitDelay", "gate %d ended off its settled value", id)
 				}
 			}
+			addLanes(capBuf, tw, lw)
 			copy(sh.capByCyc[w0:], capBuf[:lanes])
 
 			// Replay the wheel's Step sequence: each cycle's charge, then

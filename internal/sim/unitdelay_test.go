@@ -242,7 +242,9 @@ func FuzzUnitDelayEquivalence(f *testing.F) {
 		inputs := randVectors(rng, cycles, len(n.Inputs))
 		opts := eventOptions[int(opt)%len(eventOptions)]
 		workers := 1 + 2*(int(opt)/len(eventOptions)%2)
-		checkUnitDelay(t, n, inputs, cycles, opts, workers, sh <= udPipelined, "fuzz")
+		forEachLaneKernel(t, func(kernel string) {
+			checkUnitDelay(t, n, inputs, cycles, opts, workers, sh <= udPipelined, kernel+" lanes: fuzz")
+		})
 	})
 }
 
