@@ -95,9 +95,11 @@ cover:
 # equivalence targets (compiled and one-shot fused runs vs the serial
 # engine, codegen vs fused, the
 # event-driven timing wheel vs its map-scheduled reference, lean
-# unit-delay runs vs the timing wheel, and sim.Outputs' words vs
-# RunBudget's output rows, bit-identity including budget
-# exhaustion), the lane-kernel target (every addLanes implementation
+# unit-delay runs vs the timing wheel, and the words of
+# (*sim.Compiled).Outputs, on artifacts compiled under Options{} and
+# under recipe.Score's circuit and controller options, vs RunBudget's
+# output rows, bit-identity including budget exhaustion), the
+# lane-kernel target (every addLanes implementation
 # the host runs vs the kernel's definition), the predict equivalence
 # target (the served predict path vs the one-shot, interpreted
 # reference), the HTTP item-pipeline target (raw bodies

@@ -601,14 +601,14 @@ func main() {
 	snap.Results = append(snap.Results, mixEntry)
 
 	// Equivalence checking as the job engine runs it: one op is
-	// recipe.Verify of a retimed width-8 adder against its baseline and
-	// of the 4-state controller's one-hot re-encoding against its
-	// machine, at powerd's 128 verification cycles. Both candidates'
-	// output words are asserted equal to sim.RunBudget's output rows,
-	// steps included, before timing starts.
+	// recipe.Verify of a retimed width-8 adder against its baseline's
+	// outputs and of the 4-state controller's one-hot re-encoding
+	// against its machine's, at powerd's 128 verification cycles. Both
+	// designs' output words are asserted equal to sim.RunBudget's
+	// output rows, steps included, before timing starts.
 	type verifyCase struct {
-		prev, next *recipe.Design
-		w          *recipe.Workload
+		next *recipe.Design
+		w    *recipe.Workload
 	}
 	var verifyCases []verifyCase
 	for _, vc := range []struct {
@@ -631,12 +631,12 @@ func main() {
 				fatal(fmt.Errorf("optimize/verify: %+v %s: %w", vc.spec, vc.pass, err))
 			}
 		}
-		verifyCases = append(verifyCases, verifyCase{d, next, w})
+		verifyCases = append(verifyCases, verifyCase{next, w})
 	}
 	verifyEntry := measure("optimize/verify", 0, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, vc := range verifyCases {
-				if err := recipe.Verify(nil, vc.prev, vc.next, vc.w); err != nil {
+				if err := recipe.Verify(nil, vc.next, vc.w); err != nil {
 					fatal(err)
 				}
 			}
@@ -689,26 +689,38 @@ func main() {
 	}
 }
 
-// sameOutputs checks that sim.Outputs returns sim.RunBudget's output
-// rows for the netlist over the vectors and charges the same steps.
+// sameOutputs checks that (*sim.Compiled).Outputs, on the netlist
+// compiled under each option set recipe.Score uses, returns
+// sim.RunBudget's output rows over the vectors and charges the same
+// steps.
 func sameOutputs(net *logic.Netlist, vecs [][]bool) error {
 	inputs := sim.VectorInputs(vecs)
-	bw, br := budget.New(), budget.New()
-	words, err := sim.Outputs(bw, net, inputs, len(vecs))
-	if err != nil {
-		return err
-	}
+	br := budget.New()
 	ref, err := sim.RunBudget(br, net, inputs, len(vecs), sim.Options{})
 	if err != nil {
 		return err
 	}
-	for c, row := range ref.Outputs {
-		if want := bitutil.FromBits(row); words[c] != want {
-			return fmt.Errorf("cycle %d: outputs %#x, RunBudget %#x", c, words[c], want)
+	for _, opts := range []sim.Options{
+		{Model: sim.EventDriven, TrackClock: true, GateClock: true},
+		{TrackClock: true, GateClock: true},
+	} {
+		c, err := sim.Compile(net, opts)
+		if err != nil {
+			return err
 		}
-	}
-	if bw.StepsUsed() != br.StepsUsed() {
-		return fmt.Errorf("charged %d steps, RunBudget %d", bw.StepsUsed(), br.StepsUsed())
+		bw := budget.New()
+		words, err := c.Outputs(bw, inputs, len(vecs))
+		if err != nil {
+			return err
+		}
+		for cy, row := range ref.Outputs {
+			if want := bitutil.FromBits(row); words[cy] != want {
+				return fmt.Errorf("%+v: cycle %d: outputs %#x, RunBudget %#x", opts, cy, words[cy], want)
+			}
+		}
+		if bw.StepsUsed() != br.StepsUsed() {
+			return fmt.Errorf("%+v: charged %d steps, RunBudget %d", opts, bw.StepsUsed(), br.StepsUsed())
+		}
 	}
 	return nil
 }

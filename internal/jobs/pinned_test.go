@@ -42,34 +42,34 @@ type jobOutcome struct {
 var pinnedJobs = []pinnedJob{
 	{spec: recipe.Spec{Kind: recipe.KindCircuit, Circuit: "adder", Width: 8}, seed: 41, want: jobOutcome{
 		BestRecipe: nil, BestScore: 0x40d3ee3999999996, BaseScore: 0x40d3ee3999999996,
-		StepsUsed: 117186, Evaluated: 32, Degraded: 31}},
+		StepsUsed: 80066, Evaluated: 32, Degraded: 31}},
 	{spec: recipe.Spec{Kind: recipe.KindCircuit, Circuit: "adder", Width: 8}, seed: 41, limit: 26000, want: jobOutcome{
 		BestRecipe: nil, BestScore: 0x40d3ee3999999996, BaseScore: 0x40d3ee3999999996,
-		StepsUsed: 107817, Evaluated: 32, Degraded: 32}},
+		StepsUsed: 78121, Evaluated: 32, Degraded: 32}},
 	{spec: recipe.Spec{Kind: recipe.KindCircuit, Circuit: "carry-select", Width: 8}, seed: 45, want: jobOutcome{
 		BestRecipe: nil, BestScore: 0x40ddb6f999999997, BaseScore: 0x40ddb6f999999997,
-		StepsUsed: 170469, Evaluated: 32, Degraded: 31}},
+		StepsUsed: 116069, Evaluated: 32, Degraded: 31}},
 	{spec: recipe.Spec{Kind: recipe.KindCircuit, Circuit: "carry-select", Width: 8}, seed: 45, limit: 37000, want: jobOutcome{
 		BestRecipe: nil, BestScore: 0x40ddb6f999999997, BaseScore: 0x40ddb6f999999997,
-		StepsUsed: 156373, Evaluated: 32, Degraded: 32}},
+		StepsUsed: 112853, Evaluated: 32, Degraded: 32}},
 	{spec: recipe.Spec{Kind: recipe.KindCircuit, Circuit: "subtractor", Width: 8}, seed: 49, want: jobOutcome{
 		BestRecipe: []string{"retime"}, BestScore: 0x40dcdfacccccccd1, BaseScore: 0x40dec2b999999995,
-		StepsUsed: 297342, Evaluated: 32, Degraded: 28}},
+		StepsUsed: 212862, Evaluated: 32, Degraded: 28}},
 	{spec: recipe.Spec{Kind: recipe.KindCircuit, Circuit: "subtractor", Width: 8}, seed: 49, limit: 30000, want: jobOutcome{
 		BestRecipe: nil, BestScore: 0x40dec2b999999995, BaseScore: 0x40dec2b999999995,
-		StepsUsed: 125097, Evaluated: 32, Degraded: 32}},
+		StepsUsed: 91305, Evaluated: 32, Degraded: 32}},
 	{spec: recipe.Spec{Kind: recipe.KindCircuit, Circuit: "comparator", Width: 8}, seed: 51, want: jobOutcome{
 		BestRecipe: []string{"retime"}, BestScore: 0x40d6c62cccccccc8, BaseScore: 0x40d6c8e000000000,
-		StepsUsed: 290580, Evaluated: 32, Degraded: 28}},
+		StepsUsed: 196244, Evaluated: 32, Degraded: 28}},
 	{spec: recipe.Spec{Kind: recipe.KindCircuit, Circuit: "comparator", Width: 8}, seed: 51, limit: 27000, want: jobOutcome{
 		BestRecipe: nil, BestScore: 0x40d6c8e000000000, BaseScore: 0x40d6c8e000000000,
-		StepsUsed: 116796, Evaluated: 32, Degraded: 32}},
+		StepsUsed: 82492, Evaluated: 32, Degraded: 32}},
 	{spec: recipe.Spec{Kind: recipe.KindFSM, States: 4, Inputs: 1, Outputs: 2}, seed: 52, want: jobOutcome{
 		BestRecipe: []string{"enc-random"}, BestScore: 0x40a5630000000000, BaseScore: 0x40a679333333333d,
-		StepsUsed: 279100, Evaluated: 32, Degraded: 15}},
+		StepsUsed: 273084, Evaluated: 32, Degraded: 15}},
 	{spec: recipe.Spec{Kind: recipe.KindFSM, States: 4, Inputs: 1, Outputs: 2}, seed: 52, limit: 12000, want: jobOutcome{
 		BestRecipe: []string{"enc-random"}, BestScore: 0x40a5630000000000, BaseScore: 0x40a679333333333d,
-		StepsUsed: 222260, Evaluated: 32, Degraded: 21}},
+		StepsUsed: 218676, Evaluated: 32, Degraded: 21}},
 	{spec: recipe.Spec{Kind: recipe.KindBus, Width: 8}, seed: 53, want: jobOutcome{
 		BestRecipe: []string{"bus-bus-invert", "bus-t0", "bus-binary", "bus-t0-bi"}, BestScore: 0x408614cccccccccd, BaseScore: 0x408b180000000000,
 		StepsUsed: 25344, Evaluated: 32, Degraded: 9}},
@@ -84,10 +84,10 @@ var pinnedJobs = []pinnedJob{
 		StepsUsed: 18464, Evaluated: 32, Degraded: 18}},
 	{spec: recipe.Spec{Kind: recipe.KindCircuit, Circuit: "multiplier", Width: 4}, seed: 35, want: jobOutcome{
 		BestRecipe: []string{"retime"}, BestScore: 0x40e11ccffffffffc, BaseScore: 0x40e2849333333336,
-		StepsUsed: 1768593, Evaluated: 32, Degraded: 25}},
+		StepsUsed: 1517073, Evaluated: 32, Degraded: 25}},
 	{spec: recipe.Spec{Kind: recipe.KindCircuit, Circuit: "multiplier", Width: 4}, seed: 35, limit: 175000, want: jobOutcome{
 		BestRecipe: []string{"retime"}, BestScore: 0x40e11ccffffffffc, BaseScore: 0x40e2849333333336,
-		StepsUsed: 1530722, Evaluated: 32, Degraded: 30}},
+		StepsUsed: 1385570, Evaluated: 32, Degraded: 30}},
 }
 
 type pinnedJob struct {

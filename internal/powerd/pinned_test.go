@@ -47,25 +47,25 @@ var productionPins = []struct {
 	want  servedOutcome
 }{
 	{req: service.OptimizeRequest{Kind: "circuit", Circuit: "adder", Width: 8, Seed: 41}, want: servedOutcome{
-		BestRecipe: nil, BestScore: 0x40d3ee3999999996, BaseScore: 0x40d3ee3999999996, StepsUsed: 120185, Evaluated: 32, Degraded: 30}},
+		BestRecipe: nil, BestScore: 0x40d3ee3999999996, BaseScore: 0x40d3ee3999999996, StepsUsed: 90489, Evaluated: 32, Degraded: 30}},
 	{req: service.OptimizeRequest{Kind: "circuit", Circuit: "adder", Width: 8, Seed: 41}, limit: 26000, want: servedOutcome{
-		BestRecipe: nil, BestScore: 0x40d3ee3999999996, BaseScore: 0x40d3ee3999999996, StepsUsed: 101447, Evaluated: 32, Degraded: 32}},
+		BestRecipe: nil, BestScore: 0x40d3ee3999999996, BaseScore: 0x40d3ee3999999996, StepsUsed: 86599, Evaluated: 32, Degraded: 32}},
 	{req: service.OptimizeRequest{Kind: "circuit", Circuit: "carry-select", Width: 8, Seed: 45}, want: servedOutcome{
-		BestRecipe: nil, BestScore: 0x40ddb6f999999997, BaseScore: 0x40ddb6f999999997, StepsUsed: 174037, Evaluated: 32, Degraded: 30}},
+		BestRecipe: nil, BestScore: 0x40ddb6f999999997, BaseScore: 0x40ddb6f999999997, StepsUsed: 130517, Evaluated: 32, Degraded: 30}},
 	{req: service.OptimizeRequest{Kind: "circuit", Circuit: "carry-select", Width: 8, Seed: 45}, limit: 37000, want: servedOutcome{
-		BestRecipe: nil, BestScore: 0x40ddb6f999999997, BaseScore: 0x40ddb6f999999997, StepsUsed: 145845, Evaluated: 32, Degraded: 32}},
+		BestRecipe: nil, BestScore: 0x40ddb6f999999997, BaseScore: 0x40ddb6f999999997, StepsUsed: 124085, Evaluated: 32, Degraded: 32}},
 	{req: service.OptimizeRequest{Kind: "circuit", Circuit: "subtractor", Width: 8, Seed: 49}, want: servedOutcome{
-		BestRecipe: []string{"retime"}, BestScore: 0x40dcdfacccccccd1, BaseScore: 0x40dec2b999999995, StepsUsed: 196367, Evaluated: 32, Degraded: 30}},
+		BestRecipe: []string{"retime"}, BestScore: 0x40dcdfacccccccd1, BaseScore: 0x40dec2b999999995, StepsUsed: 137231, Evaluated: 32, Degraded: 30}},
 	{req: service.OptimizeRequest{Kind: "circuit", Circuit: "subtractor", Width: 8, Seed: 49}, limit: 30000, want: servedOutcome{
-		BestRecipe: nil, BestScore: 0x40dec2b999999995, BaseScore: 0x40dec2b999999995, StepsUsed: 117335, Evaluated: 32, Degraded: 32}},
+		BestRecipe: nil, BestScore: 0x40dec2b999999995, BaseScore: 0x40dec2b999999995, StepsUsed: 100439, Evaluated: 32, Degraded: 32}},
 	{req: service.OptimizeRequest{Kind: "circuit", Circuit: "comparator", Width: 8, Seed: 51}, want: servedOutcome{
-		BestRecipe: []string{"retime"}, BestScore: 0x40d6c62cccccccc8, BaseScore: 0x40d6c8e000000000, StepsUsed: 181548, Evaluated: 32, Degraded: 30}},
+		BestRecipe: []string{"retime"}, BestScore: 0x40d6c62cccccccc8, BaseScore: 0x40d6c8e000000000, StepsUsed: 121516, Evaluated: 32, Degraded: 30}},
 	{req: service.OptimizeRequest{Kind: "circuit", Circuit: "comparator", Width: 8, Seed: 51}, limit: 27000, want: servedOutcome{
-		BestRecipe: nil, BestScore: 0x40d6c8e000000000, BaseScore: 0x40d6c8e000000000, StepsUsed: 108848, Evaluated: 32, Degraded: 32}},
+		BestRecipe: nil, BestScore: 0x40d6c8e000000000, BaseScore: 0x40d6c8e000000000, StepsUsed: 91696, Evaluated: 32, Degraded: 32}},
 	{req: service.OptimizeRequest{Kind: "fsm", States: 4, Inputs: 1, Outputs: 2, Seed: 52}, want: servedOutcome{
-		BestRecipe: []string{"enc-random"}, BestScore: 0x40a5630000000000, BaseScore: 0x40a679333333333d, StepsUsed: 279100, Evaluated: 32, Degraded: 15}},
+		BestRecipe: []string{"enc-random"}, BestScore: 0x40a5630000000000, BaseScore: 0x40a679333333333d, StepsUsed: 273084, Evaluated: 32, Degraded: 15}},
 	{req: service.OptimizeRequest{Kind: "fsm", States: 4, Inputs: 1, Outputs: 2, Seed: 52}, limit: 12000, want: servedOutcome{
-		BestRecipe: []string{"enc-random"}, BestScore: 0x40a5630000000000, BaseScore: 0x40a679333333333d, StepsUsed: 222260, Evaluated: 32, Degraded: 21}},
+		BestRecipe: []string{"enc-random"}, BestScore: 0x40a5630000000000, BaseScore: 0x40a679333333333d, StepsUsed: 218676, Evaluated: 32, Degraded: 21}},
 	{req: service.OptimizeRequest{Kind: "bus", Width: 8, Seed: 53}, want: servedOutcome{
 		BestRecipe: []string{"bus-bus-invert", "bus-t0", "bus-binary", "bus-t0-bi"}, BestScore: 0x408614cccccccccd, BaseScore: 0x408b180000000000, StepsUsed: 25344, Evaluated: 32, Degraded: 9}},
 	{req: service.OptimizeRequest{Kind: "bus", Width: 8, Seed: 53}, limit: 800, want: servedOutcome{
@@ -75,9 +75,9 @@ var productionPins = []struct {
 	{req: service.OptimizeRequest{Kind: "bus", Width: 16, Seed: 54}, limit: 800, want: servedOutcome{
 		BestRecipe: []string{"bus-gray", "bus-t0-bi"}, BestScore: 0x40975a6666666666, BaseScore: 0x409aac0000000000, StepsUsed: 18464, Evaluated: 32, Degraded: 18}},
 	{req: service.OptimizeRequest{Kind: "circuit", Circuit: "multiplier", Width: 4, Seed: 35}, want: servedOutcome{
-		BestRecipe: []string{"retime"}, BestScore: 0x40e11ccffffffffc, BaseScore: 0x40e2849333333336, StepsUsed: 2087235, Evaluated: 32, Degraded: 26}},
+		BestRecipe: []string{"retime"}, BestScore: 0x40e11ccffffffffc, BaseScore: 0x40e2849333333336, StepsUsed: 1752003, Evaluated: 32, Degraded: 26}},
 	{req: service.OptimizeRequest{Kind: "circuit", Circuit: "multiplier", Width: 4, Seed: 35}, limit: 175000, want: servedOutcome{
-		BestRecipe: []string{"retime"}, BestScore: 0x40e11ccffffffffc, BaseScore: 0x40e2849333333336, StepsUsed: 1701906, Evaluated: 32, Degraded: 31}},
+		BestRecipe: []string{"retime"}, BestScore: 0x40e11ccffffffffc, BaseScore: 0x40e2849333333336, StepsUsed: 1540626, Evaluated: 32, Degraded: 31}},
 }
 
 // TestPinnedJobOutcomesProduction pins job outcomes on the production

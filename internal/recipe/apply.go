@@ -36,13 +36,14 @@ func (e *VerifyError) Error() string {
 	return fmt.Sprintf("recipe: equivalence violated at cycle %d: %s", e.Cycle, e.Detail)
 }
 
-// Apply runs one named pass over the design with a seeded RNG and
-// verifies the result is functionally equivalent to its input under
-// the workload's verification stimulus. c is the memo cache the pass
-// may keep artifacts in (nil means none): the controller passes
-// synthesize each distinct controller once per cache, and the designs
-// built on it share its netlist. A panicking pass is contained via
-// hlerr.FromPanic and surfaces as a *PassError like any other failure.
+// Apply runs one named pass over the design with a seeded RNG,
+// compiles the result's netlist for Verify and Score, and verifies
+// that it computes what the baseline computes under the workload's
+// verification stimulus. c is the memo cache the pass may keep
+// artifacts in (nil means none): the controller passes synthesize each
+// distinct controller once per cache, and the designs built on it
+// share its netlist. A panicking pass is contained via hlerr.FromPanic
+// and surfaces as a *PassError like any other failure.
 func Apply(b *budget.Budget, c *memo.Cache, d *Design, w *Workload, name string, seed uint64) (*Design, error) {
 	p, ok := Lookup(name)
 	if !ok {
@@ -55,7 +56,12 @@ func Apply(b *budget.Budget, c *memo.Cache, d *Design, w *Workload, name string,
 	if err != nil {
 		return nil, &PassError{Pass: name, Err: err}
 	}
-	if err := Verify(b, d, out, w); err != nil {
+	if out.Kind != KindBus {
+		if out.art, err = out.artifact(); err != nil {
+			return nil, &PassError{Pass: name, Err: err}
+		}
+	}
+	if err := Verify(b, out, w); err != nil {
 		return nil, &PassError{Pass: name, Err: err}
 	}
 	return out, nil
@@ -114,24 +120,22 @@ func (s *lazySource) Int63() int64    { return s.get().Int63() }
 func (s *lazySource) Uint64() uint64  { return s.get().Uint64() }
 func (s *lazySource) Seed(seed int64) { s.release(); s.seed = seed }
 
-// Verify checks that next preserves prev's observable behaviour on the
+// Verify checks that next computes what the baseline computes on the
 // workload's verification stimulus.
 //
-//   - circuit: lockstep zero-delay simulation of both netlists with
-//     next's outputs read Δ = next.Latency − prev.Latency cycles later
-//     (passes only ever add pipeline latency, so Δ ≥ 0); compared on
-//     the region where both streams reflect real inputs.
-//   - fsm: the synthesized controller is checked against the abstract
-//     machine itself (its output words on the stimulus, which Build
-//     computes once) — stronger than checking against prev, since
-//     errors cannot accumulate along a recipe.
+//   - circuit, fsm: next's zero-delay output words, read next.Latency
+//     cycles late, must equal the reference Build computed once
+//     (Workload.VerifyOut: the baseline circuit's outputs, or the
+//     abstract machine's), on every cycle c with c + next.Latency
+//     inside the stimulus; a latency that leaves no such cycle fails.
+//     A pass only ever starts from a design that passed this check, so
+//     checking against the baseline accepts exactly the designs that
+//     checking against the pass's input would.
 //   - bus: exact decode(encode(w)) round-trip over the address trace.
-func Verify(b *budget.Budget, prev, next *Design, w *Workload) error {
+func Verify(b *budget.Budget, next *Design, w *Workload) error {
 	switch next.Kind {
-	case KindCircuit:
-		return verifyCircuit(b, prev, next, w)
-	case KindFSM:
-		return verifyFSM(b, next, w)
+	case KindCircuit, KindFSM:
+		return verifyNet(b, next, w)
 	case KindBus:
 		return verifyBus(b, next, w)
 	default:
@@ -139,50 +143,25 @@ func Verify(b *budget.Budget, prev, next *Design, w *Workload) error {
 	}
 }
 
-func verifyCircuit(b *budget.Budget, prev, next *Design, w *Workload) error {
-	if len(prev.Net.Outputs) != len(next.Net.Outputs) {
-		return &VerifyError{Detail: fmt.Sprintf("output count %d -> %d", len(prev.Net.Outputs), len(next.Net.Outputs))}
+func verifyNet(b *budget.Budget, next *Design, w *Workload) error {
+	if width := len(next.Net.Outputs); width != w.VerifyOutputs {
+		return &VerifyError{Detail: fmt.Sprintf("output count %d, want %d", width, w.VerifyOutputs)}
 	}
-	delta := next.Latency - prev.Latency
-	if delta < 0 {
-		return &VerifyError{Detail: fmt.Sprintf("latency decreased %d -> %d", prev.Latency, next.Latency)}
+	cycles, lat := len(w.VerifyOut), next.Latency
+	if lat < 0 || lat >= cycles {
+		return &VerifyError{Detail: fmt.Sprintf("latency %d outside [0,%d)", lat, cycles)}
 	}
-	cycles := len(w.VerifyVecs)
-	inputs := sim.VectorInputs(w.VerifyVecs)
-	ref, err := sim.Outputs(b, prev.Net, inputs, cycles)
+	art, err := next.artifact()
 	if err != nil {
 		return err
 	}
-	got, err := sim.Outputs(b, next.Net, inputs, cycles)
+	got, err := art.Outputs(b, sim.VectorInputs(w.VerifyVecs), cycles)
 	if err != nil {
 		return err
 	}
-	// prev's output at cycle c reflects input c−prev.Latency; next's at
-	// c+Δ reflects the same input. Both are defined for c ≥ prev.Latency.
-	for c := prev.Latency; c+delta < cycles; c++ {
-		if diff := ref[c] ^ got[c+delta]; diff != 0 {
+	for c := 0; c+lat < cycles; c++ {
+		if diff := w.VerifyOut[c] ^ got[c+lat]; diff != 0 {
 			return &VerifyError{Cycle: c, Detail: fmt.Sprintf("output %d differs", bits.TrailingZeros64(diff))}
-		}
-	}
-	return nil
-}
-
-func verifyFSM(b *budget.Budget, next *Design, w *Workload) error {
-	if err := b.Step(int64(len(w.VerifySyms))); err != nil {
-		return err
-	}
-	got, err := sim.Outputs(b, next.Net, sim.VectorInputs(w.VerifyVecs), len(w.VerifyVecs))
-	if err != nil {
-		return err
-	}
-	nOut := next.F.NumOutputs
-	if width := len(next.Net.Outputs); width != nOut {
-		return &VerifyError{Detail: fmt.Sprintf("output width %d, want %d", width, nOut)}
-	}
-	mask := uint64(1)<<uint(nOut) - 1
-	for c, want := range w.VerifyOut {
-		if diff := (got[c] ^ want) & mask; diff != 0 {
-			return &VerifyError{Cycle: c, Detail: fmt.Sprintf("output %d differs from machine", bits.TrailingZeros64(diff))}
 		}
 	}
 	return nil

@@ -10,9 +10,9 @@
 // layer already exposes: an RT-library combinational circuit, a random
 // Mealy controller, and an address bus. Each registered pass maps a
 // Design (plus a seeded RNG for its free choices) to a transformed
-// Design, and Apply verifies functional equivalence against the input
-// design after every application — a pass that changes behaviour is a
-// typed verification error, never a silently wrong candidate.
+// Design, and Apply verifies functional equivalence against the
+// baseline after every application — a pass that changes behaviour is
+// a typed verification error, never a silently wrong candidate.
 package recipe
 
 import (
@@ -125,6 +125,11 @@ type Design struct {
 	Net     *logic.Netlist
 	Latency int // output delay in cycles added relative to the baseline
 
+	// art is Net compiled under Score's options when Build or Apply
+	// made the design; Verify and Score both run it. A copy whose Net a
+	// caller replaced no longer matches it and compiles on use.
+	art *sim.Compiled
+
 	F     *fsm.FSM
 	Enc   *fsm.Encoding
 	Gated bool
@@ -144,8 +149,8 @@ type Design struct {
 // SizeBytes estimates the design's resident size for cache accounting.
 func (d *Design) SizeBytes() int64 {
 	var sz int64 = 256
-	if d.Net != nil {
-		sz += netBytes(d.Net)
+	if d.Net != nil { // Build and Apply compile every netlist they make
+		sz += netBytes(d.Net) + artBytes*int64(len(d.Net.Gates))
 	}
 	if d.F != nil {
 		sz += int64(d.F.NumStates*d.F.NumSymbols()) * 16
@@ -159,6 +164,10 @@ func (d *Design) SizeBytes() int64 {
 // netBytes estimates a netlist's resident size for cache accounting.
 func netBytes(n *logic.Netlist) int64 { return int64(len(n.Gates)) * 64 }
 
+// artBytes is a compiled netlist's resident size per gate, a pooled
+// scratch included: the benchmark's designs measured 100–195 bytes.
+const artBytes = 160
+
 // Workload is the fixed stimulus a job scores and verifies candidates
 // against. It is derived deterministically from (Spec, seed) at build
 // time and shared read-only across every candidate evaluation.
@@ -166,9 +175,11 @@ type Workload struct {
 	Kind       string
 	EvalVecs   [][]bool // per-cycle primary-input vectors for scoring
 	VerifyVecs [][]bool // independent vectors for equivalence checks
-	VerifySyms []int    // fsm: verification symbol stream (VerifyVecs mirrors it)
-	VerifyOut  []uint64 // fsm: the machine's output word per VerifySyms cycle
-	Stream     []uint64 // bus: address trace (scored and verified)
+	// The reference every design is verified against: the baseline
+	// circuit's (fsm: the machine's) output word per VerifyVecs cycle.
+	VerifyOut     []uint64
+	VerifyOutputs int      // outputs per VerifyOut word
+	Stream        []uint64 // bus: address trace (scored and verified)
 }
 
 // splitmix is the canonical seeded word stream used for all workload
@@ -247,9 +258,18 @@ func Build(spec Spec, seed int64, evalCycles, verifyCycles int) (*Design, *Workl
 		nIn := len(mod.Net.Inputs)
 		d := &Design{Kind: KindCircuit, Net: mod.Net}
 		w := &Workload{
-			Kind:       KindCircuit,
-			EvalVecs:   bitVecs(evalSeed, evalCycles, nIn),
-			VerifyVecs: bitVecs(verifySeed, verifyCycles, nIn),
+			Kind:          KindCircuit,
+			EvalVecs:      bitVecs(evalSeed, evalCycles, nIn),
+			VerifyVecs:    bitVecs(verifySeed, verifyCycles, nIn),
+			VerifyOutputs: len(mod.Net.Outputs),
+		}
+		art, err := d.artifact()
+		if err != nil {
+			return nil, nil, err
+		}
+		d.art = art
+		if w.VerifyOut, err = art.Outputs(nil, sim.VectorInputs(w.VerifyVecs), verifyCycles); err != nil {
+			return nil, nil, err
 		}
 		return d, w, nil
 	case KindFSM:
@@ -261,18 +281,22 @@ func Build(spec Spec, seed int64, evalCycles, verifyCycles int) (*Design, *Workl
 		}
 		nsym := f.NumSymbols()
 		verifySyms := symStream(verifySeed, verifyCycles, nsym)
-		// Passes never replace the machine, so its reference outputs
-		// are computed once per job.
+		// Passes never replace the machine, so its outputs are every
+		// controller's reference.
 		_, verifyOut := f.Simulate(verifySyms)
 		w := &Workload{
-			Kind:       KindFSM,
-			EvalVecs:   symVecs(symStream(evalSeed, evalCycles, nsym), spec.Inputs),
-			VerifySyms: verifySyms,
-			VerifyVecs: symVecs(verifySyms, spec.Inputs),
-			VerifyOut:  verifyOut,
+			Kind:          KindFSM,
+			EvalVecs:      symVecs(symStream(evalSeed, evalCycles, nsym), spec.Inputs),
+			VerifyVecs:    symVecs(verifySyms, spec.Inputs),
+			VerifyOut:     verifyOut,
+			VerifyOutputs: f.NumOutputs,
 		}
 		probs, probsErr := f.TransitionProbabilities(nil)
-		return &Design{Kind: KindFSM, Net: net, F: f, Enc: enc, probs: probs, probsErr: probsErr}, w, nil
+		d := &Design{Kind: KindFSM, Net: net, F: f, Enc: enc, probs: probs, probsErr: probsErr}
+		if d.art, err = d.artifact(); err != nil {
+			return nil, nil, err
+		}
+		return d, w, nil
 	case KindBus:
 		// Address traces interleave a few strided working zones — the
 		// access pattern the coder family was designed for.
@@ -305,7 +329,11 @@ func Build(spec Spec, seed int64, evalCycles, verifyCycles int) (*Design, *Workl
 func Score(b *budget.Budget, d *Design, w *Workload) (float64, error) {
 	switch d.Kind {
 	case KindCircuit, KindFSM:
-		res, err := simulate(b, d, w)
+		c, err := d.artifact()
+		if err != nil {
+			return 0, err
+		}
+		res, err := c.Run(b, sim.VectorInputs(w.EvalVecs), len(w.EvalVecs), sim.RunOptions{Workers: 1, Lean: true})
 		if err != nil {
 			return 0, err
 		}
@@ -328,24 +356,24 @@ func Score(b *budget.Budget, d *Design, w *Workload) (float64, error) {
 	}
 }
 
-// simulate runs a circuit or controller over the evaluation stimulus
-// for Score: lean and single-shard, so b is charged exactly as
-// sim.RunBudget charges it and the totals are Float64bits-identical to
-// it. Circuits run event-driven so glitch filtering (retiming, guards)
-// is visible, which on unit-delay feed-forward netlists is the 64-lane
-// unit-delay path; controllers run zero-delay, which for at most 6
-// state and input bits is the (state, input) table path. Clock
+// artifact returns the design's compiled netlist: the one Build or
+// Apply kept, or a fresh one when Net is not the netlist it was
+// compiled from. Score runs it lean and single-shard, which charges b
+// exactly as sim.RunBudget charges it, with Float64bits-identical
+// totals. Circuits run event-driven so glitch filtering (retiming,
+// guards) is visible, which on unit-delay feed-forward netlists is the
+// 64-lane unit-delay path; controllers run zero-delay, which for at
+// most 6 state and input bits is the (state, input) table path. Clock
 // tracking makes added registers pay their way.
-func simulate(b *budget.Budget, d *Design, w *Workload) (*sim.Result, error) {
+func (d *Design) artifact() (*sim.Compiled, error) {
+	if d.art != nil && d.art.Netlist() == d.Net {
+		return d.art, nil
+	}
 	opts := sim.Options{TrackClock: true, GateClock: true}
 	if d.Kind == KindCircuit {
 		opts.Model = sim.EventDriven
 	}
-	c, err := sim.Compile(d.Net, opts)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(b, sim.VectorInputs(w.EvalVecs), len(w.EvalVecs), sim.RunOptions{Workers: 1, Lean: true})
+	return sim.Compile(d.Net, opts)
 }
 
 // EncodeScoreKey writes exactly the design fields Score reads: the

@@ -77,17 +77,31 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestScorePaths pins where Score's simulations run: the benchmark's
-// four optimize-job circuits at width 8, baseline and retimed, on the
-// unit-delay path (a silent fallback to the timing wheel would
-// otherwise show only as a slower benchmark), and an FSM controller
-// (5 state and input bits) on its (state, input) table. Each scores
-// Float64bits-identically to sim.RunBudget and charges the same steps.
+// TestScorePaths pins where Score's simulations run: the artifact a
+// design keeps takes, for the benchmark's four optimize-job circuits
+// at width 8, baseline and retimed, the unit-delay path (a silent
+// fallback to the timing wheel would otherwise show only as a slower
+// benchmark), and for an FSM controller (5 state and input bits) its
+// (state, input) table. Each scores Float64bits-identically to
+// sim.RunBudget and charges the same steps.
 func TestScorePaths(t *testing.T) {
 	check := func(label string, d *Design, w *Workload, kernel string, opts sim.Options) {
 		t.Helper()
+		if d.art == nil {
+			t.Fatalf("%s: no kept artifact", label)
+		}
+		run, err := d.art.Run(nil, sim.VectorInputs(w.EvalVecs), len(w.EvalVecs), sim.RunOptions{Workers: 1, Lean: true})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if run.Kernel != kernel {
+			t.Errorf("%s: kernel %q, want %q", label, run.Kernel, kernel)
+		}
+		if run.Outputs != nil || run.ByGroup != nil || run.Final != nil {
+			t.Errorf("%s: lean run materialized outputs, groups or final values", label)
+		}
 		bg, bw := testBudget(), testBudget()
-		got, err := simulate(bg, d, w)
+		got, err := Score(bg, d, w)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -95,14 +109,8 @@ func TestScorePaths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", label, err)
 		}
-		if got.Kernel != kernel {
-			t.Errorf("%s: kernel %q, want %q", label, got.Kernel, kernel)
-		}
-		if math.Float64bits(got.SwitchedCap) != math.Float64bits(want.SwitchedCap) || bg.StepsUsed() != bw.StepsUsed() {
-			t.Errorf("%s: score %v in %d steps, sim.RunBudget %v in %d", label, got.SwitchedCap, bg.StepsUsed(), want.SwitchedCap, bw.StepsUsed())
-		}
-		if got.Outputs != nil || got.ByGroup != nil || got.Final != nil {
-			t.Errorf("%s: lean run materialized outputs, groups or final values", label)
+		if math.Float64bits(got) != math.Float64bits(want.SwitchedCap) || bg.StepsUsed() != bw.StepsUsed() {
+			t.Errorf("%s: score %v in %d steps, sim.RunBudget %v in %d", label, got, bg.StepsUsed(), want.SwitchedCap, bw.StepsUsed())
 		}
 	}
 	ed := sim.Options{Model: sim.EventDriven, TrackClock: true, GateClock: true}
@@ -247,6 +255,126 @@ func TestVerifyCatchesBrokenPass(t *testing.T) {
 	var ve *VerifyError
 	if !errors.As(err, &ve) {
 		t.Fatalf("broken pass not caught by verification: %v", err)
+	}
+}
+
+// TestDesignKeepsItsArtifact: a design Build or Apply makes keeps its
+// netlist compiled under Score's options, and Verify and Score run
+// that artifact without compiling again; a copy whose Net was
+// replaced never runs on the old artifact.
+func TestDesignKeepsItsArtifact(t *testing.T) {
+	cd, cw, err := Build(Spec{Kind: KindCircuit, Circuit: "adder", Width: 4}, 3, 96, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retimed, err := Apply(testBudget(), nil, cd, cw, "retime", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd, fw, err := Build(Spec{Kind: KindFSM, States: 4, Inputs: 1, Outputs: 2}, 3, 96, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gray, err := Apply(testBudget(), nil, fd, fw, "enc-gray", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	score := func(label string, d *Design, w *Workload) float64 {
+		t.Helper()
+		s, err := Score(testBudget(), d, w)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		label string
+		d     *Design
+		w     *Workload
+	}{
+		{"adder", cd, cw}, {"adder retimed", retimed, cw},
+		{"fsm", fd, fw}, {"fsm enc-gray", gray, fw},
+	} {
+		d, w := tc.d, tc.w
+		if d.art == nil || d.art.Netlist() != d.Net {
+			t.Fatalf("%s: no artifact of its netlist kept", tc.label)
+		}
+		if art, err := d.artifact(); err != nil || art != d.art {
+			t.Fatalf("%s: compiled again (%v)", tc.label, err)
+		}
+		// Circuit artifacts take the unit-delay program on both paths,
+		// which draw one pooled scratch each.
+		gets, _ := d.art.ScratchStats()
+		if err := Verify(testBudget(), d, w); err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		want := score(tc.label, d, w)
+		if after, _ := d.art.ScratchStats(); d.Kind == KindCircuit && after != gets+2 {
+			t.Fatalf("%s: Verify and Score drew %d scratches from the kept artifact, want 2", tc.label, after-gets)
+		}
+		// Score reads whatever artifact of its Net the design keeps.
+		swapped := *d
+		if swapped.art, err = sim.Compile(d.Net, sim.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := swapped.art.Run(nil, sim.VectorInputs(w.EvalVecs), len(w.EvalVecs), sim.RunOptions{Workers: 1, Lean: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := score(tc.label, &swapped, w); math.Float64bits(got) != math.Float64bits(res.SwitchedCap) || got == want {
+			t.Fatalf("%s: score %v on a swapped artifact, its run %v, the kept one's %v", tc.label, got, res.SwitchedCap, want)
+		}
+		// A copy with an equal but replaced netlist scores and verifies
+		// alike on a fresh artifact; one with a flipped gate fails.
+		gets, _ = d.art.ScratchStats()
+		same := *d
+		same.Net = d.Net.Clone()
+		if err := Verify(testBudget(), &same, w); err != nil {
+			t.Fatalf("%s copy: %v", tc.label, err)
+		}
+		if got := score(tc.label+" copy", &same, w); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s copy: score %v, want %v", tc.label, got, want)
+		}
+		broken := *d
+		broken.Net = d.Net.Clone()
+		breakings[0].mut(&broken)
+		var ve *VerifyError
+		if err := Verify(testBudget(), &broken, w); !errors.As(err, &ve) {
+			t.Fatalf("%s with a flipped gate: got %v, want a VerifyError", tc.label, err)
+		}
+		if after, _ := d.art.ScratchStats(); after != gets {
+			t.Fatalf("%s: copies drew %d scratches from the old artifact", tc.label, after-gets)
+		}
+	}
+}
+
+// TestVerifyRejectsUncheckedLatency: a design whose latency leaves no
+// verification cycle to compare fails, however wrong its netlist. An
+// adder whose XOR gates all became ANDs fails at latency 0 and used to
+// pass unchecked at latency 2 over 2 verification cycles.
+func TestVerifyRejectsUncheckedLatency(t *testing.T) {
+	d, w, err := Build(Spec{Kind: KindCircuit, Circuit: "adder", Width: 4}, 1, 64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := *d
+	broken.Net = d.Net.Clone()
+	for id := range broken.Net.Gates {
+		if broken.Net.Gates[id].Kind == logic.Xor {
+			broken.Net.Gates[id].Kind = logic.And
+		}
+	}
+	var ve *VerifyError
+	if err := Verify(testBudget(), &broken, w); !errors.As(err, &ve) || ve.Cycle != 0 {
+		t.Fatalf("latency 0: got %v, want a VerifyError at cycle 0", err)
+	}
+	for _, lat := range []int{-1, 2, 3} {
+		for _, cand := range []Design{broken, *d} {
+			cand.Latency = lat
+			if err := Verify(testBudget(), &cand, w); !errors.As(err, &ve) {
+				t.Fatalf("latency %d over 2 cycles: got %v, want a VerifyError", lat, err)
+			}
+		}
 	}
 }
 

@@ -103,6 +103,9 @@ func (c *Compiled) getScratch() *packedScratch {
 // NumGates returns the gate count of the compiled netlist.
 func (c *Compiled) NumGates() int { return len(c.e.n.Gates) }
 
+// Netlist returns the netlist the artifact was compiled from.
+func (c *Compiled) Netlist() *logic.Netlist { return c.e.n }
+
 // Packed reports whether runs may execute on the 64-lane bit-packed
 // kernel (combinational netlist, zero-delay model).
 func (c *Compiled) Packed() bool { return c.fused != nil }

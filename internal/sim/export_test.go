@@ -1,20 +1,22 @@
 package sim
 
-import "hlpower/internal/logic"
-
-// Outputs' paths, as OutputsPath names them.
+// The paths of (*Compiled).Outputs, as OutputsPath names them.
 const (
 	PathFeedForward = "feed-forward"
+	PathFused       = "fused"
 	PathTable       = "table"
 	PathRun         = "run"
 )
 
-// OutputsPath names the path Outputs takes for n.
-func OutputsPath(n *logic.Netlist) string {
-	switch ff, tab := planOutputs(n); {
-	case ff != nil:
+// OutputsPath names the path c.Outputs takes: it reads the plan
+// Compile made.
+func OutputsPath(c *Compiled) string {
+	switch {
+	case c.ud != nil:
 		return PathFeedForward
-	case tab != nil:
+	case c.fused != nil:
+		return PathFused
+	case c.tab != nil:
 		return PathTable
 	}
 	return PathRun

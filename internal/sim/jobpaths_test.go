@@ -10,32 +10,35 @@ import (
 )
 
 // TestJobDesignsTakeWordPaths: every design the optimize-jobs
-// benchmark verifies runs on a word path of sim.Outputs, never on the
-// RunBudget fallback, and every controller it scores runs on the table
-// kernel, never on the interpreted engine; either fallback would show
-// only as a slower benchmark. The designs are the four width-8
-// circuits, baseline and retimed, and the 4-state, 1-input, 2-output
-// controller under every encoding, with and without a gated clock.
+// benchmark verifies and scores is compiled, under recipe.Score's
+// options, into an artifact whose Outputs take a word path and whose
+// lean runs take a packed kernel: circuits the unit-delay program's
+// feed-forward settle and the unit-delay kernel, controllers the
+// (state, input) table. A fallback to RunBudget or to the interpreted
+// engines would show only as a slower benchmark. The designs are the
+// four width-8 circuits, baseline and retimed, and the 4-state,
+// 1-input, 2-output controller under every encoding, with and without
+// a gated clock.
 func TestJobDesignsTakeWordPaths(t *testing.T) {
-	check := func(d *recipe.Design, label string) {
+	// recipe.Score's options (TestScorePaths pins the kernels its kept
+	// artifacts run on).
+	circuit := sim.Options{Model: sim.EventDriven, TrackClock: true, GateClock: true}
+	controller := sim.Options{TrackClock: true, GateClock: true}
+	check := func(d *recipe.Design, w *recipe.Workload, opts sim.Options, path, kernel, label string) {
 		t.Helper()
-		if got := sim.OutputsPath(d.Net); got == sim.PathRun {
-			t.Errorf("%s: Outputs takes the %s path", label, got)
-		}
-	}
-	// recipe.Score's controller run (TestScorePaths pins its options).
-	checkScore := func(d *recipe.Design, w *recipe.Workload, label string) {
-		t.Helper()
-		c, err := sim.Compile(d.Net, sim.Options{TrackClock: true, GateClock: true})
+		c, err := sim.Compile(d.Net, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
+		}
+		if got := sim.OutputsPath(c); got != path {
+			t.Errorf("%s: Outputs takes the %s path, want %s", label, got, path)
 		}
 		res, err := c.Run(nil, sim.VectorInputs(w.EvalVecs), len(w.EvalVecs), sim.RunOptions{Workers: 1, Lean: true})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		if res.Kernel != sim.KernelTable {
-			t.Errorf("%s: scores on the %q kernel, want %q", label, res.Kernel, sim.KernelTable)
+		if res.Kernel != kernel {
+			t.Errorf("%s: scores on the %q kernel, want %q", label, res.Kernel, kernel)
 		}
 	}
 	apply := func(d *recipe.Design, w *recipe.Workload, pass string, seed uint64) *recipe.Design {
@@ -49,14 +52,14 @@ func TestJobDesignsTakeWordPaths(t *testing.T) {
 		}
 		return next
 	}
-	for _, circuit := range []string{"adder", "carry-select", "subtractor", "comparator"} {
-		d, w, err := recipe.Build(recipe.Spec{Kind: recipe.KindCircuit, Circuit: circuit, Width: 8}, 1, 64, 64)
+	for _, name := range []string{"adder", "carry-select", "subtractor", "comparator"} {
+		d, w, err := recipe.Build(recipe.Spec{Kind: recipe.KindCircuit, Circuit: name, Width: 8}, 1, 64, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(d, circuit)
+		check(d, w, circuit, sim.PathFeedForward, sim.KernelUnitDelay, name)
 		for seed := uint64(0); seed < 4; seed++ {
-			check(apply(d, w, "retime", seed), circuit+" retime")
+			check(apply(d, w, "retime", seed), w, circuit, sim.PathFeedForward, sim.KernelUnitDelay, name+" retime")
 		}
 	}
 	encodings := []string{"enc-binary", "enc-gray", "enc-one-hot", "enc-random", "enc-low-power"}
@@ -67,12 +70,10 @@ func TestJobDesignsTakeWordPaths(t *testing.T) {
 		}
 		gated := apply(d, w, "clock-gate", 0)
 		for _, base := range []*recipe.Design{d, gated} {
-			check(base, "fsm")
-			checkScore(base, w, "fsm")
+			check(base, w, controller, sim.PathTable, sim.KernelTable, "fsm")
 			for _, enc := range encodings {
 				if next := apply(base, w, enc, uint64(seed)); next != nil {
-					check(next, "fsm "+enc)
-					checkScore(next, w, "fsm "+enc)
+					check(next, w, controller, sim.PathTable, sim.KernelTable, "fsm "+enc)
 				}
 			}
 		}

@@ -68,88 +68,78 @@ func (c *Compiled) OutputWords(b *budget.Budget, inputs WordInputs, cycles int) 
 	return out, nil
 }
 
-// Outputs returns the settled primary outputs of a zero-delay run of n:
-// out[c] holds cycle c's outputs, bit i for output i. The words are
-// RunBudget's Result.Outputs under Options{}, and b is charged exactly
-// as RunBudget charges it — vector 0 is checked before any charge, then
-// each cycle charges one step per gate plus one, in cycle order, and a
-// wrong-width vector fails after its own cycle's charge — so step-limit
-// trips, fault-plan check points and cancellation land where they land
-// on RunBudget. Equivalence checking reads nothing else of a run.
+// Outputs returns the settled primary outputs of a zero-delay run of
+// the artifact's netlist: out[c] holds cycle c's outputs, bit i for
+// output i. Whatever options the artifact was compiled under, the
+// words are RunBudget's Result.Outputs under Options{}, and b is
+// charged exactly as RunBudget charges it — vector 0 is checked before
+// any charge, then each cycle charges one step per gate plus one, in
+// cycle order, and a wrong-width vector fails after its own cycle's
+// charge — so step-limit trips, fault-plan check points and
+// cancellation land where they land on RunBudget. Equivalence checking
+// reads nothing else of a run.
 //
-// The netlist's shape picks the path, never an option:
-//   - feed-forward (no Latch or EnDFF, no cycle through a DFF): 64
-//     cycles per block on the unit-delay path's settle program;
-//   - small state (no Latch, flip-flops plus inputs at most 6 bits):
-//     one 64-lane settle tabulates outputs and next state over every
-//     (state, input) pair, then each cycle is one table lookup;
+// The path is the plan Compile made for the netlist's shape, never an
+// option:
+//   - the unit-delay program's feed-forward settle (event-driven
+//     options over a unit-delay netlist with no Latch or EnDFF and no
+//     cycle through a DFF) or the fused program (a combinational
+//     netlist under the zero-delay model): 64 cycles per block;
+//   - the state table (a zero-delay sequential netlist with no Latch
+//     and at most 6 flip-flop and input bits): one lookup per cycle;
 //   - anything else: RunBudget, its output rows packed into words.
 //
 // Argument errors are RunBudget's; more than 64 outputs is a typed
 // input error.
-func Outputs(b *budget.Budget, n *logic.Netlist, inputs InputProvider, cycles int) (out []uint64, err error) {
+func (c *Compiled) Outputs(b *budget.Budget, inputs InputProvider, cycles int) (out []uint64, err error) {
 	defer hlerr.Recover(&err)
-	if n == nil {
-		return nil, hlerr.Errorf("sim.Run", "nil netlist")
-	}
-	if err := n.Err(); err != nil {
-		return nil, err
-	}
+	n := c.e.n
 	if err := checkRun(inputs, cycles); err != nil {
 		return nil, err
 	}
 	if len(n.Outputs) > 64 {
 		return nil, hlerr.Errorf("sim.Outputs", "%d outputs, want at most 64", len(n.Outputs))
 	}
-	ff, tab := planOutputs(n)
 	switch {
-	case ff != nil:
-		return ff.outputs(b, n, inputs, cycles)
-	case tab != nil:
-		return tab.outputs(b, n, inputs, cycles)
+	case c.tab != nil:
+		return c.tab.outputs(b, n, inputs, cycles)
+	case c.ud == nil && c.fused == nil:
+		res, err := RunBudget(b, n, inputs, cycles, Options{})
+		if err != nil {
+			return nil, err
+		}
+		out = make([]uint64, cycles)
+		for c, row := range res.Outputs {
+			out[c] = bitutil.FromBits(row)
+		}
+		return out, nil
 	}
-	res, err := RunBudget(b, n, inputs, cycles, Options{})
-	if err != nil {
-		return nil, err
-	}
-	out = make([]uint64, cycles)
-	for c, row := range res.Outputs {
-		out[c] = bitutil.FromBits(row)
-	}
-	return out, nil
-}
-
-// planOutputs picks Outputs' path by the netlist's shape: a feed-forward
-// program, a (state, input) table, or (both nil) RunBudget.
-func planOutputs(n *logic.Netlist) (*feedForward, *stateTable) {
-	if ff, ok := compileFeedForward(n.Gates); ok {
-		return &ff, nil
-	}
-	return nil, tabulate(n)
-}
-
-// outputs runs the feed-forward path: blocks of 64 cycles, cycle c in
-// bit c mod 64, each settled in one pass and charged lane by lane
-// after it settles.
-func (ff *feedForward) outputs(b *budget.Budget, n *logic.Netlist, inputs InputProvider, cycles int) ([]uint64, error) {
+	// Blocks of 64 cycles, cycle c in bit c mod 64, each settled in one
+	// pass and charged lane by lane after it settles.
 	if _, err := fetchVec(n, inputs, 0); err != nil {
 		return nil, err
 	}
+	sc := c.getScratch()
+	defer c.scratch.Put(sc)
+	words, carry := sc.planes(len(n.Gates))
+	blk := &sc.cyc
 	perCycle := int64(len(n.Gates)) + 1
-	words, carry := make([]uint64, len(n.Gates)), make([]uint64, len(n.Gates))
-	out := make([]uint64, cycles)
-	var blk [64]uint64
+	out = make([]uint64, cycles)
 	for w0 := 0; w0 < cycles; w0 += 64 {
 		// The lanes before a wrong-width vector run and charge, then its
 		// cycle charges and fails.
 		lanes, bad := gatherBlock(n, inputs, words, w0, min(cycles-w0, 64))
-		ff.settle(n.Gates, words, carry, w0 == 0)
+		if c.ud != nil {
+			c.ud.settle(n.Gates, words, carry, w0 == 0)
+		} else {
+			execFused(c.fused, words)
+		}
 		// Output planes in, one output word per cycle out.
 		for i, o := range n.Outputs {
 			blk[i] = words[o]
 		}
 		clear(blk[len(n.Outputs):])
-		transpose64(&blk)
+		transpose64(blk)
 		copy(out[w0:], blk[:lanes])
 		for j := 0; j < lanes; j++ {
 			b.Check(perCycle)

@@ -150,12 +150,21 @@ func TestOutputWordsErrors(t *testing.T) {
 	}
 }
 
-// wantOutputsPath classifies a netlist for Outputs without Outputs' own
-// compile: logic.TopoOrder finds combinational cycles and, with every
-// DFF read as a buffer, cycles through a DFF.
-func wantOutputsPath(n *logic.Netlist) string {
-	bits := len(n.Inputs)
-	latch, endff := false, false
+// outputsOptions are the option sets the Outputs suites compile each
+// netlist under: none, and the ones recipe.Score compiles circuits
+// and controllers under. Outputs must return RunBudget's words,
+// charges and errors under Options{} on every one of them.
+var outputsOptions = []Options{
+	{},
+	{Model: EventDriven, TrackClock: true, GateClock: true},
+	{TrackClock: true, GateClock: true},
+}
+
+// wantOutputsPath classifies a netlist compiled under opts for Outputs
+// without Compile's own planning: logic.TopoOrder, with every DFF read
+// as a buffer, finds cycles through a DFF.
+func wantOutputsPath(n *logic.Netlist, opts Options) string {
+	bits, latch, endff, unit := len(n.Inputs), false, false, true
 	for _, g := range n.Gates {
 		switch g.Kind {
 		case logic.Latch:
@@ -166,62 +175,79 @@ func wantOutputsPath(n *logic.Netlist) string {
 		case logic.DFF:
 			bits++
 		}
+		if len(g.Fanin) > 0 && g.Delay != 1 {
+			unit = false
+		}
 	}
-	if latch {
-		return PathRun
-	}
-	if !endff {
+	if opts.Model == EventDriven {
+		if latch || endff || !unit {
+			return PathRun
+		}
 		buf := n.Clone()
 		for id := range buf.Gates {
 			if buf.Gates[id].Kind == logic.DFF {
 				buf.Gates[id].Kind = logic.Buf
 			}
 		}
-		if _, err := buf.TopoOrder(); err == nil {
-			return PathFeedForward
+		if _, err := buf.TopoOrder(); err != nil {
+			return PathRun
 		}
+		return PathFeedForward
 	}
-	if _, err := n.TopoOrder(); err == nil && bits <= 6 {
+	switch {
+	case !latch && bits == len(n.Inputs):
+		return PathFused
+	case !latch && bits <= 6:
 		return PathTable
 	}
 	return PathRun
 }
 
-// checkOutputs compares Outputs with RunBudget's output rows on one
-// workload under sameBudgetOutcomes' three budget regimes, asserts the
-// path the netlist's shape picks, and returns it.
-func checkOutputs(t *testing.T, n *logic.Netlist, inputs InputProvider, cycles int, label string) string {
+// checkOutputs compiles n under each of outputsOptions and compares
+// the artifact's Outputs with RunBudget's output rows under Options{}
+// on one workload under sameBudgetOutcomes' three budget regimes. It
+// asserts the path the netlist's shape and the options pick and
+// returns the paths taken.
+func checkOutputs(t *testing.T, n *logic.Netlist, inputs InputProvider, cycles int, label string) []string {
 	t.Helper()
-	path := OutputsPath(n)
-	if want := wantOutputsPath(n); path != want {
-		t.Fatalf("%s: path %q, want %q", label, path, want)
-	}
 	nOut := len(n.Outputs)
-	words := func(b *budget.Budget) (*Result, error) {
-		out, err := Outputs(b, n, inputs, cycles)
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{Outputs: make([][]bool, len(out))}
-		for c, w := range out {
-			if w>>uint(nOut) != 0 {
-				t.Fatalf("%s: cycle %d word %#x has bits above output %d", label, c, w, nOut-1)
-			}
-			res.Outputs[c] = bitutil.ToBits(w, nOut)
-		}
-		return res, nil
-	}
 	run := func(b *budget.Budget) (*Result, error) { return RunBudget(b, n, inputs, cycles, Options{}) }
-	got, want := sameBudgetOutcomes(t, label+" "+path, words, run)
-	if len(got.Outputs) != len(want.Outputs) {
-		t.Fatalf("%s: %d output words, want %d", label, len(got.Outputs), len(want.Outputs))
-	}
-	for c, row := range want.Outputs {
-		if g, w := bitutil.FromBits(got.Outputs[c]), bitutil.FromBits(row); g != w {
-			t.Fatalf("%s (%s): cycle %d outputs %#x, RunBudget %#x", label, path, c, g, w)
+	var paths []string
+	for _, opts := range outputsOptions {
+		c, err := Compile(n, opts)
+		if err != nil {
+			t.Fatalf("%s: compile under %+v: %v", label, opts, err)
 		}
+		path := OutputsPath(c)
+		if want := wantOutputsPath(n, opts); path != want {
+			t.Fatalf("%s under %+v: path %q, want %q", label, opts, path, want)
+		}
+		words := func(b *budget.Budget) (*Result, error) {
+			out, err := c.Outputs(b, inputs, cycles)
+			if err != nil {
+				return nil, err
+			}
+			res := &Result{Outputs: make([][]bool, len(out))}
+			for c, w := range out {
+				if w>>uint(nOut) != 0 {
+					t.Fatalf("%s: cycle %d word %#x has bits above output %d", label, c, w, nOut-1)
+				}
+				res.Outputs[c] = bitutil.ToBits(w, nOut)
+			}
+			return res, nil
+		}
+		got, want := sameBudgetOutcomes(t, label+" "+path, words, run)
+		if len(got.Outputs) != len(want.Outputs) {
+			t.Fatalf("%s: %d output words, want %d", label, len(got.Outputs), len(want.Outputs))
+		}
+		for c, row := range want.Outputs {
+			if g, w := bitutil.FromBits(got.Outputs[c]), bitutil.FromBits(row); g != w {
+				t.Fatalf("%s (%s): cycle %d outputs %#x, RunBudget %#x", label, path, c, g, w)
+			}
+		}
+		paths = append(paths, path)
 	}
-	return path
+	return paths
 }
 
 // wantLeanKernel classifies a netlist for a lean zero-delay run without
@@ -317,10 +343,11 @@ func randOutputsNetlist(rng *rand.Rand, family, nIn, nGates int) *logic.Netlist 
 }
 
 // TestOutputsMatchRunBudget is Outputs' differential property: over
-// random netlists of every shape, small and large, at cycle counts
-// around block edges, the output words are RunBudget's output rows,
-// with its budget charges and exhaustion outcomes, on the path the
-// netlist's shape picks — and every path runs. The same netlists'
+// random netlists of every shape, small and large, compiled under each
+// of outputsOptions, at cycle counts around block edges, the output
+// words are RunBudget's output rows under Options{}, with its budget
+// charges and exhaustion outcomes, on the path the artifact's plan
+// picks — and every path runs. The same netlists'
 // lean runs under a clock tree are RunBudget's power figures, on every
 // kernel a zero-delay run can take. It runs once per lane kernel the
 // host has.
@@ -347,11 +374,13 @@ func outputsMatchRunBudget(t *testing.T) {
 			cycles := outCycles[rng.Intn(len(outCycles))]
 			label := fmt.Sprintf("trial %d family %d cycles %d", trial, family, cycles)
 			inputs := randVectors(rng, cycles, len(n.Inputs))
-			ran[checkOutputs(t, n, inputs, cycles, label)]++
+			for _, path := range checkOutputs(t, n, inputs, cycles, label) {
+				ran[path]++
+			}
 			kernels[checkLeanRuns(t, n, inputs, cycles, label)]++
 		}
 	}
-	for _, path := range []string{PathFeedForward, PathTable, PathRun} {
+	for _, path := range []string{PathFeedForward, PathFused, PathTable, PathRun} {
 		if ran[path] == 0 {
 			t.Errorf("no netlist took the %s path: %v", path, ran)
 		}
@@ -382,58 +411,68 @@ func FuzzOutputsEquivalence(f *testing.F) {
 	})
 }
 
-// TestOutputsBadVector: on every path, a wrong-width vector fails with
-// RunBudget's input error after RunBudget's charges — mid-block, at
-// cycle 0 before any charge — and a step limit that trips first wins,
-// as on RunBudget. A lean run on the table kernel fails the same way.
+// TestOutputsBadVector: on every path, under every option set of
+// outputsOptions, a wrong-width vector fails with RunBudget's input
+// error after RunBudget's charges — mid-block, at cycle 0 before any
+// charge — and a step limit that trips first wins, as on RunBudget. A
+// lean run on the table kernel fails the same way.
 func TestOutputsBadVector(t *testing.T) {
-	nets := map[string]*logic.Netlist{
-		PathFeedForward: randUnitDelayNetlist(rand.New(rand.NewSource(11)), 4, 30, udPipelined),
-		PathTable:       randUnitDelayNetlist(rand.New(rand.NewSource(12)), 2, 6, udFeedback),
-		PathRun:         randUnitDelayNetlist(rand.New(rand.NewSource(13)), 4, 30, udLatch),
+	nets := []*logic.Netlist{
+		randComb(rand.New(rand.NewSource(10)), 4, 30),
+		randUnitDelayNetlist(rand.New(rand.NewSource(11)), 4, 30, udPipelined),
+		randUnitDelayNetlist(rand.New(rand.NewSource(12)), 2, 6, udFeedback),
+		randUnitDelayNetlist(rand.New(rand.NewSource(13)), 4, 30, udLatch),
 	}
 	const cycles = 130
-	for path, n := range nets {
-		if got := OutputsPath(n); got != path {
-			t.Fatalf("netlist for %s takes %s", path, got)
+	ran := map[string]bool{}
+	for _, n := range nets {
+		for _, opts := range outputsOptions {
+			c, err := Compile(n, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := OutputsPath(c)
+			ran[path] = true
+			for _, bad := range []int{0, 100} {
+				rng := rand.New(rand.NewSource(int64(bad)))
+				vecs := make([][]bool, cycles)
+				for c := range vecs {
+					vecs[c] = bitutil.ToBits(rng.Uint64(), len(n.Inputs))
+				}
+				vecs[bad] = vecs[bad][:1]
+				for _, limit := range []int64{0, 500, 3000} {
+					bg, bw := budget.New(budget.WithMaxSteps(limit)), budget.New(budget.WithMaxSteps(limit))
+					_, gotErr := c.Outputs(bg, VectorInputs(vecs), cycles)
+					_, wantErr := RunBudget(bw, n, VectorInputs(vecs), cycles, Options{})
+					if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() || bg.StepsUsed() != bw.StepsUsed() {
+						t.Fatalf("%s under %+v, bad vector %d, limit %d: got (%v, %d steps), RunBudget (%v, %d steps)",
+							path, opts, bad, limit, gotErr, bg.StepsUsed(), wantErr, bw.StepsUsed())
+					}
+					if path != PathTable {
+						continue
+					}
+					bg, bw = budget.New(budget.WithMaxSteps(limit)), budget.New(budget.WithMaxSteps(limit))
+					res, gotErr := c.Run(bg, VectorInputs(vecs), cycles, RunOptions{Lean: true})
+					_, wantErr = RunBudget(bw, n, VectorInputs(vecs), cycles, opts)
+					if res != nil || gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() || bg.StepsUsed() != bw.StepsUsed() {
+						t.Fatalf("table kernel under %+v, bad vector %d, limit %d: got (%v, %d steps), RunBudget (%v, %d steps)",
+							opts, bad, limit, gotErr, bg.StepsUsed(), wantErr, bw.StepsUsed())
+					}
+				}
+			}
 		}
-		for _, bad := range []int{0, 100} {
-			rng := rand.New(rand.NewSource(int64(bad)))
-			vecs := make([][]bool, cycles)
-			for c := range vecs {
-				vecs[c] = bitutil.ToBits(rng.Uint64(), len(n.Inputs))
-			}
-			vecs[bad] = vecs[bad][:1]
-			for _, limit := range []int64{0, 500, 3000} {
-				bg, bw := budget.New(budget.WithMaxSteps(limit)), budget.New(budget.WithMaxSteps(limit))
-				_, gotErr := Outputs(bg, n, VectorInputs(vecs), cycles)
-				_, wantErr := RunBudget(bw, n, VectorInputs(vecs), cycles, Options{})
-				if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() || bg.StepsUsed() != bw.StepsUsed() {
-					t.Fatalf("%s, bad vector %d, limit %d: got (%v, %d steps), RunBudget (%v, %d steps)",
-						path, bad, limit, gotErr, bg.StepsUsed(), wantErr, bw.StepsUsed())
-				}
-				if path != PathTable {
-					continue
-				}
-				opts := Options{TrackClock: true, GateClock: true}
-				c, err := Compile(n, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bg, bw = budget.New(budget.WithMaxSteps(limit)), budget.New(budget.WithMaxSteps(limit))
-				res, gotErr := c.Run(bg, VectorInputs(vecs), cycles, RunOptions{Lean: true})
-				_, wantErr = RunBudget(bw, n, VectorInputs(vecs), cycles, opts)
-				if res != nil || gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() || bg.StepsUsed() != bw.StepsUsed() {
-					t.Fatalf("table kernel, bad vector %d, limit %d: got (%v, %d steps), RunBudget (%v, %d steps)",
-						bad, limit, gotErr, bg.StepsUsed(), wantErr, bw.StepsUsed())
-				}
-			}
+	}
+	for _, path := range []string{PathFeedForward, PathFused, PathTable, PathRun} {
+		if !ran[path] {
+			t.Errorf("no artifact took the %s path: %v", path, ran)
 		}
 	}
 }
 
-// TestOutputsErrors: argument and netlist errors are RunBudget's own;
-// more than 64 outputs is a typed input error.
+// TestOutputsErrors: argument errors are RunBudget's own under every
+// option set of outputsOptions, and a netlist RunBudget rejects does
+// not compile, with RunBudget's error; more than 64 outputs is a typed
+// input error.
 func TestOutputsErrors(t *testing.T) {
 	ok := randUnitDelayNetlist(rand.New(rand.NewSource(1)), 2, 5, udFeedForward)
 	loop := logic.New()
@@ -443,22 +482,37 @@ func TestOutputsErrors(t *testing.T) {
 	loop.Gates[a].Fanin[1] = b
 	loop.MarkOutput(b)
 	vecs := VectorInputs([][]bool{{true, false}, {false, true}})
-	cases := []struct {
-		name   string
-		n      *logic.Netlist
-		inputs InputProvider
-		cycles int
-	}{
-		{"nil netlist", nil, vecs, 2},
-		{"zero cycles", ok, vecs, 0},
-		{"nil inputs", ok, nil, 2},
-		{"combinational cycle", loop, VectorInputs([][]bool{{true}}), 1},
-	}
-	for _, tc := range cases {
-		_, gotErr := Outputs(nil, tc.n, tc.inputs, tc.cycles)
-		_, wantErr := RunBudget(nil, tc.n, tc.inputs, tc.cycles, Options{})
-		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
-			t.Errorf("%s: got %v, RunBudget %v", tc.name, gotErr, wantErr)
+	for _, opts := range outputsOptions {
+		c, err := Compile(ok, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name   string
+			inputs InputProvider
+			cycles int
+		}{
+			{"zero cycles", vecs, 0},
+			{"nil inputs", nil, 2},
+		} {
+			_, gotErr := c.Outputs(nil, tc.inputs, tc.cycles)
+			_, wantErr := RunBudget(nil, ok, tc.inputs, tc.cycles, Options{})
+			if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Errorf("%s under %+v: got %v, RunBudget %v", tc.name, opts, gotErr, wantErr)
+			}
+		}
+		for _, tc := range []struct {
+			name string
+			n    *logic.Netlist
+		}{
+			{"nil netlist", nil},
+			{"combinational cycle", loop},
+		} {
+			_, gotErr := Compile(tc.n, opts)
+			_, wantErr := RunBudget(nil, tc.n, VectorInputs([][]bool{{true}}), 1, Options{})
+			if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Errorf("%s under %+v: compile %v, RunBudget %v", tc.name, opts, gotErr, wantErr)
+			}
 		}
 	}
 	wide := logic.New()
@@ -466,7 +520,13 @@ func TestOutputsErrors(t *testing.T) {
 	for i := 0; i < 65; i++ {
 		wide.MarkOutput(wide.Add(logic.Not, in))
 	}
-	if _, err := Outputs(nil, wide, VectorInputs([][]bool{{true}}), 1); !hlerr.IsInput(err) {
-		t.Fatalf("65 outputs: want input error, got %v", err)
+	for _, opts := range outputsOptions {
+		c, err := Compile(wide, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Outputs(nil, VectorInputs([][]bool{{true}}), 1); !hlerr.IsInput(err) {
+			t.Fatalf("65 outputs under %+v: want input error, got %v", opts, err)
+		}
 	}
 }
