@@ -204,8 +204,9 @@ func main() {
 	}
 
 	// Codegen tier: the same artifact after hotness promotion — a
-	// specialized evaluator with dispatch resolved at build time and
-	// extraction baked against the concrete net layout. The build runs
+	// specialized evaluator with dispatch resolved at build time, run as
+	// the settle of the fused tier's shard (same gather, extraction and
+	// lane kernel). The build runs
 	// outside the timed region (the serving layer promotes hot artifacts
 	// on a background goroutine), and the power figure is asserted
 	// bit-identical to the fused tier before timing starts.

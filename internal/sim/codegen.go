@@ -1,33 +1,28 @@
-// Code-generated (specialized) execution tier for the 64-lane packed
-// kernel. The fused interpreter pays one switch dispatch per fused
-// group per settle; this tier removes the switch entirely by building,
-// once per netlist, a block-threaded evaluator: fused groups are
-// re-sorted by dependency level, bucketed into (level, opcode) runs,
-// and each run becomes one specialized flat loop over contiguous
-// operand slabs — the opcode dispatch is resolved at build time, the
-// arities are constant-folded into the loop strides (logic.FusedOp.
-// Shape). A lean run's extraction is the fused tier's (extractLean,
-// over the lane kernel addLanes). The evaluator runs through the same
-// packedScratch pool as the other tiers, so steady-state execution
-// allocates nothing.
+// Code-generated (specialized) settle for the 64-lane packed kernel.
+// The fused interpreter pays one switch dispatch per fused group per
+// settle; this tier removes the switch entirely by building, once per
+// netlist, a block-threaded evaluator: fused groups are re-sorted by
+// dependency level, bucketed into (level, opcode) runs, and each run
+// becomes one specialized flat loop over contiguous operand slabs — the
+// opcode dispatch is resolved at build time, the arities are constant-
+// folded into the loop strides (logic.FusedOp.Shape). The evaluator is
+// the whole tier: a promoted run executes runShardPacked, the fused
+// tier's shard, with this settle in place of execFused, so the gather,
+// the extraction and the budget charges are the fused tier's.
 //
 // Bit-identity: re-sorting groups by level is sound because the fused
 // stream is write-once dataflow within a settle and every externally
 // read net is a group root (absorbed producers have a single consumer,
 // inside their own group), so a group's fanins are always produced at a
 // strictly lower level. Each group still computes exactly the words the
-// interpreter computes — absorbed intermediates included — and the
-// extraction accumulates capacitance per cycle bin in ascending net id
-// order, the canonical order every engine uses. Budget charging counts
-// source-program gates, unchanged. The result is Float64bits-identical
-// to the fused and scalar engines, pinned by TestCodegenBitIdentity,
-// TestCodegenBudgetBoundary, and FuzzCodegenEquivalence.
+// interpreter computes — absorbed intermediates included — so every net
+// receives the word execFused gives it. The result is Float64bits-
+// identical to the fused and scalar engines, pinned by
+// TestCodegenBitIdentity, TestCodegenBudgetBoundary, and
+// FuzzCodegenEquivalence.
 package sim
 
 import (
-	"math/bits"
-
-	"hlpower/internal/budget"
 	"hlpower/internal/hlerr"
 	"hlpower/internal/logic"
 )
@@ -37,16 +32,13 @@ import (
 const KernelCodegen = "codegen"
 
 // codegenProgram is one netlist's specialized evaluator: the settle
-// steps (one closure per (level, opcode) run, dispatch resolved at
-// build time) plus the net-layout tables the baked extraction needs.
-// Read-only after build; safe for concurrent use by shard workers.
+// steps, one closure per (level, opcode) run, dispatch resolved at
+// build time. Read-only after build; safe for concurrent use by shard
+// workers.
 type codegenProgram struct {
-	steps   []func(words []uint64)
-	runs    int // specialized loops (indirect calls per settle)
-	levels  int // dependency depth of the fused stream
-	loads   []float64
-	groupOf []int
-	ng      int
+	steps  []func(words []uint64)
+	runs   int // specialized loops (indirect calls per settle)
+	levels int // dependency depth of the fused stream
 }
 
 // settle evaluates one 64-cycle block: every net's word is written
@@ -57,10 +49,9 @@ func (cg *codegenProgram) settle(words []uint64) {
 	}
 }
 
-// newCodegenProgram specializes the fused program against the compiled
-// environment. Deterministic: a fixed (fused, env) pair always builds
-// the identical evaluator.
-func newCodegenProgram(fp *logic.FusedProgram, e *env) *codegenProgram {
+// newCodegenProgram specializes the fused program. Deterministic: a
+// fixed program always builds the identical evaluator.
+func newCodegenProgram(fp *logic.FusedProgram) *codegenProgram {
 	nOps := fp.NumGroups()
 	// producer[net] is the fused group writing net, -1 for primary
 	// inputs (written by the gather, level 0).
@@ -97,12 +88,7 @@ func newCodegenProgram(fp *logic.FusedProgram, e *env) *codegenProgram {
 		byLevel[glevel[g]] = append(byLevel[glevel[g]], int32(g))
 	}
 
-	cg := &codegenProgram{
-		levels:  int(maxLevel),
-		loads:   e.loads,
-		groupOf: e.groupOf,
-		ng:      len(e.groups),
-	}
+	cg := &codegenProgram{levels: int(maxLevel)}
 	// Bucket each level's groups by opcode (ascending opcode, original
 	// group order within a bucket — both orders are free: groups at one
 	// level never read each other) and emit one specialized run per
@@ -480,180 +466,4 @@ func (r *cgRun) step() func(words []uint64) {
 		hlerr.Throwf("sim.Codegen", "unknown fused op %v", r.op)
 		return nil
 	}
-}
-
-// extractFull is the non-lean extraction with per-group attribution —
-// the reference loop shape, kept unspecialized because every serving
-// path runs lean; it exists so full runs stay available (and bit-
-// identical) on a promoted artifact.
-func (cg *codegenProgram) extractFull(words, cb []uint64, tog []int64, capBuf *[64]float64, grpFlat []float64, w0 int, mask uint64) {
-	loads := cg.loads[:len(words)]
-	groupOf := cg.groupOf[:len(words)]
-	cb = cb[:len(words)]
-	tog = tog[:len(words)]
-	ng := cg.ng
-	for id := range words {
-		cur := words[id]
-		t := (cur ^ (cur<<1 | cb[id])) & mask
-		cb[id] = cur >> 63
-		if t == 0 {
-			continue
-		}
-		tog[id] += int64(bits.OnesCount64(t))
-		load := loads[id]
-		if load == 0 {
-			continue
-		}
-		gi := groupOf[id]
-		for ; t != 0; t &= t - 1 {
-			j := bits.TrailingZeros64(t) & 63
-			capBuf[j] += load
-			grpFlat[(w0+j)*ng+gi] += load
-		}
-	}
-}
-
-// runShardCodegen simulates cycles [lo, hi) on the specialized
-// evaluator. The shard protocol — baseline settle, carry seeding, the
-// per-64-cycle block loop, budget charging (source-program gates per
-// cycle), input gather, lane masking, the lean extraction — mirrors
-// runShardPacked line for line; only the settle is the generated form.
-func runShardCodegen(b *budget.Budget, e *env, cg *codegenProgram, inputs InputProvider, words64 WordInputs, lean bool, lo, hi int, sc *packedScratch) (sh *shard, err error) {
-	defer hlerr.Recover(&err)
-	n := e.n
-	cycles := hi - lo
-	ng := len(e.groups)
-	nOut := len(n.Outputs)
-	if sc == nil {
-		sc = newPackedScratch(len(n.Gates))
-	}
-	sh = &shard{
-		lo: lo, hi: hi,
-		toggles:  sc.togglesFor(len(n.Gates)),
-		capByCyc: sc.capFor(cycles),
-	}
-	var grpFlat []float64
-	var outFlat []bool
-	if !lean {
-		grpFlat, sh.grpByCyc = sc.grpFor(cycles, ng)
-		sh.outputs = make([][]bool, 0, cycles)
-		outFlat = make([]bool, cycles*nOut)
-	}
-
-	words, carry := sc.planes(len(n.Gates))
-
-	// Baseline: settle the pre-shard vector in lane 0 and seed the
-	// per-net carry bits from it, exactly as runShardPacked does.
-	base := lo - 1
-	if base < 0 {
-		base = 0
-	}
-	if words64 != nil {
-		w := words64(base)
-		for i, sig := range n.Inputs {
-			words[sig] = w >> uint(i) & 1
-		}
-	} else {
-		vec, err := fetchVec(n, inputs, base)
-		if err != nil {
-			return nil, err
-		}
-		for i, sig := range n.Inputs {
-			var w uint64
-			if vec[i] {
-				w = 1
-			}
-			words[sig] = w
-		}
-	}
-	cg.settle(words)
-	for id, w := range words {
-		carry[id] = w & 1
-	}
-
-	perCycle := int64(len(e.order)) + 1
-	capBuf := &sc.bins
-	for w0 := 0; w0 < cycles; w0 += 64 {
-		lanes := cycles - w0
-		if lanes > 64 {
-			lanes = 64
-		}
-		b.Check(int64(lanes) * perCycle)
-
-		if words64 != nil {
-			cyc := &sc.cyc
-			for j := 0; j < lanes; j++ {
-				cyc[j] = words64(lo + w0 + j)
-			}
-			if len(n.Inputs) >= 8 {
-				for j := lanes; j < 64; j++ {
-					cyc[j] = 0
-				}
-				transpose64(cyc)
-				for i, sig := range n.Inputs {
-					words[sig] = cyc[i]
-				}
-			} else {
-				for i, sig := range n.Inputs {
-					var w uint64
-					for j := 0; j < lanes; j++ {
-						w |= (cyc[j] >> uint(i) & 1) << uint(j)
-					}
-					words[sig] = w
-				}
-			}
-		} else {
-			for _, sig := range n.Inputs {
-				words[sig] = 0
-			}
-			for j := 0; j < lanes; j++ {
-				vec, err := fetchVec(n, inputs, lo+w0+j)
-				if err != nil {
-					return nil, err
-				}
-				bit := uint64(1) << uint(j)
-				for i, sig := range n.Inputs {
-					if vec[i] {
-						words[sig] |= bit
-					}
-				}
-			}
-		}
-
-		cg.settle(words)
-
-		mask := ^uint64(0)
-		if lanes < 64 {
-			mask = uint64(1)<<uint(lanes) - 1
-		}
-		*capBuf = [64]float64{}
-		if lean {
-			sc.extractLean(words, carry, sh.toggles, cg.loads, mask)
-		} else {
-			cg.extractFull(words, carry, sh.toggles, capBuf, grpFlat, w0, mask)
-		}
-		copy(sh.capByCyc[w0:], capBuf[:lanes])
-
-		if lean {
-			continue
-		}
-		for j := 0; j < lanes; j++ {
-			row := outFlat[(w0+j)*nOut : (w0+j+1)*nOut : (w0+j+1)*nOut]
-			for i, o := range n.Outputs {
-				row[i] = words[o]>>uint(j)&1 == 1
-			}
-			sh.outputs = append(sh.outputs, row)
-		}
-	}
-
-	if lean {
-		return sh, nil
-	}
-	final := make([]bool, len(n.Gates))
-	last := uint((cycles - 1) % 64)
-	for id, w := range words {
-		final[id] = w>>last&1 == 1
-	}
-	sh.final = final
-	return sh, nil
 }

@@ -101,35 +101,9 @@ func TestCodegenMultiplierWorkload(t *testing.T) {
 // TestCodegenBudgetBoundary mirrors TestFusedBudgetBoundary: budget
 // charging ignores the execution tier entirely, so a promoted run
 // charges exactly the steps the serial engine charges and trips at
-// exactly the same allowance boundary.
+// exactly the same allowance boundary, fed vectors or words.
 func TestCodegenBudgetBoundary(t *testing.T) {
-	const w, cycles = 4, 500
-	n, inputs, _ := mulWorkload(w, cycles, 9)
-	c, err := Compile(n, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.BuildCodegen(); err != nil {
-		t.Fatal(err)
-	}
-	ref := budget.New(budget.WithMaxSteps(1 << 40))
-	if _, err := RunBudget(ref, n, inputs, cycles, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	need := ref.StepsUsed()
-
-	exact := budget.New(budget.WithMaxSteps(need), budget.WithCheckInterval(1))
-	if _, err := c.Run(exact, inputs, cycles, RunOptions{Workers: 1}); err != nil {
-		t.Fatalf("exact budget failed: %v", err)
-	}
-	if exact.StepsUsed() != need {
-		t.Fatalf("codegen charged %d steps, serial %d", exact.StepsUsed(), need)
-	}
-
-	short := budget.New(budget.WithMaxSteps(need-1), budget.WithCheckInterval(1))
-	if _, err := c.Run(short, inputs, cycles, RunOptions{Workers: 1}); !errors.Is(err, budget.ErrExceeded) {
-		t.Fatalf("err = %v, want budget.ErrExceeded", err)
-	}
+	checkBudgetBoundary(t, KernelCodegen)
 }
 
 // TestCodegenScalarOnlyErrors: artifacts without a packed program have

@@ -1,7 +1,7 @@
 // Compiled simulation artifacts. A single estimation request pays the
-// whole netlist setup cost — validation, topological ordering, load and
-// fanout tables, levelized compilation and fusion into the struct-of-
-// arrays program — before the first cycle simulates. A batched pipeline
+// whole netlist setup cost — validation, topological ordering, load
+// tables, levelized compilation and fusion into the struct-of-arrays
+// program — before the first cycle simulates. A batched pipeline
 // amortizes that cost: Compile performs the setup once and the
 // resulting Compiled value runs any number of workloads (different
 // cycle counts, seeds, worker counts) over the shared tables, reusing
@@ -156,7 +156,7 @@ func (c *Compiled) BuildCodegen() (err error) {
 	if c.fused == nil {
 		return hlerr.Errorf("sim.Codegen", "scalar-only artifact: no fused program to specialize")
 	}
-	c.codegen.Store(newCodegenProgram(c.fused, c.e))
+	c.codegen.Store(newCodegenProgram(c.fused))
 	return nil
 }
 
@@ -264,11 +264,8 @@ func (c *Compiled) Run(b *budget.Budget, inputs InputProvider, cycles int, opts 
 		}
 	}()
 	run := func(wb *budget.Budget, lo, hi int, sc *packedScratch) (*shard, error) {
-		if cg != nil {
-			return runShardCodegen(wb, e, cg, inputs, words, opts.Lean, lo, hi, sc)
-		}
 		if fused != nil {
-			return runShardPacked(wb, e, fused, inputs, words, opts.Lean, lo, hi, sc)
+			return runShardPacked(wb, e, fused, cg, inputs, words, opts.Lean, lo, hi, sc)
 		}
 		if ud != nil {
 			return runShardUnitDelay(wb, e, ud, inputs, lo, hi, sc)

@@ -124,8 +124,10 @@ func refRunShard(b *budget.Budget, e *env, inputs InputProvider, lo, hi int) (sh
 
 	prev := make([]bool, len(n.Gates))
 	var ed *refEDScratch
+	var fanouts [][]int
 	if e.opts.Model == EventDriven {
 		ed = newRefEDScratch()
+		fanouts = n.Fanouts()
 	}
 	for cycle := lo; cycle < hi; cycle++ {
 		b.Check(int64(len(e.order)) + 1)
@@ -172,7 +174,7 @@ func refRunShard(b *budget.Budget, e *env, inputs InputProvider, lo, hi int) (sh
 		}
 
 		if e.opts.Model == EventDriven {
-			refSimulateEventDriven(b, n, e.fanouts, values, state, prev, record, ed)
+			refSimulateEventDriven(b, n, fanouts, values, state, prev, record, ed)
 		} else {
 			evalSettled()
 			for id := range values {

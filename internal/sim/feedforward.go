@@ -96,25 +96,3 @@ func (ff *feedForward) settle(gates []logic.Gate, s, carry []uint64, first bool)
 		}
 	}
 }
-
-// gatherBlock packs the vectors of cycles lo .. lo+lanes−1 into the
-// input planes of words, cycle lo+j in lane j. A wrong-width vector
-// ends the block at its lane: gatherBlock returns the lanes before it
-// and the vector's error.
-func gatherBlock(n *logic.Netlist, inputs InputProvider, words []uint64, lo, lanes int) (int, error) {
-	for _, sig := range n.Inputs {
-		words[sig] = 0
-	}
-	for j := 0; j < lanes; j++ {
-		vec, err := fetchVec(n, inputs, lo+j)
-		if err != nil {
-			return j, err
-		}
-		for i, sig := range n.Inputs {
-			if vec[i] {
-				words[sig] |= 1 << uint(j)
-			}
-		}
-	}
-	return lanes, nil
-}

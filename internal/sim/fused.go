@@ -1,6 +1,7 @@
 // Fused-superinstruction execution for the 64-lane packed kernel, the
-// one zero-delay settle every packed path runs: compiled artifacts,
-// the one-shot RunPacked, and OutputWords. execFused runs the
+// zero-delay settle every packed path runs — compiled artifacts, the
+// one-shot RunPacked, Outputs and OutputWords — unless a promoted
+// artifact's codegen evaluator stands in for it. execFused runs the
 // logic.Fuse form of the levelized program, paying one dispatch per
 // fused group (an AND4 chain, an AO22 carry cell, a NOT-absorbed pair)
 // while still writing every intermediate net's word — per-net toggle

@@ -152,38 +152,66 @@ func TestFusedMultiplierWorkload(t *testing.T) {
 	}
 }
 
-// TestFusedBudgetBoundary: budget charging ignores fusion (steps count
-// source-program gates), so exhaustion trips at exactly the same point
-// on the fused kernel and the serial engine — including the boundary
-// where the allowance covers the run precisely.
+// TestFusedBudgetBoundary: budget charging ignores fusion and the input
+// form (steps count source-program gates), so exhaustion trips at
+// exactly the same point on the fused kernel, fed vectors or words, as
+// on the serial engine — including the boundary where the allowance
+// covers the run precisely.
 func TestFusedBudgetBoundary(t *testing.T) {
+	checkBudgetBoundary(t, KernelFused)
+}
+
+// checkBudgetBoundary runs the multiplier workload on a compiled
+// artifact serving kernel (KernelFused, or KernelCodegen after
+// BuildCodegen), once with vectors and once with RunOptions.Words: an
+// allowance of exactly the serial engine's step count passes and
+// charges that count, one step less fails with budget.ErrExceeded, as
+// it does on RunBudget.
+func checkBudgetBoundary(t *testing.T, kernel string) {
+	t.Helper()
 	const w, cycles = 4, 500
-	n, inputs, _ := mulWorkload(w, cycles, 9)
+	n, inputs, words := mulWorkload(w, cycles, 9)
 	c, err := Compile(n, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if kernel == KernelCodegen {
+		if err := c.BuildCodegen(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ref := budget.New(budget.WithMaxSteps(1 << 40))
 	if _, err := RunBudget(ref, n, inputs, cycles, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	need := ref.StepsUsed()
-
-	exact := budget.New(budget.WithMaxSteps(need), budget.WithCheckInterval(1))
-	if _, err := c.Run(exact, inputs, cycles, RunOptions{Workers: 1}); err != nil {
-		t.Fatalf("exact budget failed: %v", err)
-	}
-	if exact.StepsUsed() != need {
-		t.Fatalf("fused charged %d steps, serial %d", exact.StepsUsed(), need)
-	}
-
-	short := budget.New(budget.WithMaxSteps(need-1), budget.WithCheckInterval(1))
-	if _, err := c.Run(short, inputs, cycles, RunOptions{Workers: 1}); !errors.Is(err, budget.ErrExceeded) {
-		t.Fatalf("err = %v, want budget.ErrExceeded", err)
-	}
 	shortS := budget.New(budget.WithMaxSteps(need-1), budget.WithCheckInterval(1))
 	if _, err := RunBudget(shortS, n, inputs, cycles, Options{}); !errors.Is(err, budget.ErrExceeded) {
 		t.Fatalf("serial err = %v, want budget.ErrExceeded", err)
+	}
+
+	for _, feed := range []struct {
+		name  string
+		words WordInputs
+	}{{"vectors", nil}, {"words", words}} {
+		t.Run(feed.name, func(t *testing.T) {
+			opts := RunOptions{Workers: 1, Words: feed.words}
+			exact := budget.New(budget.WithMaxSteps(need), budget.WithCheckInterval(1))
+			res, err := c.Run(exact, inputs, cycles, opts)
+			if err != nil {
+				t.Fatalf("exact budget failed: %v", err)
+			}
+			if res.Kernel != kernel {
+				t.Fatalf("Kernel=%q, want %q", res.Kernel, kernel)
+			}
+			if exact.StepsUsed() != need {
+				t.Fatalf("%s charged %d steps, serial %d", kernel, exact.StepsUsed(), need)
+			}
+			short := budget.New(budget.WithMaxSteps(need-1), budget.WithCheckInterval(1))
+			if _, err := c.Run(short, inputs, cycles, opts); !errors.Is(err, budget.ErrExceeded) {
+				t.Fatalf("err = %v, want budget.ErrExceeded", err)
+			}
+		})
 	}
 }
 

@@ -46,16 +46,7 @@ func (c *Compiled) OutputWords(b *budget.Budget, inputs WordInputs, cycles int) 
 	for w0 := 0; w0 < cycles; w0 += 64 {
 		lanes := min(cycles-w0, 64)
 		b.Check(int64(lanes) * perCycle)
-		// Cycle words in, input planes out: input i's plane is column i
-		// of the block's 64×64 bit matrix. Dead lanes transpose to zero.
-		for j := 0; j < lanes; j++ {
-			blk[j] = inputs(w0 + j)
-		}
-		clear(blk[lanes:])
-		transpose64(blk)
-		for i, sig := range n.Inputs {
-			words[sig] = blk[i]
-		}
+		gatherWords(n, inputs, words, blk, w0, lanes)
 		execFused(c.fused, words)
 		// And back: output planes in, one output word per cycle out.
 		for i, o := range n.Outputs {

@@ -8,9 +8,14 @@
 // capacitance floats are still accumulated in the canonical per-cycle,
 // ascending-net order, so the packed result is bit-identical to the
 // serial zero-delay engine — the property the equivalence fuzz tests
-// pin. Glitch-aware (event-driven) runs and stateful netlists keep the
-// interpreted path; entry points report that degradation through
-// Result.Fallback exactly like RunParallel does.
+// pin. runShardPacked is the one shard of both zero-delay tiers (fused
+// and codegen differ only in the settle), and gatherBlock and
+// gatherWords are the only places input vectors or words become lane
+// planes. Other shapes have 64-lane paths of their own on a compiled
+// artifact — lean event-driven runs over unit-delay netlists
+// (unitdelay.go), lean runs and Outputs over small sequential netlists
+// (the state table, outputs.go) — and otherwise run the interpreted
+// engine, with the reason in Result.Fallback.
 package sim
 
 import (
@@ -74,7 +79,7 @@ func RunPackedBudget(b *budget.Budget, n *logic.Netlist, inputs InputProvider, c
 	// returned only after merge has copied every accumulator value out
 	// of the shard, so recycled memory can never alias a live Result.
 	sc := oneShotScratch.Get().(*packedScratch)
-	sh, err := runShardPacked(b, e, fused, inputs, nil, false, 0, cycles, sc)
+	sh, err := runShardPacked(b, e, fused, nil, inputs, nil, false, 0, cycles, sc)
 	if err != nil {
 		oneShotScratch.Put(sc)
 		return nil, err
@@ -150,25 +155,75 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
+// gatherBlock packs the vectors of cycles lo .. lo+lanes−1 into the
+// input planes of words, cycle lo+j in lane j. A wrong-width vector
+// ends the block at its lane: gatherBlock returns the lanes before it
+// and the vector's error.
+func gatherBlock(n *logic.Netlist, inputs InputProvider, words []uint64, lo, lanes int) (int, error) {
+	for _, sig := range n.Inputs {
+		words[sig] = 0
+	}
+	for j := 0; j < lanes; j++ {
+		vec, err := fetchVec(n, inputs, lo+j)
+		if err != nil {
+			return j, err
+		}
+		for i, sig := range n.Inputs {
+			if vec[i] {
+				words[sig] |= 1 << uint(j)
+			}
+		}
+	}
+	return lanes, nil
+}
+
+// gatherWords is gatherBlock over pre-packed cycle words, at most 64
+// inputs: it buffers the block's words in cyc, and input i's plane is
+// column i of that 64×64 bit matrix. With 8 or more inputs a butterfly
+// transpose (log₂64 block-swap stages over the whole matrix) beats
+// extracting each column bit by bit. Dead lanes are zero either way.
+func gatherWords(n *logic.Netlist, inputs WordInputs, words []uint64, cyc *[64]uint64, lo, lanes int) {
+	for j := 0; j < lanes; j++ {
+		cyc[j] = inputs(lo + j)
+	}
+	if len(n.Inputs) >= 8 {
+		clear(cyc[lanes:])
+		transpose64(cyc)
+		for i, sig := range n.Inputs {
+			words[sig] = cyc[i]
+		}
+		return
+	}
+	for i, sig := range n.Inputs {
+		var w uint64
+		for j := 0; j < lanes; j++ {
+			w |= (cyc[j] >> uint(i) & 1) << uint(j)
+		}
+		words[sig] = w
+	}
+}
+
 // runShardPacked simulates cycles [lo, hi) on the bit-packed kernel,
-// settling each 64-cycle block with execFused. Lane layout: word k of
-// the shard covers cycles lo+64k .. lo+64k+63, cycle c in bit
-// c-lo-64k; the final word's tail lanes are masked out of every toggle
-// count. The transition baseline is rebuilt exactly as the scalar shard
-// does — by settling the previous vector (vector 0 for the first
-// shard) — so shard boundaries and cycle 0 count transitions
+// the one shard of both zero-delay tiers: each 64-cycle block settles
+// on the codegen evaluator cg when one is given, else on execFused.
+// Lane layout: word k of the shard covers cycles lo+64k .. lo+64k+63,
+// cycle c in bit c-lo-64k; the final word's tail lanes are masked out
+// of every toggle count. The transition baseline is rebuilt exactly as
+// the scalar shard does — by settling the previous vector (vector 0 for
+// the first shard) — so shard boundaries and cycle 0 count transitions
 // identically to a serial run. words64 (optional) feeds input cycles as
 // pre-packed words, and lean skips the per-cycle outputs, group
 // attribution, and final-value materialization; neither touches the
 // toggle or capacitance accumulation, so the numbers that survive into
 // the Result are bit-identical to a full run. Budget charging counts
-// source-program gates, so exhaustion boundaries match the serial
-// engine. sc supplies the word planes (every entry is rewritten before
-// it is read) and the shard's numeric accumulators, which stay valid
-// only until sc is recycled: merge must copy them out before the caller
-// Puts sc back in a pool. Output rows and final values escape into the
-// Result, so they are always freshly allocated.
-func runShardPacked(b *budget.Budget, e *env, fused *logic.FusedProgram, inputs InputProvider, words64 WordInputs, lean bool, lo, hi int, sc *packedScratch) (sh *shard, err error) {
+// source-program gates, a block charged before it is gathered, so
+// exhaustion boundaries match the serial engine. sc supplies the word
+// planes (every entry is rewritten before it is read) and the shard's
+// numeric accumulators, which stay valid only until sc is recycled:
+// merge must copy them out before the caller Puts sc back in a pool.
+// Output rows and final values escape into the Result, so they are
+// always freshly allocated.
+func runShardPacked(b *budget.Budget, e *env, fused *logic.FusedProgram, cg *codegenProgram, inputs InputProvider, words64 WordInputs, lean bool, lo, hi int, sc *packedScratch) (sh *shard, err error) {
 	defer hlerr.Recover(&err)
 	n := e.n
 	cycles := hi - lo
@@ -188,35 +243,33 @@ func runShardPacked(b *budget.Budget, e *env, fused *logic.FusedProgram, inputs 
 	}
 
 	words, carry := sc.planes(len(n.Gates))
+	// gather packs cycles from .. from+lanes−1 into the input planes;
+	// settle evaluates every net's word for the block.
+	gather := func(from, lanes int) error {
+		if words64 != nil {
+			gatherWords(n, words64, words, &sc.cyc, from, lanes)
+			return nil
+		}
+		_, err := gatherBlock(n, inputs, words, from, lanes)
+		return err
+	}
+	settle := func() {
+		if cg != nil {
+			cg.settle(words)
+		} else {
+			execFused(fused, words)
+		}
+	}
 
-	// Baseline: settle the pre-shard vector in lane 0 and seed the
-	// per-net carry bits from it, mirroring the scalar shard's baseline
-	// settle (cycle 0 of the run therefore counts zero transitions).
-	// Input words are written unconditionally — the planes may be
-	// recycled from a previous run and carry stale bits.
-	base := lo - 1
-	if base < 0 {
-		base = 0
+	// Baseline: settle vector lo−1 in lane 0 and seed the per-net carry
+	// bits from it, mirroring the scalar shard's baseline settle (cycle
+	// 0 of the run therefore counts zero transitions). The gather
+	// rewrites every input word — the planes may be recycled from a
+	// previous run and carry stale bits.
+	if err := gather(max(lo-1, 0), 1); err != nil {
+		return nil, err
 	}
-	if words64 != nil {
-		w := words64(base)
-		for i, sig := range n.Inputs {
-			words[sig] = w >> uint(i) & 1
-		}
-	} else {
-		vec, err := fetchVec(n, inputs, base)
-		if err != nil {
-			return nil, err
-		}
-		for i, sig := range n.Inputs {
-			var w uint64
-			if vec[i] {
-				w = 1
-			}
-			words[sig] = w
-		}
-	}
-	execFused(fused, words)
+	settle()
 	for id, w := range words {
 		carry[id] = w & 1
 	}
@@ -224,62 +277,14 @@ func runShardPacked(b *budget.Budget, e *env, fused *logic.FusedProgram, inputs 
 	perCycle := int64(len(e.order)) + 1
 	capBuf := &sc.bins
 	for w0 := 0; w0 < cycles; w0 += 64 {
-		lanes := cycles - w0
-		if lanes > 64 {
-			lanes = 64
-		}
+		lanes := min(cycles-w0, 64)
 		b.Check(int64(lanes) * perCycle)
-
-		// Gather: bit j of each input word is that input's value in
-		// cycle lo+w0+j.
-		if words64 != nil {
-			// Word inputs: buffer the block's cycle words, then turn
-			// them into input planes. Input i's plane is column i of
-			// the 64×64 bit matrix of cycle words; with enough inputs
-			// a butterfly transpose (log₂64 block-swap stages over the
-			// whole matrix) beats extracting each column bit by bit.
-			cyc := &sc.cyc
-			for j := 0; j < lanes; j++ {
-				cyc[j] = words64(lo + w0 + j)
-			}
-			if len(n.Inputs) >= 8 {
-				// Dead tail lanes must transpose to zero bits, exactly
-				// as the per-column loop leaves them.
-				for j := lanes; j < 64; j++ {
-					cyc[j] = 0
-				}
-				transpose64(cyc)
-				for i, sig := range n.Inputs {
-					words[sig] = cyc[i]
-				}
-			} else {
-				for i, sig := range n.Inputs {
-					var w uint64
-					for j := 0; j < lanes; j++ {
-						w |= (cyc[j] >> uint(i) & 1) << uint(j)
-					}
-					words[sig] = w
-				}
-			}
-		} else {
-			for _, sig := range n.Inputs {
-				words[sig] = 0
-			}
-			for j := 0; j < lanes; j++ {
-				vec, err := fetchVec(n, inputs, lo+w0+j)
-				if err != nil {
-					return nil, err
-				}
-				bit := uint64(1) << uint(j)
-				for i, sig := range n.Inputs {
-					if vec[i] {
-						words[sig] |= bit
-					}
-				}
-			}
+		// Bit j of each input word is that input's value in cycle
+		// lo+w0+j.
+		if err := gather(lo+w0, lanes); err != nil {
+			return nil, err
 		}
-
-		execFused(fused, words)
+		settle()
 
 		mask := ^uint64(0)
 		if lanes < 64 {

@@ -31,8 +31,10 @@ type ParallelOptions struct {
 // Serial-fallback reasons reported in Result.Fallback when RunParallel
 // degrades to one shard.
 const (
-	// FallbackSequential: the netlist carries state across cycles, so
-	// vector sharding would be unsound (see CanShard).
+	// FallbackSequential: the netlist carries state across cycles (a
+	// DFF, EnDFF or Latch), so vector sharding would be unsound: each
+	// shard rebuilds its transition baseline by replaying the previous
+	// vector, which restores no state.
 	FallbackSequential = "sequential-netlist"
 	// FallbackShortRun: the run could not be cut into at least two
 	// DefaultMinShard-sized shards for the available workers, so
@@ -40,33 +42,17 @@ const (
 	FallbackShortRun = "short-run"
 )
 
-// CanShard reports whether a netlist is eligible for vector-sharded
-// simulation. Monte Carlo sharding replays the previous vector to
-// rebuild each shard's transition baseline, which is only sound when
-// the circuit carries no state across cycles — any DFF, EnDFF, or
-// latch forces the serial path.
-func CanShard(n *logic.Netlist) bool {
-	if n == nil {
-		return false
-	}
-	for _, g := range n.Gates {
-		if g.Kind.IsSequential() || g.Kind == logic.Latch {
-			return false
-		}
-	}
-	return true
-}
-
 // RunParallel is RunBudget with the input vectors split across a
 // bounded worker pool. Each worker simulates a contiguous cycle block
 // into a private accumulator under its own forked budget share; blocks
 // merge in canonical cycle order, so for a fixed seeded workload the
 // result is bit-identical to Run/RunBudget regardless of the worker
 // count. The input provider must be safe for concurrent use
-// (VectorInputs is). Netlists with sequential elements (see CanShard)
-// and runs too short to shard take the serial path inside this call —
-// same results, one goroutine — and the degradation is observable:
-// Result.Fallback names the reason and Result.Shards reports 1.
+// (VectorInputs is). Netlists with sequential elements (any DFF, EnDFF
+// or Latch) and runs too short to shard take the serial path inside
+// this call — same results, one goroutine — and the degradation is
+// observable: Result.Fallback names the reason and Result.Shards
+// reports 1.
 func RunParallel(b *budget.Budget, n *logic.Netlist, inputs InputProvider, cycles int, opts ParallelOptions) (res *Result, err error) {
 	defer hlerr.Recover(&err)
 	if n == nil {

@@ -133,9 +133,6 @@ func TestParallelSequentialFallsBackToSerial(t *testing.T) {
 	in := n.AddInput("d")
 	ff := n.Add(logic.DFF, in)
 	n.MarkOutput(ff)
-	if CanShard(n) {
-		t.Fatal("sequential netlist reported shardable")
-	}
 	rng := rand.New(rand.NewSource(3))
 	vectors := make([][]bool, 400)
 	for c := range vectors {
@@ -152,6 +149,9 @@ func TestParallelSequentialFallsBackToSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, serial, parallel, "sequential-fallback")
+	if parallel.Fallback != FallbackSequential || parallel.Shards != 1 {
+		t.Fatalf("sequential netlist: Fallback=%q Shards=%d, want %q/1", parallel.Fallback, parallel.Shards, FallbackSequential)
+	}
 }
 
 // TestParallelFallbackObservable pins the observability contract: a
@@ -202,16 +202,6 @@ func TestParallelFallbackObservable(t *testing.T) {
 	}
 	if res.Fallback != "" || res.Shards != 1 {
 		t.Fatalf("serial run: Fallback=%q Shards=%d, want \"\"/1", res.Fallback, res.Shards)
-	}
-}
-
-func TestCanShard(t *testing.T) {
-	comb, _ := mcNetlist(t, 8, 1, 1)
-	if !CanShard(comb) {
-		t.Fatal("combinational netlist reported unshardable")
-	}
-	if CanShard(nil) {
-		t.Fatal("nil netlist reported shardable")
 	}
 }
 

@@ -181,7 +181,6 @@ type env struct {
 	n          *logic.Netlist
 	order      []int
 	loads      []float64
-	fanouts    [][]int
 	groups     []string // dense group index -> name
 	groupOf    []int    // gate id -> dense group index
 	clockGI    int      // dense index of the "clock" group (-1 when untracked)
@@ -267,12 +266,6 @@ func prepareNet(n *logic.Netlist, opts Options) (*env, error) {
 		opts:    opts,
 	}
 	ed := opts.Model == EventDriven
-	// Fanout adjacency is only read by the event-driven engine
-	// (simulateEventDriven); zero-delay runs skip the per-gate slice
-	// build, which dominated their setup allocations.
-	if ed {
-		e.fanouts = n.Fanouts()
-	}
 	idx := map[string]int{}
 	for id, g := range n.Gates {
 		gi, ok := idx[g.Group]
@@ -416,7 +409,7 @@ func runShard(b *budget.Budget, e *env, inputs InputProvider, lo, hi int, lean b
 	prev := make([]bool, len(n.Gates))
 	var ed *edScratch
 	if e.opts.Model == EventDriven {
-		ed = newEDScratch(len(n.Gates), e.maxDelay)
+		ed = newEDScratch(n, e.maxDelay)
 	}
 	for cycle := lo; cycle < hi; cycle++ {
 		b.Check(int64(len(e.order)) + 1)
@@ -542,7 +535,10 @@ func isSource(k logic.Kind) bool {
 }
 
 // edScratch is the per-shard scratch of the event-driven engine: a
-// timing wheel of pending gate evaluations plus the round buffers.
+// timing wheel of pending gate evaluations, the fanout lists it
+// schedules from, and the round buffers. Only the wheel reads fanout
+// lists, so they are built here, per shard: a Compile whose artifact
+// never runs the wheel pays nothing for them.
 // Every pending event lies within maxDelay ticks of the current time,
 // so a ring of maxDelay+1 buckets, one per tick, holds them all
 // without collisions: the event d ticks from now sits d buckets past
@@ -550,6 +546,7 @@ func isSource(k logic.Kind) bool {
 // gate twice for one time is a no-op, and draining a bucket yields its
 // gates in ascending id order without sorting.
 type edScratch struct {
+	fanouts  [][]int  // per gate id: the gates reading it
 	words    int      // bitset words per bucket
 	wheel    []uint64 // bucket k is wheel[k*words : (k+1)*words]
 	count    []int    // set bits per bucket
@@ -565,9 +562,10 @@ type edCommit struct {
 	val  bool
 }
 
-func newEDScratch(nGates, maxDelay int) *edScratch {
-	words := (nGates + 63) / 64
+func newEDScratch(n *logic.Netlist, maxDelay int) *edScratch {
+	words := (len(n.Gates) + 63) / 64
 	return &edScratch{
+		fanouts:  n.Fanouts(),
 		words:    words,
 		wheel:    make([]uint64, (maxDelay+1)*words),
 		count:    make([]int, maxDelay+1),
@@ -638,7 +636,7 @@ func simulateEventDriven(b *budget.Budget, e *env, values, state, prev []bool, r
 		}
 		if values[id] != prev[id] {
 			record(id)
-			for _, f := range e.fanouts[id] {
+			for _, f := range s.fanouts[id] {
 				s.schedule(n.Gates[f].Delay, f)
 			}
 		}
@@ -680,7 +678,7 @@ func simulateEventDriven(b *budget.Budget, e *env, values, state, prev []bool, r
 				state[c.gate] = c.val
 			}
 			record(c.gate)
-			for _, f := range e.fanouts[c.gate] {
+			for _, f := range s.fanouts[c.gate] {
 				s.schedule(n.Gates[f].Delay, f)
 			}
 		}

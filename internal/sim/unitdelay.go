@@ -66,8 +66,8 @@ func compileUnitDelay(e *env) *unitDelay {
 		return nil // a latch, an enabled flip-flop or a cycle: the wheel keeps it
 	}
 	u := &unitDelay{feedForward: ff, reader: make([]bool, len(gates))}
-	for id := range gates {
-		u.reader[id] = len(e.fanouts[id]) > 0
+	for _, f := range ff.args {
+		u.reader[f] = true
 	}
 	// Path-length windows from the sources (DFFs included), then the
 	// per-step gate lists, counting-sorted so each stays ascending.
@@ -139,15 +139,8 @@ func runShardUnitDelay(b *budget.Budget, e *env, u *unitDelay, inputs InputProvi
 
 	// Baseline: vector lo−1 settled (vector 0 and the reset state for
 	// the first shard), exactly as the wheel's shard settles it.
-	vec, err := fetchVec(n, inputs, max(lo-1, 0))
-	if err != nil {
+	if _, err := gatherBlock(n, inputs, settled, max(lo-1, 0), 1); err != nil {
 		return nil, err
-	}
-	for i, sig := range n.Inputs {
-		settled[sig] = 0
-		if vec[i] {
-			settled[sig] = 1
-		}
 	}
 	u.settle(n.Gates, settled, carry, true)
 	for id, w := range settled {
